@@ -16,14 +16,13 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 
 from . import dilation as dl
 from . import ktheory as kt
 from . import uhf_cuntz as uc
 from .core_endo import CoreEndo
-from .exel_path import DepthFunction, transfer_L, transfer_identity_check
-from .graph import Graph, load_graph
+from .exel_path import DepthFunction, alpha_shift, transfer_L, transfer_identity_check
+from .graph import Graph, bouquet, load_graph
 from .hilbert_module import (
     GraphFrameSystem,
     ModuleElement,
@@ -35,7 +34,6 @@ from .hilbert_module import (
     reconstruct_check,
     u_isometry_report,
 )
-from .graph import bouquet
 from .scalar import ONE
 from .star_algebra import StarElement, matrix_unit, op_norm, parse_element
 from .util import CheckReport, SplitMix64
@@ -276,8 +274,7 @@ def cmd_core_verify_beta(args, report: RunReport) -> None:
     sweep = CheckReport("shift homomorphism sweep, %d exhaustive pairs, %d random"
                         % (len(pairs) - args.trials, args.trials))
     for rep in _run_cases(pairs, check_pair, args.parallel):
-        sweep.checks += rep.checks
-        sweep.failures.extend(rep.failures)
+        sweep.merge(rep)
     report.add(sweep)
 
 
@@ -308,7 +305,6 @@ def cmd_exel_verify_transfer(args, report: RunReport) -> None:
         for p in g.paths(k):
             f = DepthFunction.indicator(g, p)
             basic.count()
-            from .exel_path import alpha_shift
             if not transfer_L(alpha_shift(f)).equal(f):
                 basic.fail("L(alpha(f)) differs from f at f=\n%s" % f.text())
     report.add(basic)
@@ -325,8 +321,7 @@ def cmd_exel_verify_transfer(args, report: RunReport) -> None:
     sweep = CheckReport("transfer identity sweep, %d exhaustive pairs, %d random"
                         % (len(cases) - args.trials, args.trials))
     for rep in _run_cases(cases, lambda ab: transfer_identity_check(*ab), args.parallel):
-        sweep.checks += rep.checks
-        sweep.failures.extend(rep.failures)
+        sweep.merge(rep)
     report.add(sweep)
 
 
@@ -379,8 +374,7 @@ def cmd_module_crosscheck(args, report: RunReport) -> None:
     sweep = CheckReport("two-route shift comparison, level %d, %d pairs"
                         % (args.level, len(cases)))
     for rep in _run_cases(cases, lambda mn: beta_crosscheck(g, *mn), args.parallel):
-        sweep.checks += rep.checks
-        sweep.failures.extend(rep.failures)
+        sweep.merge(rep)
     report.add(sweep)
 
 
@@ -464,8 +458,7 @@ def cmd_dilation_verify(args, report: RunReport) -> None:
             for power in (0, 1):
                 _, rep = dl.dilation_beta(system, (m, power, nn),
                                           radius=min(args.box, 4))
-                rewrites.checks += rep.checks
-                rewrites.failures.extend(rep.failures)
+                rewrites.merge(rep)
     report.add(rewrites)
 
 

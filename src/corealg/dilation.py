@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .util import CheckReport
+from .util import CheckReport, rational_echelon
 
 Vector = tuple[int, ...]
 Vec = "dict[Vector, Fraction]"
@@ -82,17 +82,15 @@ def hermite_normal_form(b: list[list[int]]) -> tuple[list[list[int]], list[list[
 
 def _invert_rational(b: list[list[int]]) -> list[list[Fraction]]:
     d = len(b)
-    a = [[Fraction(b[i][j]) for j in range(d)] + [Fraction(int(i == j)) for j in range(d)]
-         for i in range(d)]
-    for col in range(d):
-        piv = next((r for r in range(col, d) if a[r][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(d)]
+         for i, row in enumerate(b)]
+    if not rational_echelon(a, d):
+        raise ValueError("matrix is singular")
+    for col in reversed(range(d)):
         scale = a[col][col]
         a[col] = [x / scale for x in a[col]]
-        for r in range(d):
-            if r != col and a[r][col]:
+        for r in range(col):
+            if a[r][col]:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     return [row[d:] for row in a]

@@ -3,8 +3,9 @@
 A function of depth k sees only the first k edges of an infinite path.  The
 module provides the one-sided shift endomorphism alpha (precompose with the
 shift), the averaging transfer operator L, and the identity L(alpha(a)b) =
-a L(b) that makes (functions, alpha, L) an Exel system.  All values are
-rational; square-root scalings enter only at the module layer elsewhere.
+a L(b) that makes (functions, alpha, L) an Exel system.  Values are exact
+scalars, rational or radical; the frame module of hilbert_module uses the
+same functions as its coefficient algebra.
 """
 
 from __future__ import annotations
@@ -12,27 +13,33 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .graph import Graph, Path
+from .scalar import Radical
 from .util import CheckReport
+
+
+_ZERO = Fraction(0)
 
 
 class DepthFunctionFormatError(ValueError):
     pass
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _as_scalar(x):
+    if isinstance(x, (Fraction, Radical)):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    raise TypeError("values must be rational, got %r" % (x,))
+    raise TypeError("values must be exact scalars, got %r" % (x,))
 
 
 class DepthFunction:
-    """Rational-valued function determined by length-k path prefixes."""
+    """Function determined by length-k path prefixes, with Fraction or
+    Radical values."""
 
     __slots__ = ("graph", "depth", "values")
 
-    def __init__(self, graph: Graph, depth: int, values: dict[Path, Fraction] | None = None):
+    def __init__(self, graph: Graph, depth: int,
+                 values: dict[Path, Fraction | Radical] | None = None):
         if not graph.path_space_admissible:
             raise ValueError("graph must have no sinks and no singular vertices")
         if depth < 0:
@@ -45,26 +52,35 @@ class DepthFunction:
                 if len(p) != depth:
                     raise ValueError("path %s has length %d, expected %d"
                                      % (p.text(), len(p), depth))
-                x = _as_fraction(x)
+                x = _as_scalar(x)
                 if x:
                     self.values[p] = x
 
     @classmethod
+    def _wrap(cls, graph: Graph, depth: int, values: dict) -> "DepthFunction":
+        # internal fast path: values already checked and zero-free
+        f = cls.__new__(cls)
+        f.graph = graph
+        f.depth = depth
+        f.values = values
+        return f
+
+    @classmethod
     def constant(cls, graph: Graph, value, depth: int = 0) -> "DepthFunction":
-        value = _as_fraction(value)
+        value = _as_scalar(value)
         return cls(graph, depth, {p: value for p in graph.paths(depth)})
 
     @classmethod
     def indicator(cls, graph: Graph, mu: Path) -> "DepthFunction":
         return cls(graph, len(mu), {mu: Fraction(1)})
 
-    def value(self, p: Path) -> Fraction:
+    def value(self, p: Path):
         """Value on any path at least depth long (only the prefix matters)."""
         if len(p) < self.depth:
             raise ValueError("path %s is shorter than depth %d" % (p.text(), self.depth))
         if len(p) == self.depth:
-            return self.values.get(p, Fraction(0))
-        return self.values.get(self.graph.prefix(p, self.depth), Fraction(0))
+            return self.values.get(p, _ZERO)
+        return self.values.get(self.graph.prefix(p, self.depth), _ZERO)
 
     def lift(self, depth: int) -> "DepthFunction":
         if depth < self.depth:
@@ -76,7 +92,7 @@ class DepthFunction:
             x = self.value(p)
             if x:
                 out[p] = x
-        return DepthFunction(self.graph, depth, out)
+        return DepthFunction._wrap(self.graph, depth, out)
 
     def _common(self, other: "DepthFunction") -> tuple["DepthFunction", "DepthFunction"]:
         if other.graph is not self.graph:
@@ -90,15 +106,17 @@ class DepthFunction:
         a, b = self._common(other)
         out = dict(a.values)
         for p, x in b.values.items():
-            s = out.get(p, Fraction(0)) + x
-            if s:
-                out[p] = s
-            elif p in out:
+            s = out.get(p)
+            t = x if s is None else s + x
+            if t:
+                out[p] = t
+            elif s is not None:
                 del out[p]
-        return DepthFunction(self.graph, a.depth, out)
+        return DepthFunction._wrap(self.graph, a.depth, out)
 
     def __neg__(self):
-        return DepthFunction(self.graph, self.depth, {p: -x for p, x in self.values.items()})
+        return DepthFunction._wrap(self.graph, self.depth,
+                                   {p: -x for p, x in self.values.items()})
 
     def __sub__(self, other):
         if not isinstance(other, DepthFunction):
@@ -113,9 +131,12 @@ class DepthFunction:
                 y = b.values.get(p)
                 if y:
                     out[p] = x * y
-            return DepthFunction(self.graph, a.depth, out)
-        return DepthFunction(self.graph, self.depth,
-                             {p: x * _as_fraction(other) for p, x in self.values.items()})
+            return DepthFunction._wrap(self.graph, a.depth, out)
+        c = _as_scalar(other)
+        if not c:
+            return DepthFunction._wrap(self.graph, self.depth, {})
+        return DepthFunction._wrap(self.graph, self.depth,
+                                   {p: x * c for p, x in self.values.items()})
 
     def __rmul__(self, other):
         return self * other
@@ -128,6 +149,7 @@ class DepthFunction:
         return not self.values
 
     def nonneg(self) -> bool:
+        """Rational values only: radicals carry no exact order here."""
         return all(x >= 0 for x in self.values.values())
 
     def __repr__(self):
@@ -138,7 +160,7 @@ class DepthFunction:
         for p in self.graph.paths(self.depth):
             x = self.values.get(p)
             if x:
-                lines.append("F %s %s" % (p.text(), x))
+                lines.append("F %s %s" % (p.text(), x.text() if isinstance(x, Radical) else x))
         return "\n".join(lines) + "\n" if lines else ""
 
 
@@ -150,7 +172,7 @@ def alpha_shift(f: DepthFunction) -> DepthFunction:
         x = f.value(g.drop_first(p))
         if x:
             out[p] = x
-    return DepthFunction(g, f.depth + 1, out)
+    return DepthFunction._wrap(g, f.depth + 1, out)
 
 
 def transfer_L(f: DepthFunction) -> DepthFunction:
@@ -163,13 +185,14 @@ def transfer_L(f: DepthFunction) -> DepthFunction:
     out = {}
     for p in g.paths(k):
         exts = g.out_edges(p.rng)
-        total = Fraction(0)
+        total = None
         for e in exts:
-            total += f.value(g.prepend_edge(e, p))
-        total /= len(exts)
+            x = f.value(g.prepend_edge(e, p))
+            if x:
+                total = x if total is None else total + x
         if total:
-            out[p] = total
-    return DepthFunction(g, k, out)
+            out[p] = total * Fraction(1, len(exts))
+    return DepthFunction._wrap(g, k, out)
 
 
 def ml_inner(a: DepthFunction, b: DepthFunction) -> DepthFunction:

@@ -11,7 +11,7 @@ end (mu -> mu.e with r(e) = s(mu)) and prepends at the range end
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 _NAME = re.compile(r"[A-Za-z0-9_]+\Z")
 

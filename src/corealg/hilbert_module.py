@@ -13,19 +13,19 @@ represent the same element exactly when the Gram matrix maps their difference
 to zero, so equality tests go through Gram-projected (canonical) coordinates.
 
 Two systems are provided: the path system of a finite regular graph, whose
-coefficient algebra is the locally constant functions with exact radical
-values, and the matrix-tower system, whose coefficient algebra is the tensor
-elements of uhf_cuntz.
+coefficient algebra is exel_path's locally constant functions with exact
+radical values, and the matrix-tower system, whose coefficient algebra is the
+tensor elements of uhf_cuntz.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core_endo import CoreEndo
+from .exel_path import DepthFunction, alpha_shift, transfer_L
 from .graph import Graph, Path
 from .scalar import ONE, Radical
 from .star_algebra import StarElement, matrix_unit, unit
@@ -38,104 +38,19 @@ class TruncationDepthError(ValueError):
     """The requested truncation cannot hold the shifted unit."""
 
 
-# -- coefficient algebra for the graph system ------------------------------------
-
-
-class RadicalFunc:
-    """Locally constant function on the path space with radical values."""
-
-    __slots__ = ("graph", "depth", "values")
-
-    def __init__(self, graph: Graph, depth: int, values: dict[Path, Radical] | None = None):
-        self.graph = graph
-        self.depth = depth
-        self.values = {}
-        if values:
-            for p, x in values.items():
-                if len(p) != depth:
-                    raise ValueError("path %s has length %d, expected %d"
-                                     % (p.text(), len(p), depth))
-                if x:
-                    self.values[p] = x
-
-    @classmethod
-    def indicator(cls, graph: Graph, mu: Path, coeff: Radical = ONE) -> "RadicalFunc":
-        return cls(graph, len(mu), {mu: coeff})
-
-    @classmethod
-    def constant(cls, graph: Graph, coeff: Radical) -> "RadicalFunc":
-        return cls(graph, 0, {graph.empty_path(v): coeff for v in graph.vertices})
-
-    def value(self, p: Path) -> Radical:
-        if len(p) < self.depth:
-            raise ValueError("path %s shorter than depth %d" % (p.text(), self.depth))
-        if len(p) == self.depth:
-            return self.values.get(p, Radical())
-        return self.values.get(self.graph.prefix(p, self.depth), Radical())
-
-    def lift(self, depth: int) -> "RadicalFunc":
-        if depth < self.depth:
-            raise ValueError("cannot lower depth %d to %d" % (self.depth, depth))
-        if depth == self.depth:
-            return self
-        out = {}
-        for p in self.graph.paths(depth):
-            x = self.value(p)
-            if x:
-                out[p] = x
-        return RadicalFunc(self.graph, depth, out)
-
-    def _common(self, other: "RadicalFunc"):
-        k = max(self.depth, other.depth)
-        return self.lift(k), other.lift(k)
-
-    def __add__(self, other):
-        a, b = self._common(other)
-        out = dict(a.values)
-        for p, x in b.values.items():
-            s = out.get(p)
-            t = x if s is None else s + x
-            if t:
-                out[p] = t
-            elif s is not None:
-                del out[p]
-        return RadicalFunc(self.graph, a.depth, out)
-
-    def __sub__(self, other):
-        return self + other.scalar(Radical.from_rational(-1))
-
-    def __mul__(self, other):
-        a, b = self._common(other)
-        out = {}
-        for p, x in a.values.items():
-            y = b.values.get(p)
-            if y:
-                out[p] = x * y
-        return RadicalFunc(self.graph, a.depth, out)
-
-    def scalar(self, c) -> "RadicalFunc":
-        return RadicalFunc(self.graph, self.depth,
-                           {p: x * c for p, x in self.values.items()})
-
-    def equal(self, other: "RadicalFunc") -> bool:
-        a, b = self._common(other)
-        return a.values == b.values
-
-    def is_zero(self) -> bool:
-        return not self.values
-
-    def text(self) -> str:
-        lines = ["F %s %s" % (p.text(), x.text())
-                 for p, x in sorted(self.values.items(), key=lambda kv: kv[0].text())]
-        return "\n".join(lines) + "\n" if lines else "0\n"
-
-    def __repr__(self):
-        return "RadicalFunc(depth=%d, %d nonzero)" % (self.depth, len(self.values))
-
-
-def radical_func_from_depth_function(f) -> RadicalFunc:
-    return RadicalFunc(f.graph, f.depth,
-                       {p: Radical.from_rational(x) for p, x in f.values.items()})
+def _accumulate(system, out: dict, key, add) -> None:
+    """out[key] += add in the coefficient algebra; out never holds a zero."""
+    if system.is_zero(add):
+        return
+    s = out.get(key)
+    if s is None:
+        out[key] = add
+        return
+    t = system.add(s, add)
+    if system.is_zero(t):
+        del out[key]
+    else:
+        out[key] = t
 
 
 # -- the two frame systems ---------------------------------------------------------
@@ -143,7 +58,8 @@ def radical_func_from_depth_function(f) -> RadicalFunc:
 
 class GraphFrameSystem:
     """Frame indexed by edges; F_e is the scaled cylinder indicator with
-    scaling the square root of the out-degree at s(e)."""
+    scaling the square root of the out-degree at s(e).  The coefficient
+    algebra is exel_path's DepthFunction with Radical values."""
 
     kind = "graph"
 
@@ -153,12 +69,14 @@ class GraphFrameSystem:
         self.graph = graph
         self.indices = graph.edge_names
         self._count = {v: len(graph.out_edges(v)) for v in graph.vertices}
+        self._unit = DepthFunction.constant(graph, ONE)
+        self._zero = DepthFunction(graph, 0)
 
-    def unit(self) -> RadicalFunc:
-        return RadicalFunc.constant(self.graph, ONE)
+    def unit(self) -> DepthFunction:
+        return self._unit
 
-    def zero(self) -> RadicalFunc:
-        return RadicalFunc(self.graph, 0)
+    def zero(self) -> DepthFunction:
+        return self._zero
 
     def mul(self, a, b):
         return a * b
@@ -170,7 +88,7 @@ class GraphFrameSystem:
         return a
 
     def scalar(self, a, c):
-        return a.scalar(c)
+        return a * c
 
     def is_zero(self, a) -> bool:
         return a.is_zero()
@@ -178,35 +96,17 @@ class GraphFrameSystem:
     def equal(self, a, b) -> bool:
         return a.equal(b)
 
-    def a_text(self, a) -> str:
-        return a.text()
+    def a_text(self, a: DepthFunction) -> str:
+        # "F <path> <value>" lines sort in the order of their path texts
+        return "".join(sorted(a.text().splitlines(keepends=True))) or "0\n"
 
-    def alpha(self, a: RadicalFunc) -> RadicalFunc:
-        g = self.graph
-        out = {}
-        for p in g.paths(a.depth + 1):
-            x = a.value(g.drop_first(p))
-            if x:
-                out[p] = x
-        return RadicalFunc(g, a.depth + 1, out)
+    def alpha(self, a: DepthFunction) -> DepthFunction:
+        return alpha_shift(a)
 
-    def L(self, a: RadicalFunc) -> RadicalFunc:
-        g = self.graph
-        if a.depth == 0:
-            a = a.lift(1)
-        k = max(a.depth - 1, 1)
-        out = {}
-        for p in g.paths(k):
-            exts = g.out_edges(p.rng)
-            total = Radical()
-            for e in exts:
-                total = total + a.value(g.prepend_edge(e, p))
-            total = total * Fraction(1, len(exts))
-            if total:
-                out[p] = total
-        return RadicalFunc(g, k, out)
+    def L(self, a: DepthFunction) -> DepthFunction:
+        return transfer_L(a)
 
-    def restrict_edge(self, b: RadicalFunc, e: str) -> RadicalFunc:
+    def restrict_edge(self, b: DepthFunction, e: str) -> DepthFunction:
         """The function rho -> b(e.rho) on the cylinder reaching s(e)."""
         g = self.graph
         v = g.src(e)
@@ -218,29 +118,28 @@ class GraphFrameSystem:
             x = b.value(g.prepend_edge(e, p))
             if x:
                 out[p] = x
-        return RadicalFunc(g, depth, out)
+        return DepthFunction._wrap(g, depth, out)
 
-    def act1(self, e: str, b: RadicalFunc, f: str) -> RadicalFunc:
+    def act1(self, e: str, b: DepthFunction, f: str) -> DepthFunction:
         if e != f:
             return self.zero()
         return self.restrict_edge(b, e)
 
-    def qcoord(self, e: str, a: RadicalFunc) -> RadicalFunc:
-        return self.restrict_edge(a, e).scalar(Radical.inv_sqrt(self._count[self.graph.src(e)]))
+    def qcoord(self, e: str, a: DepthFunction) -> DepthFunction:
+        return self.restrict_edge(a, e) * Radical.inv_sqrt(self._count[self.graph.src(e)])
 
-    def frame_rep(self, e: str) -> RadicalFunc:
+    def frame_rep(self, e: str) -> DepthFunction:
         mu = self.graph.path([e])
-        return RadicalFunc.indicator(self.graph, mu,
-                                     Radical.sqrt(self._count[self.graph.src(e)]))
+        return DepthFunction(self.graph, 1, {mu: Radical.sqrt(self._count[self.graph.src(e)])})
 
     def basis(self, depth: int) -> list:
-        return [RadicalFunc.indicator(self.graph, mu) for mu in self.graph.paths(depth)]
+        return [DepthFunction(self.graph, depth, {mu: ONE}) for mu in self.graph.paths(depth)]
 
-    def psd_blocks(self, entries: list[list[RadicalFunc]]):
+    def psd_blocks(self, entries: list[list[DepthFunction]]):
         depth = max((entry.depth for row in entries for entry in row), default=0)
         blocks = []
         for lam in self.graph.paths(depth):
-            blocks.append(np.array([[entry.value(lam).evalf() for entry in row]
+            blocks.append(np.array([[float(entry.value(lam)) for entry in row]
                                     for row in entries]))
         return blocks
 
@@ -339,9 +238,7 @@ def _left_act_word(system, b, w: tuple) -> dict:
         if system.is_zero(b1):
             continue
         for v, d in _left_act_word(system, b1, w[1:]).items():
-            key = (i,) + v
-            s = out.get(key)
-            out[key] = d if s is None else system.add(s, d)
+            _accumulate(system, out, (i,) + v, d)
     return out
 
 
@@ -386,12 +283,7 @@ class ModuleElement:
             raise ValueError("degree or system mismatch")
         out = dict(self.coords)
         for w, c in other.coords.items():
-            s = out.get(w)
-            t = c if s is None else self.system.add(s, c)
-            if self.system.is_zero(t):
-                out.pop(w, None)
-            else:
-                out[w] = t
+            _accumulate(self.system, out, w, c)
         return ModuleElement(self.system, self.degree, out)
 
     def __sub__(self, other):
@@ -426,15 +318,7 @@ class ModuleElement:
         out: dict[tuple, object] = {}
         for v, c in self.coords.items():
             for w, d in _left_act_word(sys, sys.unit(), v).items():
-                add = sys.mul(d, c)
-                if sys.is_zero(add):
-                    continue
-                s = out.get(w)
-                t = add if s is None else sys.add(s, add)
-                if sys.is_zero(t):
-                    out.pop(w, None)
-                else:
-                    out[w] = t
+                _accumulate(sys, out, w, sys.mul(d, c))
         return out
 
     def equal(self, other: "ModuleElement") -> bool:
@@ -468,15 +352,7 @@ def left_act(system, b, m: ModuleElement) -> ModuleElement:
     out: dict[tuple, object] = {}
     for w, c in m.coords.items():
         for v, d in _left_act_word(system, b, w).items():
-            add = system.mul(d, c)
-            if system.is_zero(add):
-                continue
-            s = out.get(v)
-            t = add if s is None else system.add(s, add)
-            if system.is_zero(t):
-                out.pop(v, None)
-            else:
-                out[v] = t
+            _accumulate(system, out, v, system.mul(d, c))
     return ModuleElement(system, m.degree, out)
 
 
@@ -487,13 +363,7 @@ def tensor(m1: ModuleElement, m2: ModuleElement) -> ModuleElement:
     for v, c in m1.coords.items():
         moved = left_act(sys, c, m2)
         for w, d in moved.coords.items():
-            key = v + w
-            s = out.get(key)
-            t = d if s is None else sys.add(s, d)
-            if sys.is_zero(t):
-                out.pop(key, None)
-            else:
-                out[key] = t
+            _accumulate(sys, out, v + w, d)
     return ModuleElement(sys, m1.degree + m2.degree, out)
 
 
@@ -519,8 +389,8 @@ def canonical_frame(system) -> tuple[Frame, CheckReport]:
             if system.kind == "graph":
                 if i == j:
                     v = system.graph.src(i)
-                    expected = RadicalFunc(system.graph, 0,
-                                           {system.graph.empty_path(v): ONE})
+                    expected = DepthFunction(system.graph, 0,
+                                             {system.graph.empty_path(v): ONE})
                 else:
                     expected = system.zero()
             else:
@@ -588,15 +458,7 @@ def U_star_map(system, m: ModuleElement) -> ModuleElement:
         if sys.is_zero(b):
             continue
         for v, e in _left_act_word(sys, b, rest).items():
-            add = sys.mul(e, d)
-            if sys.is_zero(add):
-                continue
-            s = out.get(v)
-            t = add if s is None else sys.add(s, add)
-            if sys.is_zero(t):
-                out.pop(v, None)
-            else:
-                out[v] = t
+            _accumulate(sys, out, v, sys.mul(e, d))
     return ModuleElement(sys, m.degree - 1, out)
 
 
@@ -702,17 +564,8 @@ class CompactOp:
         out: dict[tuple, object] = {}
         for (w, v), c in self.entries.items():
             d = m.coords.get(v)
-            if d is None:
-                continue
-            add = sys.mul(c, d)
-            if sys.is_zero(add):
-                continue
-            s = out.get(w)
-            t = add if s is None else sys.add(s, add)
-            if sys.is_zero(t):
-                out.pop(w, None)
-            else:
-                out[w] = t
+            if d is not None:
+                _accumulate(sys, out, w, sys.mul(c, d))
         return ModuleElement(sys, self.degree, out)
 
     def compose(self, other: "CompactOp") -> "CompactOp":
@@ -725,28 +578,14 @@ class CompactOp:
         out: dict[tuple, object] = {}
         for (w, u), c in self.entries.items():
             for v, d in by_row.get(u, ()):
-                key = (w, v)
-                add = sys.mul(c, d)
-                if sys.is_zero(add):
-                    continue
-                s = out.get(key)
-                t = add if s is None else sys.add(s, add)
-                if sys.is_zero(t):
-                    out.pop(key, None)
-                else:
-                    out[key] = t
+                _accumulate(sys, out, (w, v), sys.mul(c, d))
         return CompactOp(sys, self.degree, out)
 
     def add(self, other: "CompactOp") -> "CompactOp":
         sys = self.system
         out = dict(self.entries)
         for key, c in other.entries.items():
-            s = out.get(key)
-            t = c if s is None else sys.add(s, c)
-            if sys.is_zero(t):
-                out.pop(key, None)
-            else:
-                out[key] = t
+            _accumulate(sys, out, key, c)
         return CompactOp(sys, self.degree, out)
 
     def adjoint(self) -> "CompactOp":
@@ -760,16 +599,7 @@ class CompactOp:
         out: dict[tuple, object] = {}
         for (w, v), c in self.entries.items():
             for u, d in _left_act_word(sys, sys.unit(), w).items():
-                add = sys.mul(d, c)
-                if sys.is_zero(add):
-                    continue
-                key = (u, v)
-                s = out.get(key)
-                t = add if s is None else sys.add(s, add)
-                if sys.is_zero(t):
-                    out.pop(key, None)
-                else:
-                    out[key] = t
+                _accumulate(sys, out, (u, v), sys.mul(d, c))
         return out
 
     def equal(self, other: "CompactOp") -> bool:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .core_endo import CoreEndo
 from .graph import Graph
 from .star_algebra import StarElement, matrix_unit
-from .util import CheckReport
+from .util import CheckReport, rational_echelon
 
 IntMatrix = "list[list[int]]"
 
@@ -46,25 +46,11 @@ def _mat_mul(a, b):
 
 
 def int_det(m) -> int:
-    """Exact determinant by fraction-free Gaussian elimination."""
+    """Exact determinant by rational Gaussian elimination."""
     n, c = _dims(m)
     if n != c:
         raise ValueError("determinant needs a square matrix")
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    det = rational_echelon([[Fraction(x) for x in row] for row in m], n)
     assert det.denominator == 1
     return int(det)
 

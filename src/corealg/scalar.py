@@ -142,8 +142,10 @@ class Radical:
         return self._terms == o._terms
 
     def __hash__(self):
+        # a rational element equals its Fraction, so it must hash like one
         if self._hash is None:
-            self._hash = hash(tuple(sorted(self._terms.items())))
+            self._hash = (hash(self.rational_part()) if self.is_rational()
+                          else hash(tuple(sorted(self._terms.items()))))
         return self._hash
 
     def __bool__(self):
@@ -167,6 +169,9 @@ class Radical:
         """Float value; each sqrt is one correctly-rounded double, so the
         error is bounded by a few ulp per term."""
         return sum(float(c) * math.sqrt(k) for k, c in self._terms.items())
+
+    def __float__(self) -> float:
+        return self.evalf()
 
     # -- text form ----------------------------------------------------------
 

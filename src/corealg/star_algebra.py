@@ -80,9 +80,6 @@ class StarElement:
     def items(self):
         return self._terms.items()
 
-    def term_count(self) -> int:
-        return len(self._terms)
-
     def is_zero(self) -> bool:
         return not self._terms
 

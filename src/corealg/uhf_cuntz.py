@@ -259,32 +259,10 @@ def apply_tensor(a: TensorElement, vec: dict[Word, Radical]) -> dict[Word, Radic
     return out
 
 
-def prefix_rep_check(sys: UhfSystem, a: TensorElement, x: Word, y: Word, m: int) -> CheckReport:
-    """Compare (pi(L(a)) d_x | d_y) with the average of (pi(a) d_ix | d_iy)
-    over the first N letters i, in the length-m prefix model."""
-    report = CheckReport("prefix model transfer identity")
-    x, y = tuple(x), tuple(y)
-    if len(x) != m or len(y) != m:
-        raise ValueError("prefixes must have length m=%d" % m)
-    if m < a.k + 1:
-        raise ValueError("m=%d too small for depth %d; need m >= depth+1" % (m, a.k))
-    la = uhf_L(sys, a)
-    lhs = apply_tensor(la, {x: ONE}).get(y, Radical())
-    rhs = Radical()
-    scale = Fraction(1, sys.N)
-    for i in range(1, sys.N + 1):
-        vec = apply_tensor(a, {(i,) + x: ONE})
-        rhs = rhs + vec.get((i,) + y, Radical()) * scale
-    report.count()
-    if lhs != rhs:
-        report.fail("x=%r y=%r lhs=%s rhs=%s for a=\n%s"
-                    % (x, y, lhs.text(), rhs.text(), a.text()))
-    return report
-
-
 def prefix_rep_sweep(sys: UhfSystem, a: TensorElement, m: int) -> CheckReport:
-    """The same identity for every x of length m at once; comparing the full
-    image vectors covers every y simultaneously."""
+    """Compare (pi(L(a)) d_x | d_y) with the average of (pi(a) d_ix | d_iy)
+    over the first N letters i, in the length-m prefix model.  Every x of
+    length m is checked; comparing the full image vectors covers every y."""
     report = CheckReport("prefix model sweep (depth %d, m=%d)" % (a.k, m))
     if m < a.k + 1:
         raise ValueError("m=%d too small for depth %d; need m >= depth+1" % (m, a.k))

@@ -1,4 +1,5 @@
-"""Shared plumbing: the deterministic PRNG used by sweeps and a tiny check-report type."""
+"""Shared plumbing: the deterministic PRNG used by sweeps, a tiny check-report
+type and the one rational Gaussian elimination."""
 
 from __future__ import annotations
 
@@ -44,6 +45,27 @@ class SplitMix64:
             num += 1
         den = 1 + self.below(den_bound)
         return Fraction(num, den)
+
+
+def rational_echelon(rows: list[list[Fraction]], n: int) -> Fraction:
+    """Gaussian elimination in place on the first n columns of n rational
+    rows, any further columns riding along; returns the determinant of the
+    leading n x n block, stopping at 0 when a column has no pivot."""
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if rows[r][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        det *= rows[col][col]
+        inv = 1 / rows[col][col]
+        for r in range(col + 1, n):
+            if rows[r][col]:
+                f = rows[r][col] * inv
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return det
 
 
 @dataclass

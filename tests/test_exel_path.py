@@ -13,6 +13,7 @@ from corealg.exel_path import (
     transfer_L,
     transfer_identity_check,
 )
+from corealg.scalar import ONE, Radical
 
 
 def test_requires_path_space(single_edge):
@@ -82,6 +83,26 @@ def test_transfer_identity_exhaustive(o2, two_cycle):
             for b in pool:
                 report = transfer_identity_check(a, b)
                 assert report.passed, report.lines()
+
+
+def test_transfer_identity_with_radical_values(o2):
+    g = o2
+    a = DepthFunction.indicator(g, g.path(["e1"])) * Radical.sqrt(2)
+    pool = [DepthFunction.indicator(g, mu) for n in (0, 1, 2) for mu in g.paths(n)]
+    for b in pool + [a]:
+        report = transfer_identity_check(a, b)
+        assert report.passed, report.lines()
+    assert transfer_L(a).equal(DepthFunction.constant(g, Radical.sqrt(2) * Fraction(1, 2)))
+
+
+def test_rational_and_radical_values_agree(o2):
+    g = o2
+    assert DepthFunction.constant(g, 1).equal(DepthFunction.constant(g, ONE))
+    f = DepthFunction.indicator(g, g.path(["e2"]))
+    assert (f * ONE).equal(f)
+    assert (f * Radical.sqrt(2) - f * Radical.sqrt(2)).is_zero()
+    assert (f * Radical.sqrt(2)).text() == "F e2 1*sqrt(2)\n"
+    assert (f * (ONE * Fraction(2, 3))).text() == (f * Fraction(2, 3)).text() == "F e2 2/3\n"
 
 
 def test_ml_inner_positive(o3):

@@ -6,15 +6,16 @@ from fractions import Fraction
 import pytest
 
 from corealg.core_endo import CoreEndo
+from corealg.exel_path import DepthFunction
 from corealg.graph import bouquet, cycle
 from corealg.hilbert_module import (
     CompactOp,
     GraphFrameSystem,
     ModuleElement,
-    RadicalFunc,
     TruncationDepthError,
     UhfFrameSystem,
     U_map,
+    _accumulate,
     U_star_map,
     beta_crosscheck,
     build_U,
@@ -48,15 +49,35 @@ def usys():
 
 
 def test_radical_func_algebra(o2):
-    f = RadicalFunc.indicator(o2, o2.path(["e1"]))
-    g = RadicalFunc.indicator(o2, o2.path(["e2"]))
-    one = RadicalFunc.constant(o2, ONE)
+    f = DepthFunction(o2, 1, {o2.path(["e1"]): ONE})
+    g = DepthFunction(o2, 1, {o2.path(["e2"]): ONE})
+    one = DepthFunction.constant(o2, ONE)
     assert (f + g).equal(one)
     assert (f * f).equal(f)
     assert (f * g).is_zero()
-    assert f.scalar(Radical.sqrt(2)).value(o2.path(["e1", "e1"])) == Radical.sqrt(2)
+    assert (f * Radical.sqrt(2)).value(o2.path(["e1", "e1"])) == Radical.sqrt(2)
     with pytest.raises(ValueError):
         f.value(o2.empty_path("v"))
+
+
+def test_a_text_sorts_by_path_text():
+    g = bouquet(10)
+    gsys = GraphFrameSystem(g)
+    text = gsys.a_text(DepthFunction.constant(g, ONE, depth=1))
+    assert text.splitlines()[:3] == ["F e1 1", "F e10 1", "F e2 1"]
+    assert gsys.a_text(gsys.zero()) == "0\n"
+    assert gsys.a_text(gsys.frame_rep("e3")) == "F e3 1*sqrt(10)\n"
+
+
+def test_accumulate_stores_no_zero(gsys):
+    out = {}
+    _accumulate(gsys, out, ("e1",), gsys.zero())
+    assert out == {}
+    _accumulate(gsys, out, ("e1",), gsys.unit())
+    _accumulate(gsys, out, ("e1",), gsys.unit() * Radical.from_rational(-1))
+    assert out == {}
+    m = ModuleElement.basis_word(gsys, ("e1",))
+    assert not (m - m).coords
 
 
 def test_frame_system_requires_path_space(single_edge):
@@ -73,8 +94,8 @@ def test_canonical_frame_graph(gsys):
     assert set(frame.indices) == {"e1", "e2"}
     # Normalized edge indicators have inner products delta_ef * chi_{Z(s(e))}.
     g11 = frame.gram("e1", "e1")
-    assert gsys.equal(g11, RadicalFunc(gsys.graph, 0,
-                                       {gsys.graph.empty_path("v"): ONE}))
+    assert gsys.equal(g11, DepthFunction(gsys.graph, 0,
+                                         {gsys.graph.empty_path("v"): ONE}))
     assert gsys.is_zero(frame.gram("e1", "e2"))
 
 
@@ -120,7 +141,7 @@ def test_inner_products_and_pairing(gsys):
 def test_right_action_compatibility(gsys):
     g = gsys.graph
     m = ModuleElement.basis_word(gsys, ("e1", "e2"))
-    b = RadicalFunc.indicator(g, g.path(["e2"]))
+    b = DepthFunction(g, 1, {g.path(["e2"]): ONE})
     mb = m.right_mul(b)
     # <m b, n> = b* <m, n>; with real coefficients b* = b.
     n = ModuleElement.basis_word(gsys, ("e1", "e2"))
@@ -239,7 +260,7 @@ def test_frame_rep_psi_graph(o3):
     family = {e: edge_isometry(o3, e) for e in o3.edge_names}
 
     def pi(b):
-        # b is a RadicalFunc of some depth; realize it as a core element.
+        # b is a DepthFunction of some depth; realize it as a core element.
         from corealg.star_algebra import StarElement
         out = StarElement.zero(o3)
         for p, c in b.values.items():

@@ -78,6 +78,18 @@ def test_zero_and_bool():
     assert ONE * Fraction(2, 3) == Fraction(2, 3)
 
 
+def test_rational_radicals_hash_like_their_rationals():
+    assert len({ONE, 1}) == 1
+    assert len({ZERO, 0, Fraction(0)}) == 1
+    assert hash(Radical.from_rational(Fraction(1, 2))) == hash(Fraction(1, 2))
+    assert Radical.sqrt(2) not in {Fraction(2), 2}
+
+
+def test_float():
+    assert float(Radical.sqrt(2)) == Radical.sqrt(2).evalf()
+    assert float(ONE * Fraction(3, 4)) == 0.75
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
         parse_radical("sqrt()")
