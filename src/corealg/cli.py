@@ -119,6 +119,12 @@ def _load_element(g: Graph, path: str) -> StarElement:
         raise CliError("bad element file %s: %s" % (path, exc))
 
 
+def _require_at_least(args, flag: str, low: int) -> None:
+    value = getattr(args, flag)
+    if value < low:
+        raise CliError("--%s must be at least %d, got %d" % (flag, low, value))
+
+
 def parse_int_matrix(text: str) -> list[list[int]]:
     try:
         rows = [[int(x) for x in row.split(",")] for row in text.split(";") if row.strip()]
@@ -230,6 +236,8 @@ def _random_core(g: Graph, rng: SplitMix64, depth: int) -> StarElement:
 
 
 def cmd_core_verify_beta(args, report: RunReport) -> None:
+    _require_at_least(args, "depth", 1)
+    _require_at_least(args, "trials", 0)
     g = _load_graph(args.graph)
     try:
         endo = CoreEndo(g)
@@ -291,6 +299,8 @@ def _random_depth_function(g: Graph, rng: SplitMix64, depth: int) -> DepthFuncti
 
 
 def cmd_exel_verify_transfer(args, report: RunReport) -> None:
+    _require_at_least(args, "depth", 1)
+    _require_at_least(args, "trials", 0)
     g = _load_graph(args.graph)
     if not g.path_space_admissible:
         raise CliError("graph must have no sinks and no singular vertices")
@@ -366,6 +376,7 @@ def cmd_module_verify_u(args, report: RunReport) -> None:
 
 
 def cmd_module_crosscheck(args, report: RunReport) -> None:
+    _require_at_least(args, "level", 1)
     g = _load_graph(args.graph)
     if not g.path_space_admissible:
         raise CliError("graph must have no sinks and no singular vertices")
@@ -382,6 +393,7 @@ def cmd_module_crosscheck(args, report: RunReport) -> None:
 
 
 def cmd_uhf_demo(args, report: RunReport) -> None:
+    _require_at_least(args, "depth", 0)
     try:
         sys_ = uc.UhfSystem(args.n, args.N)
     except ValueError as exc:
@@ -430,6 +442,8 @@ def cmd_uhf_demo(args, report: RunReport) -> None:
 
 
 def cmd_dilation_verify(args, report: RunReport) -> None:
+    _require_at_least(args, "box", 0)
+    _require_at_least(args, "level", 0)
     b = parse_int_matrix(args.matrix)
     try:
         system = dl.LatticeSystem(b)

@@ -13,6 +13,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+from .util import Memo
+
 _NAME = re.compile(r"[A-Za-z0-9_]+\Z")
 
 
@@ -50,7 +52,11 @@ class VertexInfo:
 
 
 class Graph:
-    """Finite multigraph with named vertices and edges."""
+    """Finite multigraph with named vertices and edges.
+
+    A graph does not change after construction; `memo` holds objects other
+    layers derive from it, which then live exactly as long as the graph.
+    """
 
     def __init__(self, vertices: list[str], edges: list[tuple[str, str, str]]):
         self.vertices = tuple(dict.fromkeys(vertices))
@@ -70,6 +76,7 @@ class Graph:
         for e in self.edge_names:
             self._out[self._src[e]] += (e,)
             self._in[self._rng[e]] += (e,)
+        self.memo = Memo()
 
     # -- incidence -----------------------------------------------------------
 

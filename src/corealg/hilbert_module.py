@@ -21,6 +21,7 @@ tensor elements of uhf_cuntz.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .scalar import ONE, Radical
 from .star_algebra import StarElement, matrix_unit, unit
 from .uhf_cuntz import TensorElement, UhfSystem, uhf_L, uhf_alpha
 from .uhf_cuntz import words as tensor_words
-from .util import CheckReport
+from .util import CheckReport, Memo
 
 
 class TruncationDepthError(ValueError):
@@ -71,6 +72,7 @@ class GraphFrameSystem:
         self._count = {v: len(graph.out_edges(v)) for v in graph.vertices}
         self._unit = DepthFunction.constant(graph, ONE)
         self._zero = DepthFunction(graph, 0)
+        self.memo = Memo()
 
     def unit(self) -> DepthFunction:
         return self._unit
@@ -144,6 +146,12 @@ class GraphFrameSystem:
         return blocks
 
 
+def graph_frame_system(g: Graph) -> GraphFrameSystem:
+    """The frame system of g, built once per graph object and kept in the
+    graph's memo, so that it and its memoized U data live as long as g."""
+    return g.memo.get("frame system", lambda: GraphFrameSystem(g))
+
+
 class UhfFrameSystem:
     """Frame indexed by the pairs (i, j); the basis is orthonormal."""
 
@@ -152,6 +160,7 @@ class UhfFrameSystem:
     def __init__(self, sys: UhfSystem):
         self.sys = sys
         self.indices = tuple(sys.indices())
+        self.memo = Memo()
 
     def unit(self) -> TensorElement:
         return TensorElement.identity(self.sys.n, 0)
@@ -436,8 +445,13 @@ def reconstruct_check(m: ModuleElement) -> CheckReport:
 
 
 def u_element(system) -> ModuleElement:
-    """q(alpha(1)), the degree-1 element implementing U."""
-    return ModuleElement.from_algebra(system, system.alpha(system.unit()))
+    """q(alpha(1)), the degree-1 element implementing U.  Computed once per
+    system; the element is shared, and its coordinates are read-only."""
+    def compute():
+        u = ModuleElement.from_algebra(system, system.alpha(system.unit()))
+        u.coords = MappingProxyType(u.coords)
+        return u
+    return system.memo.get("u", compute)
 
 
 def U_map(system, m: ModuleElement) -> ModuleElement:
@@ -446,11 +460,13 @@ def U_map(system, m: ModuleElement) -> ModuleElement:
 
 
 def U_star_map(system, m: ModuleElement) -> ModuleElement:
-    """The adjoint: F_j (x) rest maps to L(f_j) . rest."""
+    """The adjoint: F_j (x) rest maps to L(f_j) . rest.  The map
+    j -> L(f_j) is computed once per system."""
     if m.degree < 1:
         raise ValueError("U* lowers degree; need degree >= 1")
     sys = system
-    lf = {j: sys.L(sys.frame_rep(j)) for j in sys.indices}
+    lf = sys.memo.get("L(f)", lambda: MappingProxyType(
+        {j: sys.L(sys.frame_rep(j)) for j in sys.indices}))
     out: dict[tuple, object] = {}
     for w, d in m.coords.items():
         j, rest = w[0], w[1:]
@@ -618,19 +634,27 @@ class CompactOp:
         return "CompactOp(degree=%d, %d entries)" % (self.degree, len(self.entries))
 
 
-def conj_beta(T: CompactOp) -> CompactOp:
-    """U_i T U_i*, one degree up.  The compatibility of consecutive V's
-    (U at degree i+1 restricting to U at degree i on simple tensors) is
-    verified on the coordinate basis before conjugating."""
-    sys = T.system
-    for w in _index_words(sys, T.degree):
+def _check_restriction(sys, degree: int) -> bool:
+    """U at degree+1 restricts to U at degree on simple tensors, checked on
+    the coordinate basis; raises RuntimeError when it does not."""
+    for w in _index_words(sys, degree):
         m = ModuleElement.basis_word(sys, w)
         for j in sys.indices:
             lhs = U_map(sys, tensor(m, ModuleElement.basis_word(sys, (j,))))
             rhs = tensor(U_map(sys, m), ModuleElement.basis_word(sys, (j,)))
             if not lhs.equal(rhs):
                 raise RuntimeError("U at degree %d does not restrict from degree %d"
-                                   % (T.degree + 1, T.degree))
+                                   % (degree + 1, degree))
+    return True
+
+
+def conj_beta(T: CompactOp) -> CompactOp:
+    """U_i T U_i*, one degree up.  The compatibility of consecutive V's
+    (U at degree i+1 restricting to U at degree i on simple tensors) is
+    verified on the coordinate basis before conjugating, once per system
+    and degree; a failed check is not remembered and raises on every call."""
+    sys = T.system
+    sys.memo.get(("restricts", T.degree), lambda: _check_restriction(sys, T.degree))
     entries: dict[tuple, object] = {}
     for v in _index_words(sys, T.degree + 1):
         col = U_map(sys, T.apply(U_star_map(sys, ModuleElement.basis_word(sys, v))))
@@ -673,13 +697,16 @@ def _word_isometry(g: Graph, w: tuple):
 
 def beta_crosscheck(g: Graph, mu: Path, nu: Path) -> CheckReport:
     """Conjugation by U on the rank-one operator of (m_mu, m_nu) must match
-    the direct shift of t_mu t_nu^* after translation into the graph algebra."""
+    the direct shift of t_mu t_nu^* after translation into the graph algebra.
+
+    All pairs of one graph object share its graph_frame_system, and with
+    it the memoized U data."""
     if len(mu) != len(nu):
         raise ValueError("paths must have equal length")
     if len(mu) < 1:
         raise ValueError("need paths of length at least 1")
     report = CheckReport("two-route shift comparison at (%s, %s)" % (mu.text(), nu.text()))
-    sys = GraphFrameSystem(g)
+    sys = graph_frame_system(g)
     m_mu = ModuleElement.basis_word(sys, tuple(mu.edges))
     m_nu = ModuleElement.basis_word(sys, tuple(nu.edges))
     theta = CompactOp.from_theta(m_mu, m_nu)

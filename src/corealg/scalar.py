@@ -125,7 +125,12 @@ class Radical:
         out: dict[int, Fraction] = {}
         for j, a in self._terms.items():
             for k, b in o._terms.items():
-                s, m = _squarefree_split(j * k)
+                # j and k are squarefree, so j*k = s*s*m with s = gcd(j, k)
+                # and m = (j/s)(k/s) squarefree: no factoring needed
+                s = math.gcd(j, k)
+                m = (j // s) * (k // s)
+                if m > RADICAND_LIMIT:
+                    raise OverflowError("radicand %d exceeds the machine-word bound" % m)
                 c = out.get(m, Fraction(0)) + a * b * s
                 if c:
                     out[m] = c

@@ -1,8 +1,9 @@
 """Shared plumbing: the deterministic PRNG used by sweeps, a tiny check-report
-type and the one rational Gaussian elimination."""
+type, the one rational Gaussian elimination and the per-object memo."""
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -66,6 +67,31 @@ def rational_echelon(rows: list[list[Fraction]], n: int) -> Fraction:
                 f = rows[r][col] * inv
                 rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
     return det
+
+
+class Memo:
+    """Values that depend only on the object owning the memo, each computed
+    at most once and then shared, so callers must treat them as read-only.
+
+    The fill runs under a lock, so concurrent callers wait for the first
+    one's value instead of computing their own; the lock is reentrant
+    because one value's computation may ask the memo for another.  A
+    computation that raises stores nothing, so the next call runs it again.
+    """
+
+    def __init__(self):
+        self._values: dict = {}
+        self._lock = threading.RLock()
+
+    def get(self, key, compute):
+        try:
+            return self._values[key]
+        except KeyError:
+            pass
+        with self._lock:
+            if key not in self._values:
+                self._values[key] = compute()
+            return self._values[key]
 
 
 @dataclass

@@ -1,12 +1,14 @@
 """End-to-end runs of the command line driver: determinism, formats, exit codes."""
 
 import json
+import os
 import re
 import subprocess
 import sys
 
 import pytest
 
+import corealg
 from corealg.cli import main
 
 O2_TEXT = "V v\nE e1 v v\nE e2 v v\n"
@@ -179,8 +181,28 @@ def test_dilation_good_custom_sigma(capsys):
 
 
 def test_module_entry_point(o2_file):
+    # the child imports the same corealg as this process, installed or not
+    src = os.path.dirname(os.path.dirname(corealg.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "corealg.cli",
                            "graph", "info", o2_file],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert "result: PASS" in proc.stdout
+
+
+@pytest.mark.parametrize("args", [
+    ("core", "verify-beta", "{g}", "--depth", "0"),
+    ("core", "verify-beta", "{g}", "--trials", "-1"),
+    ("exel", "verify-transfer", "{g}", "--depth", "0"),
+    ("exel", "verify-transfer", "{g}", "--depth", "-2"),
+    ("module", "crosscheck", "{g}", "--level", "0"),
+    ("uhf", "demo", "--n", "2", "--N", "1", "--depth", "-1"),
+    ("dilation", "verify", "--matrix", "2", "--box", "-1", "--level", "0"),
+    ("dilation", "verify", "--matrix", "2", "--box", "3", "--level", "-1"),
+])
+def test_out_of_range_counts_are_usage_errors(capsys, o2_file, args):
+    code, out, err = run(capsys, *(a.format(g=o2_file) for a in args))
+    assert code == 2, out
+    assert err.startswith("error: --") and out == ""

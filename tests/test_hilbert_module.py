@@ -1,9 +1,15 @@
 """Frame coordinates for the transfer bimodule, the isometry U, and the
 conjugation that turns compact operators into the balanced endomorphism."""
 
+import gc
+import sys
+import threading
+import weakref
 from fractions import Fraction
 
 import pytest
+
+from corealg import hilbert_module
 
 from corealg.core_endo import CoreEndo
 from corealg.exel_path import DepthFunction
@@ -23,6 +29,7 @@ from corealg.hilbert_module import (
     compact_to_star,
     conj_beta,
     frame_rep_psi,
+    graph_frame_system,
     gram_psd_check,
     pair,
     reconstruct_check,
@@ -242,6 +249,119 @@ def test_beta_crosscheck_levels(o2, two_cycle):
 def test_beta_crosscheck_rejects_unbalanced(o2):
     with pytest.raises(ValueError):
         beta_crosscheck(o2, o2.path(["e1"]), o2.path(["e1", "e2"]))
+
+
+# -- per-system memos -------------------------------------------------------------------
+
+def _count_calls(monkeypatch, obj, name: str) -> list:
+    """Wrap obj.name for the test; the list gets each call's first argument."""
+    calls = []
+    inner = getattr(obj, name)
+
+    def wrapper(*args):
+        calls.append(args[0])
+        return inner(*args)
+
+    monkeypatch.setattr(obj, name, wrapper)
+    return calls
+
+
+def _module_image(system, mu: tuple, nu: tuple) -> str:
+    theta = CompactOp.from_theta(ModuleElement.basis_word(system, mu),
+                                 ModuleElement.basis_word(system, nu))
+    return compact_to_star(conj_beta(theta)).text()
+
+
+class _DoubledGramSystem(GraphFrameSystem):
+    """A broken frame: every <F_e, b F_f> is twice what it should be, so U at
+    degree 2 does not restrict to U at degree 1."""
+
+    def act1(self, e, b, f):
+        return super().act1(e, b, f) * Radical.from_rational(2)
+
+
+@pytest.mark.parametrize("make", [lambda: GraphFrameSystem(bouquet(2)),
+                                  lambda: UhfFrameSystem(UhfSystem(2, 1))])
+def test_u_data_computed_once_per_system(monkeypatch, make):
+    system = make()
+    alpha_calls = _count_calls(monkeypatch, system, "alpha")
+    l_calls = _count_calls(monkeypatch, system, "L")
+    m = ModuleElement.basis_word(system, (system.indices[0],))
+    for _ in range(3):
+        assert U_star_map(system, U_map(system, m)).equal(m)
+    assert u_element(system) is u_element(system)
+    assert len(alpha_calls) == 1
+    assert len(l_calls) == len(system.indices)
+    with pytest.raises(TypeError):
+        u_element(system).coords[(system.indices[0],)] = system.zero()
+
+
+def test_restriction_check_runs_once_per_system_and_degree(monkeypatch):
+    runs = _count_calls(monkeypatch, hilbert_module, "_check_restriction")
+    systems = (GraphFrameSystem(bouquet(2)), GraphFrameSystem(bouquet(2)))
+    for system in systems:
+        for word in (("e1",), ("e2",), ("e1", "e2"), ("e2", "e2"), ("e1",)):
+            _module_image(system, word, word)
+    assert runs == [systems[0], systems[0], systems[1], systems[1]]
+
+
+def test_failed_restriction_check_is_not_remembered(monkeypatch):
+    system = _DoubledGramSystem(bouquet(2))
+    runs = _count_calls(monkeypatch, hilbert_module, "_check_restriction")
+    for _ in range(3):
+        with pytest.raises(RuntimeError, match="does not restrict"):
+            _module_image(system, ("e1",), ("e1",))
+    assert len(runs) == 3
+
+
+def test_graphs_with_the_same_text_get_separate_systems():
+    g1, g2 = bouquet(2), bouquet(2)
+    reports = [beta_crosscheck(g, g.path(["e1", "e2"]), g.path(["e2", "e2"]))
+               for g in (g1, g2)]
+    assert graph_frame_system(g1) is graph_frame_system(g1)
+    assert graph_frame_system(g1) is not graph_frame_system(g2)
+    assert graph_frame_system(g2).graph is g2
+    assert reports[0].passed and reports[0].lines() == reports[1].lines()
+    fresh = _module_image(GraphFrameSystem(bouquet(2)), ("e1", "e2"), ("e2", "e2"))
+    for g in (g1, g2):
+        assert _module_image(graph_frame_system(g), ("e1", "e2"), ("e2", "e2")) == fresh
+
+
+def test_dropped_graph_is_collected():
+    g = bouquet(2)
+    assert beta_crosscheck(g, g.path(["e1"]), g.path(["e2"])).passed
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
+
+
+def test_memo_fill_under_threads(monkeypatch):
+    expected = _module_image(GraphFrameSystem(bouquet(2)), ("e1",), ("e2",))
+    system = GraphFrameSystem(bouquet(2))
+    alpha_calls = _count_calls(monkeypatch, system, "alpha")
+    runs = _count_calls(monkeypatch, hilbert_module, "_check_restriction")
+    results, barrier = [], threading.Barrier(8)
+
+    def work():
+        barrier.wait(timeout=10)
+        results.append((u_element(system), _module_image(system, ("e1",), ("e2",))))
+
+    threads = [threading.Thread(target=work) for _ in range(8)]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 8
+    assert len({id(u) for u, _ in results}) == 1
+    assert all(text == expected for _, text in results)
+    assert len(alpha_calls) == 1 and runs == [system]
 
 
 def test_compact_to_star_uhf_rejected(usys):

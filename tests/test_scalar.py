@@ -5,12 +5,13 @@ the normalization facts are pinned by hand.
 """
 
 import math
+import signal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from corealg.scalar import ONE, ZERO, Radical, parse_radical
+from corealg.scalar import ONE, ZERO, Radical, _squarefree_split, parse_radical
 
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
@@ -54,6 +55,35 @@ def test_sqrt_pulls_out_square_factors():
     assert Radical.sqrt(9) == ONE * 3
     assert Radical.sqrt(12).text() == "2*sqrt(3)"
     assert Radical.sqrt(1) == ONE
+
+
+def test_product_radicands_match_factoring():
+    squarefree = [k for k in range(1, 201) if _squarefree_split(k)[0] == 1]
+    for j in squarefree:
+        for k in squarefree:
+            s, m = _squarefree_split(j * k)
+            assert (Radical.sqrt(j) * Radical.sqrt(k)).terms() == [(m, Fraction(s))]
+
+
+def test_product_of_large_radicands_needs_no_factoring():
+    j, k = 3037000493, 3037000453      # coprime, j*k just below RADICAND_LIMIT
+    a, b = Radical.sqrt(j), Radical.sqrt(k)
+
+    def too_slow(signum, frame):
+        raise TimeoutError("sqrt(%d)*sqrt(%d) took over 2 s" % (j, k))
+
+    old = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        product = a * b
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert product.terms() == [(j * k, Fraction(1))]
+    assert a * a == ONE * j
+    primorial_47 = math.prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47))
+    with pytest.raises(OverflowError):
+        Radical.sqrt(primorial_47) * Radical.sqrt(53 * 59)
 
 
 def test_inv_sqrt():
