@@ -34,19 +34,17 @@ class CoreEndo:
         if not x.is_core():
             raise ValueError("beta needs a balanced element (|mu| = |nu| termwise)")
         g = self.graph
+        # distinct words stay distinct after prepending, and every weight is
+        # nonzero, so each image term is set once and none cancels
         out: dict[tuple[Path, Path], Radical] = {}
         for (mu, nu), c in x.items():
             scale = c * Radical.inv_sqrt(self._out_count[mu.rng] * self._out_count[nu.rng])
+            nus = [g.prepend_edge(f, nu) for f in g.out_edges(nu.rng)]
             for e in g.out_edges(mu.rng):
-                for f in g.out_edges(nu.rng):
-                    key = (g.prepend_edge(e, mu), g.prepend_edge(f, nu))
-                    s = out.get(key)
-                    t = scale if s is None else s + scale
-                    if t:
-                        out[key] = t
-                    elif s is not None:
-                        del out[key]
-        return StarElement(g, out)
+                emu = g.prepend_edge(e, mu)
+                for fnu in nus:
+                    out[(emu, fnu)] = scale
+        return StarElement._wrap(g, out)
 
     def matrix_unit_images(self, i: int, v: str) -> tuple[dict, CheckReport]:
         """beta images of the level-i words with source v, with an exhaustive

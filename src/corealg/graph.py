@@ -24,11 +24,29 @@ class GraphFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Path:
-    """Immutable composable edge word; empty paths remember their vertex."""
+    """Immutable composable edge word; empty paths remember their vertex.
+
+    Paths are dict keys in every hot loop, so each object computes its hash
+    once, on first use.  That is sound because no field can be reassigned
+    (assignment raises FrozenInstanceError, an AttributeError).  Equality is
+    the generated field-by-field comparison.
+    """
 
     edges: tuple[str, ...]
     src: str
     rng: str
+    _hash = None  # class default, not a field; replaced per object by __hash__
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.edges, self.src, self.rng))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        # string hashes differ between processes: a copy rehashes
+        return Path, (self.edges, self.src, self.rng)
 
     def __len__(self):
         return len(self.edges)
@@ -169,11 +187,12 @@ class Graph:
         edges = p.edges[:k]
         return Path(edges, self._src[edges[-1]], p.rng)
 
-    def drop_first(self, p: Path) -> Path:
-        """Remove the range-end edge, the image of p under the shift."""
-        if not p.edges:
-            raise ValueError("cannot shift the empty path %s" % p.text())
-        edges = p.edges[1:]
+    def drop_first(self, p: Path, k: int = 1) -> Path:
+        """Remove the first k edges counted from the range end; k = 1 gives
+        the image of p under the shift, k = len(p) gives @s(p)."""
+        if k < 0 or k > len(p.edges) or not p.edges:
+            raise ValueError("cannot drop %d edges of %s" % (k, p.text()))
+        edges = p.edges[k:]
         if not edges:
             return Path((), p.src, p.src)
         return Path(edges, p.src, self._rng[edges[0]])

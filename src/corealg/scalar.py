@@ -17,17 +17,23 @@ from typing import Iterable, Union
 RADICAND_LIMIT = 2**63 - 1
 
 _Scalar = Union[int, Fraction]
+_Q0 = Fraction(0)
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
-    """Return (s, m) with n = s*s*m and m squarefree, by trial division."""
+    """Return (s, m) with n = s*s*m and m squarefree.
+
+    Trial division runs only while d**3 <= n (n shrinking as factors come
+    out).  The cofactor left then has no prime factor below d and is below
+    d**3, so it is 1, p, p*q or p*p: squarefree unless it is a perfect square.
+    """
     if n <= 0:
         raise ValueError("radicand must be positive, got %r" % n)
     if n > RADICAND_LIMIT:
         raise OverflowError("radicand %d exceeds the machine-word bound" % n)
     s, m = 1, 1
     d = 2
-    while d * d <= n:
+    while d * d * d <= n:
         if n % d == 0:
             e = 0
             while n % d == 0:
@@ -37,7 +43,17 @@ def _squarefree_split(n: int) -> tuple[int, int]:
             if e % 2:
                 m *= d
         d += 1 if d == 2 else 2
+    r = math.isqrt(n)
+    if r * r == n:
+        return s * r, m
     return s, m * n
+
+
+def _check_rational(q) -> Fraction:
+    # floats would enter as their binary expansions, so only exact types pass
+    if not isinstance(q, (int, Fraction)):
+        raise TypeError("coefficient must be int or Fraction, got %s" % type(q).__name__)
+    return Fraction(q)
 
 
 class Radical:
@@ -53,32 +69,43 @@ class Radical:
                     raise ValueError("radicand must be positive, got %r" % k)
                 if k > RADICAND_LIMIT:
                     raise OverflowError("radicand %d exceeds the machine-word bound" % k)
-                c = Fraction(c)
+                c = _check_rational(c)
                 if c:
                     clean[k] = c
         self._terms = clean
         self._hash: int | None = None
 
     @classmethod
+    def _wrap(cls, terms: dict[int, Fraction]) -> "Radical":
+        """Internal constructor without checks.  Every key of `terms` must be
+        a squarefree radicand in [1, RADICAND_LIMIT] and every value a nonzero
+        Fraction; the dict is taken over, not copied."""
+        r = cls.__new__(cls)
+        r._terms = terms
+        r._hash = None
+        return r
+
+    @classmethod
     def from_rational(cls, q: _Scalar) -> "Radical":
-        return cls({1: Fraction(q)})
+        q = _check_rational(q)
+        return cls._wrap({1: q} if q else {})
 
     @classmethod
     def sqrt(cls, n: int) -> "Radical":
         """sqrt(n) for a positive integer n, reduced to canonical form."""
         s, m = _squarefree_split(n)
-        return cls({m: Fraction(s)})
+        return cls._wrap({m: Fraction(s)})
 
     @classmethod
     def inv_sqrt(cls, n: int) -> "Radical":
         """1/sqrt(n):  with n = s*s*m squarefree-split this is sqrt(m)/(s*m)."""
         s, m = _squarefree_split(n)
-        return cls({m: Fraction(1, s * m)})
+        return cls._wrap({m: Fraction(1, s * m)})
 
     @classmethod
     def inv_sqrt_rational(cls, q: _Scalar) -> "Radical":
         """1/sqrt(q) for a positive rational q = a/b, via 1/sqrt(ab) * b."""
-        q = Fraction(q)
+        q = _check_rational(q)
         if q <= 0:
             raise ValueError("inv_sqrt_rational needs a positive rational")
         return cls.inv_sqrt(q.numerator * q.denominator) * q.denominator
@@ -92,51 +119,69 @@ class Radical:
             return Radical.from_rational(other)
         return None
 
+    def _combine(self, terms: dict[int, Fraction], negate: bool) -> "Radical":
+        out = dict(self._terms)
+        for k, c in terms.items():
+            s = out.get(k)
+            if s is None:
+                out[k] = -c if negate else c
+            else:
+                t = s - c if negate else s + c
+                if t:
+                    out[k] = t
+                else:
+                    del out[k]
+        return Radical._wrap(out)
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self._terms)
-        for k, c in o._terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return Radical(out)
+        return self._combine(o._terms, False)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Radical({k: -c for k, c in self._terms.items()})
+        return Radical._wrap({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return self._combine(o._terms, True)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o._combine(self._terms, True)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        st, ot = self._terms, o._terms
+        if len(st) == 1 == len(ot) and 1 in st and 1 in ot:
+            # both rational and nonzero, so the product is too
+            return Radical._wrap({1: st[1] * ot[1]})
         out: dict[int, Fraction] = {}
-        for j, a in self._terms.items():
-            for k, b in o._terms.items():
+        for j, a in st.items():
+            for k, b in ot.items():
                 # j and k are squarefree, so j*k = s*s*m with s = gcd(j, k)
                 # and m = (j/s)(k/s) squarefree: no factoring needed
                 s = math.gcd(j, k)
                 m = (j // s) * (k // s)
                 if m > RADICAND_LIMIT:
                     raise OverflowError("radicand %d exceeds the machine-word bound" % m)
-                c = out.get(m, Fraction(0)) + a * b * s
-                if c:
-                    out[m] = c
-                elif m in out:
-                    del out[m]
-        return Radical(out)
+                c = a * b if s == 1 else a * b * s
+                prev = out.get(m)
+                if prev is not None:
+                    c += prev
+                    if not c:
+                        del out[m]
+                        continue
+                out[m] = c
+        return Radical._wrap(out)
 
     __rmul__ = __mul__
 
@@ -163,7 +208,7 @@ class Radical:
         return all(k == 1 for k in self._terms)
 
     def rational_part(self) -> Fraction:
-        return self._terms.get(1, Fraction(0))
+        return self._terms.get(1, _Q0)
 
     def terms(self) -> Iterable[tuple[int, Fraction]]:
         return sorted(self._terms.items())
@@ -219,7 +264,7 @@ def parse_radical(text: str) -> Radical:
         else:
             cur += ch
     chunks.append(cur)
-    total: dict[int, Fraction] = {}
+    total = ZERO
     for chunk in chunks:
         if not chunk or chunk in "+-":
             raise ValueError("malformed radical literal %r" % text)
@@ -229,18 +274,18 @@ def parse_radical(text: str) -> Radical:
             if not tail.endswith(")"):
                 raise ValueError("unterminated sqrt(...) in %r" % text)
             rad = int(tail[:-1])
+            if rad > RADICAND_LIMIT:
+                raise ValueError("radicand %d in %r exceeds the machine-word bound"
+                                 % (rad, text))
             coef = coef[:-1] if coef.endswith("*") else coef
             if coef in ("", "-"):
                 coef += "1"
+        if "e" in coef or "E" in coef:
+            # Fraction would build 10**exponent: a short text, a huge number
+            raise ValueError("exponent in coefficient %r of %r" % (coef, text))
         try:
             c = Fraction(coef)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError("bad coefficient %r in %r" % (coef, text)) from exc
-        term = Radical.sqrt(rad) * c
-        for k, v in term._terms.items():
-            nv = total.get(k, Fraction(0)) + v
-            if nv:
-                total[k] = nv
-            elif k in total:
-                del total[k]
-    return Radical(total)
+        total = total + Radical.sqrt(rad) * c
+    return total

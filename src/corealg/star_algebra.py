@@ -91,7 +91,7 @@ class StarElement:
 
     # -- linear structure ----------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, negate: bool):
         if not isinstance(other, StarElement):
             return NotImplemented
         if other.graph is not self.graph:
@@ -99,20 +99,24 @@ class StarElement:
         out = dict(self._terms)
         for key, c in other._terms.items():
             s = out.get(key)
-            t = c if s is None else s + c
+            if s is None:
+                t = -c if negate else c
+            else:
+                t = s - c if negate else s + c
             if t:
                 out[key] = t
             elif s is not None:
                 del out[key]
         return StarElement._wrap(self.graph, out)
 
-    def __neg__(self):
-        return StarElement._wrap(self.graph, {k: -c for k, c in self._terms.items()})
+    def __add__(self, other):
+        return self._combine(other, False)
 
     def __sub__(self, other):
-        if not isinstance(other, StarElement):
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, True)
+
+    def __neg__(self):
+        return StarElement._wrap(self.graph, {k: -c for k, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, StarElement):
@@ -140,35 +144,33 @@ class StarElement:
 
     # -- product -------------------------------------------------------------
 
-    def _split_prefix(self, nu: Path, kappa: Path) -> Path | None:
-        """Remainder kappa' with kappa = nu.kappa', or None if nu is no prefix."""
-        j = len(nu)
-        if j > len(kappa):
-            return None
-        if nu.edges != kappa.edges[:j]:
-            return None
-        if j == 0 and nu.src != kappa.rng:
-            return None  # p_v t_kappa^... needs v = r(kappa)
-        rest = kappa.edges[j:]
-        if not rest:
-            return Path((), kappa.src, kappa.src)
-        return Path(rest, kappa.src, self.graph.rng(rest[0]))
-
     def _product(self, other: "StarElement") -> "StarElement":
+        """Word product by the prefix rule: t_mu t_nu^* t_kappa t_lam^* is
+        t_{mu kappa'} t_lam^* when kappa = nu kappa', t_mu t_{lam nu'}^* when
+        nu = kappa nu', and 0 otherwise.
+
+        The right factor's terms are grouped once by the first edge of kappa,
+        and by the vertex of kappa when kappa is empty.  Vertex and edge names
+        may coincide, so the two groupings are separate dicts.  A left term
+        then visits only the groups that can hold a prefix-compatible kappa.
+
+        The result skips the constructor's checks.  That is sound because
+        every word built pairs paths with one source (mu kappa' and lam end
+        where kappa does, mu and lam nu' where nu does), and a sum that
+        cancels is deleted as it arises, so no zero coefficient is stored.
+        """
         if other.graph is not self.graph:
             raise ValueError("elements live over different graphs")
-        g = self.graph
+        by_edge: dict[str, list] = {}
+        by_vertex: dict[str, list] = {}
+        for (kappa, lam), b in other._terms.items():
+            if kappa.edges:
+                by_edge.setdefault(kappa.edges[0], []).append((kappa, lam, b))
+            else:
+                by_vertex.setdefault(kappa.src, []).append((lam, b))
         out: dict[tuple[Path, Path], Radical] = {}
         for (mu, nu), a in self._terms.items():
-            for (kappa, lam), b in other._terms.items():
-                rest = self._split_prefix(nu, kappa)
-                if rest is not None:
-                    key = (g.concat(mu, rest), lam)
-                else:
-                    rest = self._split_prefix(kappa, nu)
-                    if rest is None:
-                        continue
-                    key = (mu, g.concat(lam, rest))
+            for key, b in self._matches(mu, nu, by_edge, by_vertex):
                 c = a * b
                 s = out.get(key)
                 t = c if s is None else s + c
@@ -176,7 +178,41 @@ class StarElement:
                     out[key] = t
                 elif s is not None:
                     del out[key]
-        return StarElement._wrap(g, out)
+        return StarElement._wrap(self.graph, out)
+
+    def _matches(self, mu: Path, nu: Path, by_edge: dict, by_vertex: dict):
+        """Yield (word, b) for each right term b t_kappa t_lam^* whose product
+        with t_mu t_nu^* is the word t_word[0] t_word[1]^*."""
+        g = self.graph
+        if not nu.edges:
+            # nu = @v is a prefix of kappa exactly when r(kappa) = v
+            v = nu.src
+            for lam, b in by_vertex.get(v, ()):
+                yield (mu, lam), b
+            for e in g.in_edges(v):
+                for kappa, lam, b in by_edge.get(e, ()):
+                    yield (g.concat(mu, kappa), lam), b
+            return
+        # kappa = @r(nu) is a prefix of nu
+        for lam, b in by_vertex.get(nu.rng, ()):
+            yield (mu, g.concat(lam, nu)), b
+        # otherwise kappa and nu share their first edge
+        for kappa, lam, b in by_edge.get(nu.edges[0], ()):
+            rest = self._split_prefix(nu, kappa)
+            if rest is not None:
+                yield (g.concat(mu, rest), lam), b
+            else:
+                rest = self._split_prefix(kappa, nu)
+                if rest is not None:
+                    yield (mu, g.concat(lam, rest)), b
+
+    def _split_prefix(self, nu: Path, kappa: Path) -> Path | None:
+        """Remainder kappa' with kappa = nu.kappa' for a nonempty nu, or None
+        if nu is no prefix of kappa."""
+        j = len(nu.edges)
+        if kappa.edges[:j] != nu.edges:
+            return None
+        return self.graph.drop_first(kappa, j)
 
     def adjoint(self) -> "StarElement":
         """Swap mu and nu in every term (coefficients are real)."""

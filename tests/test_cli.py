@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 
@@ -121,6 +122,27 @@ def test_bad_element_is_usage_error(capsys, o2_file, tmp_path):
     bad.write_text("TERM oops e1 e1\n")
     code, _, err = run(capsys, "core", "beta", o2_file, str(bad))
     assert code == 2 and "error:" in err
+
+
+def test_large_radicands_in_element_files(capsys, o2_file, tmp_path):
+    prime = tmp_path / "prime.elem"
+    prime.write_text("TERM 1*sqrt(9223372036854775783) e1 e1\n")
+
+    def too_slow(signum, frame):
+        raise TimeoutError("core mul on a large prime radicand took over 5 s")
+
+    old = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        code, out, _ = run(capsys, "core", "mul", o2_file, str(prime), str(prime))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert code == 0 and "TERM 9223372036854775783 e1 e1" in out
+    beyond = tmp_path / "beyond.elem"
+    beyond.write_text("TERM sqrt(9223372036854775808) e1 e1\n")
+    code, out, err = run(capsys, "core", "mul", o2_file, str(beyond), str(beyond))
+    assert code == 2 and err.startswith("error: bad element file") and out == ""
 
 
 def test_module_and_exel_commands(capsys, o2_file):

@@ -1,6 +1,9 @@
+import copy
+import pickle
+
 import pytest
 
-from corealg.graph import Graph, GraphFormatError, bouquet, cycle, load_graph
+from corealg.graph import Graph, GraphFormatError, Path, bouquet, cycle, load_graph
 
 
 def test_incidence_and_degrees(two_cycle):
@@ -114,3 +117,39 @@ def test_unknown_names_raise(o2):
         o2.empty_path("w")
     with pytest.raises(KeyError):
         o2.path(["zz"])
+
+
+def test_paths_built_every_way_are_equal_and_hash_alike():
+    g = load_graph("V a\nV b\nE x a a\nE y a b\nE z b a\n")
+    z, y, x = g.path(["z"]), g.path(["y"]), g.path(["x"])
+    built = [
+        g.path(["z", "y", "x"]),
+        g.append_edge(g.append_edge(z, "y"), "x"),
+        g.prepend_edge("z", g.prepend_edge("y", x)),
+        g.concat(z, g.path(["y", "x"])),
+        g.concat(g.concat(z, y), x),
+        g.parse_path("z.y.x"),
+        g.drop_first(g.path(["x", "z", "y", "x"])),
+        Path(("z", "y", "x"), "a", "a"),
+    ]
+    for p in built:
+        assert p == built[0] and hash(p) == hash(built[0])
+        assert hash(p) == hash(p)     # the cached value
+    assert len(set(built)) == 1
+    empties = [g.empty_path("a"), g.parse_path("@a"), g.prefix(x, 0),
+               g.drop_first(x, 1), Path((), "a", "a")]
+    assert len(set(empties)) == 1 and all(p == empties[0] for p in empties)
+    assert g.empty_path("b") != empties[0]
+
+
+def test_paths_stay_immutable():
+    p = bouquet(2).path(["e1", "e2"])
+    hash(p)
+    for field in ("edges", "src", "rng", "_hash"):
+        with pytest.raises(AttributeError):
+            setattr(p, field, ())
+    assert p.edges == ("e1", "e2")
+    # copies carry the fields, not the hash of this process
+    for q in (copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert "_hash" not in vars(q)
+        assert q == p and hash(q) == hash(p)

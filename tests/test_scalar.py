@@ -9,9 +9,10 @@ import signal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from corealg.scalar import ONE, ZERO, Radical, _squarefree_split, parse_radical
+from corealg.scalar import (
+    ONE, RADICAND_LIMIT, ZERO, Radical, _squarefree_split, parse_radical)
 
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
@@ -86,6 +87,54 @@ def test_product_of_large_radicands_needs_no_factoring():
         Radical.sqrt(primorial_47) * Radical.sqrt(53 * 59)
 
 
+def _split_by_trial_division(n):
+    """The square/squarefree split by trial division up to sqrt(n)."""
+    s, m, d = 1, 1, 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        s *= d ** (e // 2)
+        m *= d ** (e % 2)
+        d += 1
+    return s, m * n
+
+
+def test_squarefree_split_matches_trial_division():
+    for n in range(1, 20001):
+        assert _squarefree_split(n) == _split_by_trial_division(n), n
+    # cofactors left after the cube-root bound: p*q, p*p, and both times small factors
+    primes = [1009, 1013, 4999, 5003, 9973]
+    for p in primes:
+        for q in primes:
+            for small in (1, 2, 12, 45):
+                n = small * p * q
+                assert _squarefree_split(n) == _split_by_trial_division(n), n
+
+
+def _within(seconds, fn, *args):
+    def too_slow(signum, frame):
+        raise TimeoutError("%s%r took over %s s" % (fn.__name__, args, seconds))
+
+    old = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_sqrt_of_large_radicands_needs_no_full_trial_division():
+    prime = 9223372036854775783          # the largest prime below 2**63
+    assert _within(2.0, Radical.sqrt, prime).terms() == [(prime, Fraction(1))]
+    assert _within(2.0, Radical.sqrt, 3037000493 ** 2) == ONE * 3037000493
+    assert _within(2.0, parse_radical, "sqrt(%d)" % prime) == Radical.sqrt(prime)
+    with pytest.raises(OverflowError):
+        Radical.sqrt(RADICAND_LIMIT + 1)
+
+
 def test_inv_sqrt():
     for n in (1, 2, 3, 4, 6, 8):
         w = Radical.inv_sqrt(n)
@@ -125,9 +174,67 @@ def test_parse_rejects_garbage():
         parse_radical("sqrt()")
     with pytest.raises(ValueError):
         parse_radical("2**3")
+    with pytest.raises(ValueError):
+        _within(2.0, parse_radical, "1e10000000")
 
 
 def test_evalf_pinned():
     assert abs(Radical.sqrt(2).evalf() - 1.4142135623730951) < 1e-15
     x = Radical.sqrt(2) + ONE * Fraction(1, 2)
     assert abs(x.evalf() - (math.sqrt(2) + 0.5)) < 1e-15
+
+
+def test_floats_are_refused():
+    with pytest.raises(TypeError):
+        Radical.from_rational(0.1)
+    with pytest.raises(TypeError):
+        Radical({1: 0.5})
+    with pytest.raises(TypeError):
+        Radical.inv_sqrt_rational(0.5)
+    with pytest.raises(TypeError):
+        Radical.from_rational("1/2")
+    assert Radical({1: 1, 2: Fraction(1, 2)}).terms() == [(1, Fraction(1)), (2, Fraction(1, 2))]
+    assert Radical.from_rational(True) == ONE
+
+
+def _checked_copy(x: Radical) -> Radical:
+    return Radical(dict(x.terms()))
+
+
+rationals = st.builds(Radical.from_rational, fracs)
+
+
+@given(st.one_of(radicals(), rationals), st.one_of(radicals(), rationals))
+def test_unchecked_results_are_canonical(a, b):
+    # +, -, * and the rational fast path build results without checks
+    for r in (a + b, a - b, a * b, -a, a + 1, 2 - a, a * Fraction(1, 3), a - a, a * ZERO):
+        assert all(type(c) is Fraction and c for _, c in r.terms())
+        assert _checked_copy(r) == r
+        assert hash(_checked_copy(r)) == hash(r)
+
+
+# -- parser fuzzing ---------------------------------------------------------------
+
+radicands = st.one_of(st.integers(min_value=-3, max_value=10**4),
+                      st.integers(min_value=RADICAND_LIMIT - 10**4, max_value=RADICAND_LIMIT + 3))
+literal_chunks = st.one_of(
+    st.builds(str, fracs),
+    st.builds(lambda c, k: "%s*sqrt(%d)" % (c, k), fracs, radicands),
+    st.builds(lambda k: "sqrt(%d)" % k, radicands),
+    st.builds(lambda k: "-sqrt(%d)" % k, radicands),
+    st.text(alphabet="0123456789+-*/sqrt() .e_", max_size=12),
+)
+literals = st.lists(literal_chunks, min_size=1, max_size=3).map(
+    lambda chunks: "+".join(chunks).replace("+-", "-"))
+
+
+@settings(max_examples=60, deadline=3000)
+@given(st.one_of(literals, st.text(max_size=20)))
+@example("sqrt(%d)" % (RADICAND_LIMIT + 1))
+@example("9e99999999*sqrt(2)")
+def test_parse_radical_accepts_or_raises_value_error(text):
+    try:
+        x = parse_radical(text)
+    except ValueError:
+        return
+    assert parse_radical(x.text()) == x

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from corealg.graph import Graph, bouquet
-from corealg.scalar import ONE, Radical
+from corealg.core_endo import CoreEndo
+from corealg.graph import Graph, bouquet, load_graph
+from corealg.scalar import ONE, RADICAND_LIMIT, Radical
 from corealg.star_algebra import (
     ElementFormatError,
     MixedDegreeError,
@@ -251,3 +252,152 @@ def test_product_laws(x, y, z):
     assert (x * (y + z)).equal(x * y + x * z)
     assert ((x * y).adjoint()).equal(y.adjoint() * x.adjoint())
     assert (x.adjoint().adjoint()).equal(x)
+
+
+# -- indexed product against the all-pairs rule -----------------------------------
+
+
+def _remainder(g, nu, kappa):
+    """kappa' with kappa = nu kappa', or None when nu is no prefix of kappa."""
+    j = len(nu)
+    if j > len(kappa) or nu.edges != kappa.edges[:j]:
+        return None
+    if j == 0 and nu.src != kappa.rng:
+        return None
+    rest = kappa.edges[j:]
+    return g.path(rest) if rest else g.empty_path(kappa.src)
+
+
+def _compatible(g, nu, kappa) -> bool:
+    return _remainder(g, nu, kappa) is not None or _remainder(g, kappa, nu) is not None
+
+
+def naive_product(x, y):
+    """The prefix rule applied to every pair of terms."""
+    g = x.graph
+    terms = {}
+    for (mu, nu), a in x.items():
+        for (kappa, lam), b in y.items():
+            rest = _remainder(g, nu, kappa)
+            if rest is not None:
+                word = (g.concat(mu, rest), lam)
+            else:
+                rest = _remainder(g, kappa, nu)
+                if rest is None:
+                    continue
+                word = (mu, g.concat(lam, rest))
+            terms[word] = terms.get(word, Radical()) + a * b
+    return StarElement(g, terms)
+
+
+def _all_words(g, max_len):
+    paths = [p for n in range(max_len + 1) for p in g.paths(n)]
+    return [(mu, nu) for mu in paths for nu in paths if mu.src == nu.src]
+
+
+_PRODUCT_GRAPHS = [
+    bouquet(2),
+    bouquet(3),
+    load_graph("V a\nV b\nE x a a\nE y a b\nE z b a\n"),
+    # vertex a and edge a share a name
+    load_graph("V a\nE a a a\nE b a a\n"),
+]
+# short words half the time, so empty nu and kappa meet often
+_PRODUCT_WORDS = [st.one_of(st.sampled_from(_all_words(g, 1)), st.sampled_from(_all_words(g, 3)))
+                  for g in _PRODUCT_GRAPHS]
+_radical_coeffs = st.builds(lambda q, r: ONE * q + Radical.sqrt(2) * r, _coeffs, _coeffs)
+
+
+def _elements(i):
+    g = _PRODUCT_GRAPHS[i]
+    terms = st.dictionaries(_PRODUCT_WORDS[i], _radical_coeffs, max_size=6)
+    return terms.map(lambda t: StarElement(g, t))
+
+
+@pytest.mark.parametrize("i", range(len(_PRODUCT_GRAPHS)), ids=["O2", "O3", "G3", "shared_name"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_product_matches_all_pairs_rule(i, data):
+    x, y = data.draw(_elements(i)), data.draw(_elements(i))
+    assert dict((x * y).items()) == dict(naive_product(x, y).items())
+
+
+def test_vertex_and_edge_names_do_not_meet():
+    g = _PRODUCT_GRAPHS[3]
+    p = vertex_projection(g, "a")
+    t = edge_isometry(g, "a")
+    assert dict((p * t).items()) == dict(t.items())
+    assert dict((t.adjoint() * p).items()) == dict(t.adjoint().items())
+    assert dict((p * p).items()) == dict(p.items())
+
+
+def _shares_first_edge(nu, kappa) -> bool:
+    return bool(nu.edges and kappa.edges and nu.edges[0] == kappa.edges[0])
+
+
+def test_product_visits_only_indexed_pairs(o3, monkeypatch):
+    """Operation-count guard: inside a word product, Radical.__mul__ runs once
+    per prefix-compatible term pair, and the prefix test runs at most twice
+    per pair whose nu and kappa start with the same edge, never once per pair
+    of terms as an all-pairs scan would."""
+    counts = dict.fromkeys(("mul", "split", "compatible", "shared", "pairs"), 0)
+    inside = [False]
+    plain_mul = Radical.__mul__
+    plain_split = StarElement._split_prefix
+    plain_product = StarElement._product
+
+    def counting_mul(self, other):
+        counts["mul"] += inside[0]
+        return plain_mul(self, other)
+
+    def counting_split(self, nu, kappa):
+        counts["split"] += inside[0]
+        return plain_split(self, nu, kappa)
+
+    def counting_product(self, other):
+        for (_, nu) in dict(self.items()):
+            for (kappa, _) in dict(other.items()):
+                counts["pairs"] += 1
+                counts["compatible"] += _compatible(o3, nu, kappa)
+                counts["shared"] += _shares_first_edge(nu, kappa)
+        inside[0] = True
+        try:
+            return plain_product(self, other)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(Radical, "__mul__", counting_mul)
+    monkeypatch.setattr(StarElement, "_split_prefix", counting_split)
+    monkeypatch.setattr(StarElement, "_product", counting_product)
+    family, report = CoreEndo(o3).matrix_unit_images(1, "v")
+    assert len(family) == 9 and report.passed and report.checks == 90
+    assert counts["mul"] == counts["compatible"] > 0
+    assert counts["shared"] <= counts["split"] <= 2 * counts["shared"]
+    assert 2 * counts["shared"] < counts["pairs"]
+
+
+# -- parser fuzzing -----------------------------------------------------------------
+
+_path_tokens = st.one_of(
+    st.sampled_from(["@v", "@w", "e1", "e2", "e1.e2", "e2.e1.e1", "e3", "e1..e2", "@", ""]),
+    st.text(alphabet="e12.@v", max_size=6))
+_radical_tokens = st.one_of(
+    st.builds(lambda c, k: "%s*sqrt(%d)" % (c, k), _coeffs,
+              st.one_of(st.integers(min_value=-1, max_value=50),
+                        st.integers(min_value=RADICAND_LIMIT - 50, max_value=RADICAND_LIMIT + 2))),
+    st.builds(str, _coeffs),
+    st.text(alphabet="0123456789+-*/sqrt()", max_size=10))
+_lines = st.one_of(
+    st.builds(lambda c, m, n: "TERM %s %s %s" % (c, m, n), _radical_tokens, _path_tokens, _path_tokens),
+    st.text(max_size=20))
+
+
+@settings(max_examples=150, deadline=3000)
+@given(st.lists(_lines, max_size=4).map("\n".join))
+def test_parse_element_accepts_or_raises_format_error(text):
+    g = _G
+    try:
+        x = parse_element(g, text)
+    except ElementFormatError:
+        return
+    assert dict(parse_element(g, x.text()).items()) == dict(x.items())
