@@ -179,8 +179,12 @@ def cmd_core_mul(args, report: RunReport) -> None:
     g = _load_graph(args.graph)
     a = _load_element(g, args.a)
     b = _load_element(g, args.b)
+    try:
+        product = a * b
+    except OverflowError as exc:
+        raise CliError("product: %s" % exc)
     report.say("product:")
-    report.data.extend((a * b).text().rstrip("\n").split("\n"))
+    report.data.extend(product.text().rstrip("\n").split("\n"))
 
 
 def cmd_core_beta(args, report: RunReport) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .util import CheckReport, rational_echelon
+from .util import CheckReport, accumulate, rational_echelon
 
 Vector = tuple[int, ...]
 Vec = "dict[Vector, Fraction]"
@@ -214,12 +214,7 @@ def delta(k: Vector) -> dict:
 def vec_add(a: dict, b: dict) -> dict:
     out = dict(a)
     for k, c in b.items():
-        s = out.get(k)
-        t = c if s is None else s + c
-        if t:
-            out[k] = t
-        else:
-            out.pop(k, None)
+        accumulate(out, k, c)
     return out
 
 

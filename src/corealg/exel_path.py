@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .graph import Graph, Path
 from .scalar import Radical
-from .util import CheckReport
+from .util import CheckReport, accumulate
 
 
 _ZERO = Fraction(0)
@@ -106,12 +106,7 @@ class DepthFunction:
         a, b = self._common(other)
         out = dict(a.values)
         for p, x in b.values.items():
-            s = out.get(p)
-            t = x if s is None else s + x
-            if t:
-                out[p] = t
-            elif s is not None:
-                del out[p]
+            accumulate(out, p, x)
         return DepthFunction._wrap(self.graph, a.depth, out)
 
     def __neg__(self):
@@ -141,12 +136,20 @@ class DepthFunction:
     def __rmul__(self, other):
         return self * other
 
+    def adjoint(self) -> "DepthFunction":
+        """The pointwise conjugate, which is the function itself: its values
+        are real."""
+        return self
+
     def equal(self, other: "DepthFunction") -> bool:
         a, b = self._common(other)
         return a.values == b.values
 
     def is_zero(self) -> bool:
         return not self.values
+
+    def __bool__(self):
+        return bool(self.values)
 
     def nonneg(self) -> bool:
         """Rational values only: radicals carry no exact order here."""
@@ -223,6 +226,10 @@ def load_depth_function(g: Graph, text: str) -> tuple[DepthFunction, list[str]]:
         tokens = line.split()
         if len(tokens) != 3 or tokens[0] != "F":
             raise DepthFunctionFormatError("line %d: expected F <path> <rational>" % lineno)
+        if "e" in tokens[2] or "E" in tokens[2]:
+            # Fraction would build 10**exponent: a short text, a huge number
+            raise DepthFunctionFormatError("line %d: exponent in value %r"
+                                           % (lineno, tokens[2]))
         try:
             p = g.parse_path(tokens[1])
             x = Fraction(tokens[2])

@@ -32,26 +32,11 @@ from .scalar import ONE, Radical
 from .star_algebra import StarElement, matrix_unit, unit
 from .uhf_cuntz import TensorElement, UhfSystem, uhf_L, uhf_alpha
 from .uhf_cuntz import words as tensor_words
-from .util import CheckReport, Memo
+from .util import CheckReport, Memo, accumulate
 
 
 class TruncationDepthError(ValueError):
     """The requested truncation cannot hold the shifted unit."""
-
-
-def _accumulate(system, out: dict, key, add) -> None:
-    """out[key] += add in the coefficient algebra; out never holds a zero."""
-    if system.is_zero(add):
-        return
-    s = out.get(key)
-    if s is None:
-        out[key] = add
-        return
-    t = system.add(s, add)
-    if system.is_zero(t):
-        del out[key]
-    else:
-        out[key] = t
 
 
 # -- the two frame systems ---------------------------------------------------------
@@ -79,24 +64,6 @@ class GraphFrameSystem:
 
     def zero(self) -> DepthFunction:
         return self._zero
-
-    def mul(self, a, b):
-        return a * b
-
-    def add(self, a, b):
-        return a + b
-
-    def adjoint(self, a):
-        return a
-
-    def scalar(self, a, c):
-        return a * c
-
-    def is_zero(self, a) -> bool:
-        return a.is_zero()
-
-    def equal(self, a, b) -> bool:
-        return a.equal(b)
 
     def a_text(self, a: DepthFunction) -> str:
         # "F <path> <value>" lines sort in the order of their path texts
@@ -168,24 +135,6 @@ class UhfFrameSystem:
     def zero(self) -> TensorElement:
         return TensorElement(self.sys.n, 0)
 
-    def mul(self, a, b):
-        return a * b
-
-    def add(self, a, b):
-        return a + b
-
-    def adjoint(self, a):
-        return a.adjoint()
-
-    def scalar(self, a, c):
-        return a * c
-
-    def is_zero(self, a) -> bool:
-        return a.is_zero()
-
-    def equal(self, a, b) -> bool:
-        return a.equal(b)
-
     def a_text(self, a) -> str:
         return a.text()
 
@@ -229,7 +178,7 @@ def pair(system, w: tuple, b, wp: tuple):
     if len(w) != len(wp):
         raise ValueError("words of unequal degree")
     while w:
-        if system.is_zero(b):
+        if b.is_zero():
             return b
         b = system.act1(w[0], b, wp[0])
         w = w[1:]
@@ -244,10 +193,10 @@ def _left_act_word(system, b, w: tuple) -> dict:
     out: dict[tuple, object] = {}
     for i in system.indices:
         b1 = system.act1(i, b, w[0])
-        if system.is_zero(b1):
+        if b1.is_zero():
             continue
         for v, d in _left_act_word(system, b1, w[1:]).items():
-            _accumulate(system, out, (i,) + v, d)
+            accumulate(out, (i,) + v, d)
     return out
 
 
@@ -265,7 +214,7 @@ class ModuleElement:
             for w, c in coords.items():
                 if len(w) != degree:
                     raise ValueError("word %r has length != degree %d" % (w, degree))
-                if not system.is_zero(c):
+                if not c.is_zero():
                     self.coords[w] = c
         self.source = source
 
@@ -283,7 +232,7 @@ class ModuleElement:
         coords = {}
         for j in system.indices:
             c = system.qcoord(j, a)
-            if not system.is_zero(c):
+            if not c.is_zero():
                 coords[(j,)] = c
         return cls(system, 1, coords, source=a)
 
@@ -292,7 +241,7 @@ class ModuleElement:
             raise ValueError("degree or system mismatch")
         out = dict(self.coords)
         for w, c in other.coords.items():
-            _accumulate(self.system, out, w, c)
+            accumulate(out, w, c)
         return ModuleElement(self.system, self.degree, out)
 
     def __sub__(self, other):
@@ -300,11 +249,11 @@ class ModuleElement:
 
     def scale(self, c: Radical) -> "ModuleElement":
         return ModuleElement(self.system, self.degree,
-                             {w: self.system.scalar(x, c) for w, x in self.coords.items()})
+                             {w: x * c for w, x in self.coords.items()})
 
     def right_mul(self, b) -> "ModuleElement":
         return ModuleElement(self.system, self.degree,
-                             {w: self.system.mul(c, b) for w, c in self.coords.items()})
+                             {w: c * b for w, c in self.coords.items()})
 
     def inner(self, other: "ModuleElement"):
         """<self, other> in the coefficient algebra."""
@@ -313,12 +262,12 @@ class ModuleElement:
         sys = self.system
         total = sys.zero()
         for w, c in self.coords.items():
-            cw = sys.adjoint(c)
+            cw = c.adjoint()
             for v, d in other.coords.items():
                 gv = pair(sys, w, sys.unit(), v)
-                if sys.is_zero(gv):
+                if gv.is_zero():
                     continue
-                total = sys.add(total, sys.mul(sys.mul(cw, gv), d))
+                total = total + cw * gv * d
         return total
 
     def canonical_coords(self) -> dict:
@@ -327,7 +276,7 @@ class ModuleElement:
         out: dict[tuple, object] = {}
         for v, c in self.coords.items():
             for w, d in _left_act_word(sys, sys.unit(), v).items():
-                _accumulate(sys, out, w, sys.mul(d, c))
+                accumulate(out, w, d * c)
         return out
 
     def equal(self, other: "ModuleElement") -> bool:
@@ -337,7 +286,7 @@ class ModuleElement:
         b = other.canonical_coords()
         if set(a) != set(b):
             return False
-        return all(self.system.equal(a[w], b[w]) for w in a)
+        return all(a[w].equal(b[w]) for w in a)
 
     def is_null(self) -> bool:
         return not self.canonical_coords()
@@ -357,11 +306,11 @@ def left_act(system, b, m: ModuleElement) -> ModuleElement:
     """The left action of the coefficient algebra through the frame."""
     if m.degree == 0:
         c = m.coords.get((), system.zero())
-        return ModuleElement(system, 0, {(): system.mul(b, c)})
+        return ModuleElement(system, 0, {(): b * c})
     out: dict[tuple, object] = {}
     for w, c in m.coords.items():
         for v, d in _left_act_word(system, b, w).items():
-            _accumulate(system, out, v, system.mul(d, c))
+            accumulate(out, v, d * c)
     return ModuleElement(system, m.degree, out)
 
 
@@ -372,7 +321,7 @@ def tensor(m1: ModuleElement, m2: ModuleElement) -> ModuleElement:
     for v, c in m1.coords.items():
         moved = left_act(sys, c, m2)
         for w, d in moved.coords.items():
-            _accumulate(sys, out, v + w, d)
+            accumulate(out, v + w, d)
     return ModuleElement(sys, m1.degree + m2.degree, out)
 
 
@@ -405,7 +354,7 @@ def canonical_frame(system) -> tuple[Frame, CheckReport]:
             else:
                 expected = system.unit() if i == j else system.zero()
             report.count()
-            if not system.equal(got, expected):
+            if not got.equal(expected):
                 report.fail("gram(%s, %s) = %s" % (i, j, system.a_text(got)))
     for i in frame.indices:
         sub = reconstruct_check(ModuleElement.basis_word(system, (i,)))
@@ -429,13 +378,13 @@ def reconstruct_check(m: ModuleElement) -> CheckReport:
             h = sys.zero()
             for v, c in m.coords.items():
                 gv = pair(sys, (j,), sys.unit(), v)
-                if not sys.is_zero(gv):
-                    h = sys.add(h, sys.mul(gv, c))
-            rep = sys.add(rep, sys.mul(sys.frame_rep(j), sys.alpha(h)))
-        diff = sys.add(rep, sys.scalar(a, Radical.from_rational(-1)))
-        gap = sys.L(sys.mul(sys.adjoint(diff), diff))
+                if not gv.is_zero():
+                    h = h + gv * c
+            rep = rep + sys.frame_rep(j) * sys.alpha(h)
+        diff = rep + a * Radical.from_rational(-1)
+        gap = sys.L(diff.adjoint() * diff)
         report.count()
-        if not sys.is_zero(gap):
+        if not gap.is_zero():
             report.fail("representative differs from a by a non-null vector: %s"
                         % sys.a_text(gap))
     return report
@@ -471,10 +420,10 @@ def U_star_map(system, m: ModuleElement) -> ModuleElement:
     for w, d in m.coords.items():
         j, rest = w[0], w[1:]
         b = lf[j]
-        if sys.is_zero(b):
+        if b.is_zero():
             continue
         for v, e in _left_act_word(sys, b, rest).items():
-            _accumulate(sys, out, v, sys.mul(e, d))
+            accumulate(out, v, e * d)
     return ModuleElement(sys, m.degree - 1, out)
 
 
@@ -490,12 +439,12 @@ def build_U(system, depth: int) -> tuple[ModuleElement, CheckReport]:
         back = U_star_map(system, ua)
         report.count()
         if not (len(back.coords) <= 1 and
-                system.equal(back.coords.get((), system.zero()), a)):
+                back.coords.get((), system.zero()).equal(a)):
             report.fail("U*U differs from the identity at a=\n%s" % system.a_text(a))
         qa = ModuleElement.from_algebra(system, a)
         la = U_star_map(system, qa).coords.get((), system.zero())
         report.count()
-        if not system.equal(la, system.L(a)):
+        if not la.equal(system.L(a)):
             report.fail("U*(q(a)) differs from L(a) at a=\n%s" % system.a_text(a))
     return u, report
 
@@ -551,7 +500,7 @@ class CompactOp:
             for (w, v), c in entries.items():
                 if len(w) != degree or len(v) != degree:
                     raise ValueError("entry (%r, %r) has wrong degree" % (w, v))
-                if not system.is_zero(c):
+                if not c.is_zero():
                     self.entries[(w, v)] = c
 
     @classmethod
@@ -565,13 +514,13 @@ class CompactOp:
             h = sys.zero()
             for u, d in n.coords.items():
                 gv = pair(sys, u, sys.unit(), v)
-                if not sys.is_zero(gv):
-                    h = sys.add(h, sys.mul(sys.adjoint(d), gv))
-            if sys.is_zero(h):
+                if not gv.is_zero():
+                    h = h + d.adjoint() * gv
+            if h.is_zero():
                 continue
             for w, c in m.coords.items():
-                val = sys.mul(c, h)
-                if not sys.is_zero(val):
+                val = c * h
+                if not val.is_zero():
                     entries[(w, v)] = val
         return cls(sys, m.degree, entries)
 
@@ -581,7 +530,7 @@ class CompactOp:
         for (w, v), c in self.entries.items():
             d = m.coords.get(v)
             if d is not None:
-                _accumulate(sys, out, w, sys.mul(c, d))
+                accumulate(out, w, c * d)
         return ModuleElement(sys, self.degree, out)
 
     def compose(self, other: "CompactOp") -> "CompactOp":
@@ -594,20 +543,20 @@ class CompactOp:
         out: dict[tuple, object] = {}
         for (w, u), c in self.entries.items():
             for v, d in by_row.get(u, ()):
-                _accumulate(sys, out, (w, v), sys.mul(c, d))
+                accumulate(out, (w, v), c * d)
         return CompactOp(sys, self.degree, out)
 
     def add(self, other: "CompactOp") -> "CompactOp":
         sys = self.system
         out = dict(self.entries)
         for key, c in other.entries.items():
-            _accumulate(sys, out, key, c)
+            accumulate(out, key, c)
         return CompactOp(sys, self.degree, out)
 
     def adjoint(self) -> "CompactOp":
         sys = self.system
         return CompactOp(sys, self.degree,
-                         {(v, w): sys.adjoint(c) for (w, v), c in self.entries.items()})
+                         {(v, w): c.adjoint() for (w, v), c in self.entries.items()})
 
     def canonical_entries(self) -> dict:
         """Left-multiply by the Gram matrix; equal results mean equal operators."""
@@ -615,7 +564,7 @@ class CompactOp:
         out: dict[tuple, object] = {}
         for (w, v), c in self.entries.items():
             for u, d in _left_act_word(sys, sys.unit(), w).items():
-                _accumulate(sys, out, (u, v), sys.mul(d, c))
+                accumulate(out, (u, v), d * c)
         return out
 
     def equal(self, other: "CompactOp") -> bool:
@@ -625,7 +574,7 @@ class CompactOp:
         b = other.canonical_entries()
         if set(a) != set(b):
             return False
-        return all(self.system.equal(a[k], b[k]) for k in a)
+        return all(a[k].equal(b[k]) for k in a)
 
     def is_null(self) -> bool:
         return not self.canonical_entries()

@@ -12,6 +12,8 @@ import math
 from fractions import Fraction
 from typing import Iterable, Union
 
+from .util import accumulate
+
 # Radicands stay inside one machine word.  Python ints never wrap, so this is
 # an explicit refusal rather than an overflow guard.
 RADICAND_LIMIT = 2**63 - 1
@@ -62,16 +64,14 @@ class Radical:
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: dict[int, Fraction] | None = None):
+        """Any positive radicands up to RADICAND_LIMIT; each is reduced to
+        its squarefree part, so c*sqrt(s*s*m) is stored as c*s*sqrt(m)."""
         clean: dict[int, Fraction] = {}
         if terms:
             for k, c in terms.items():
-                if k <= 0:
-                    raise ValueError("radicand must be positive, got %r" % k)
-                if k > RADICAND_LIMIT:
-                    raise OverflowError("radicand %d exceeds the machine-word bound" % k)
                 c = _check_rational(c)
-                if c:
-                    clean[k] = c
+                s, m = _squarefree_split(k)
+                accumulate(clean, m, c * s)
         self._terms = clean
         self._hash: int | None = None
 
@@ -112,13 +112,6 @@ class Radical:
 
     # -- ring operations ---------------------------------------------------
 
-    def _coerce(self, other) -> "Radical | None":
-        if isinstance(other, Radical):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Radical.from_rational(other)
-        return None
-
     def _combine(self, terms: dict[int, Fraction], negate: bool) -> "Radical":
         out = dict(self._terms)
         for k, c in terms.items():
@@ -134,7 +127,7 @@ class Radical:
         return Radical._wrap(out)
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = scalar(other)
         if o is None:
             return NotImplemented
         return self._combine(o._terms, False)
@@ -145,19 +138,19 @@ class Radical:
         return Radical._wrap({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = scalar(other)
         if o is None:
             return NotImplemented
         return self._combine(o._terms, True)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = scalar(other)
         if o is None:
             return NotImplemented
         return o._combine(self._terms, True)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = scalar(other)
         if o is None:
             return NotImplemented
         st, ot = self._terms, o._terms
@@ -173,20 +166,13 @@ class Radical:
                 m = (j // s) * (k // s)
                 if m > RADICAND_LIMIT:
                     raise OverflowError("radicand %d exceeds the machine-word bound" % m)
-                c = a * b if s == 1 else a * b * s
-                prev = out.get(m)
-                if prev is not None:
-                    c += prev
-                    if not c:
-                        del out[m]
-                        continue
-                out[m] = c
+                accumulate(out, m, a * b if s == 1 else a * b * s)
         return Radical._wrap(out)
 
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = scalar(other)
         if o is None:
             return NotImplemented
         return self._terms == o._terms
@@ -245,6 +231,16 @@ class Radical:
 
 ZERO = Radical()
 ONE = Radical.from_rational(1)
+
+
+def scalar(x) -> Radical | None:
+    """x as a Radical coefficient when it is a Radical, int or Fraction;
+    None for anything else, so operators can return NotImplemented."""
+    if isinstance(x, Radical):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return Radical.from_rational(x)
+    return None
 
 
 def parse_radical(text: str) -> Radical:

@@ -11,12 +11,11 @@ decomposition as the fallback for balanced elements).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-
 import numpy as np
 
 from .graph import Graph, Path
-from .scalar import ONE, Radical, parse_radical
+from .scalar import ONE, Radical, parse_radical, scalar
+from .util import accumulate
 
 
 class SingularVertexError(ValueError):
@@ -37,14 +36,6 @@ class UndecidableEqualityError(ValueError):
 
 class ElementFormatError(ValueError):
     pass
-
-
-def _coerce_scalar(c) -> Radical | None:
-    if isinstance(c, Radical):
-        return c
-    if isinstance(c, (int, Fraction)):
-        return Radical.from_rational(c)
-    return None
 
 
 class StarElement:
@@ -72,7 +63,7 @@ class StarElement:
 
     @classmethod
     def word(cls, graph: Graph, coeff, mu: Path, nu: Path) -> "StarElement":
-        c = _coerce_scalar(coeff)
+        c = scalar(coeff)
         if c is None:
             raise TypeError("coefficient must be Radical or rational")
         return cls(graph, {(mu, nu): c})
@@ -121,7 +112,7 @@ class StarElement:
     def __mul__(self, other):
         if isinstance(other, StarElement):
             return self._product(other)
-        c = _coerce_scalar(other)
+        c = scalar(other)
         if c is None:
             return NotImplemented
         if not c:
@@ -129,7 +120,7 @@ class StarElement:
         return StarElement._wrap(self.graph, {k: v * c for k, v in self._terms.items()})
 
     def __rmul__(self, other):
-        c = _coerce_scalar(other)
+        c = scalar(other)
         if c is None:
             return NotImplemented
         return self * c
@@ -171,13 +162,7 @@ class StarElement:
         out: dict[tuple[Path, Path], Radical] = {}
         for (mu, nu), a in self._terms.items():
             for key, b in self._matches(mu, nu, by_edge, by_vertex):
-                c = a * b
-                s = out.get(key)
-                t = c if s is None else s + c
-                if t:
-                    out[key] = t
-                elif s is not None:
-                    del out[key]
+                accumulate(out, key, a * b)
         return StarElement._wrap(self.graph, out)
 
     def _matches(self, mu: Path, nu: Path, by_edge: dict, by_vertex: dict):
@@ -242,12 +227,7 @@ class StarElement:
                 raise ValueError(
                     "term t_%s t_%s^* already beyond level %d" % (mu.text(), nu.text(), K))
             if m == K:
-                s = out.get((mu, nu))
-                t = c if s is None else s + c
-                if t:
-                    out[(mu, nu)] = t
-                elif s is not None:
-                    del out[(mu, nu)]
+                accumulate(out, (mu, nu), c)
                 continue
             ins = g.in_edges(mu.src)
             if not ins:
@@ -277,13 +257,7 @@ class StarElement:
                     continue
                 up = pools[j + 1]
                 for e in ins:
-                    key = (g.append_edge(mu, e), g.append_edge(nu, e))
-                    s = up.get(key)
-                    t = c if s is None else s + c
-                    if t:
-                        up[key] = t
-                    elif s is not None:
-                        del up[key]
+                    accumulate(up, (g.append_edge(mu, e), g.append_edge(nu, e)), c)
             components.append(StarElement._wrap(g, keep))
         components.append(StarElement._wrap(g, pools[i]))
         return components
@@ -440,10 +414,5 @@ def parse_element(g: Graph, text: str) -> StarElement:
         if mu.src != nu.src:
             raise ElementFormatError("line %d: sources of %s and %s differ"
                                      % (lineno, tokens[2], tokens[3]))
-        key = (mu, nu)
-        total = terms.get(key, Radical()) + c
-        if total:
-            terms[key] = total
-        elif key in terms:
-            del terms[key]
+        accumulate(terms, (mu, nu), c)
     return StarElement(g, terms)

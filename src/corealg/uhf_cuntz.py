@@ -13,23 +13,15 @@ from fractions import Fraction
 from itertools import product
 
 from .graph import Graph
-from .scalar import ONE, Radical
+from .scalar import ONE, Radical, scalar
 from .star_algebra import StarElement, edge_isometry, unit
-from .util import CheckReport
+from .util import CheckReport, accumulate
 
 Word = tuple[int, ...]
 
 
 def words(n: int, k: int) -> list[Word]:
     return [tuple(w) for w in product(range(1, n + 1), repeat=k)]
-
-
-def _coerce(c) -> Radical:
-    if isinstance(c, Radical):
-        return c
-    if isinstance(c, (int, Fraction)):
-        return Radical.from_rational(c)
-    raise TypeError("entry must be Radical or rational, got %r" % (c,))
 
 
 class TensorElement:
@@ -49,9 +41,11 @@ class TensorElement:
                     raise ValueError("index length differs from depth %d" % k)
                 if not all(1 <= i <= n for i in mu + nu):
                     raise ValueError("letters must lie in 1..%d" % n)
-                c = _coerce(c)
-                if c:
-                    self.entries[(mu, nu)] = c
+                r = scalar(c)
+                if r is None:
+                    raise TypeError("entry must be Radical or rational, got %r" % (c,))
+                if r:
+                    self.entries[(mu, nu)] = r
 
     @classmethod
     def identity(cls, n: int, k: int) -> "TensorElement":
@@ -59,7 +53,7 @@ class TensorElement:
 
     @classmethod
     def unit_entry(cls, n: int, mu: Word, nu: Word, coeff=1) -> "TensorElement":
-        return cls(n, len(mu), {(tuple(mu), tuple(nu)): _coerce(coeff)})
+        return cls(n, len(mu), {(tuple(mu), tuple(nu)): coeff})
 
     def lift(self, k: int) -> "TensorElement":
         """Same element stored at a greater depth (tensor identity on the right)."""
@@ -86,12 +80,7 @@ class TensorElement:
         a, b = self._common(other)
         out = dict(a.entries)
         for key, c in b.entries.items():
-            s = out.get(key)
-            t = c if s is None else s + c
-            if t:
-                out[key] = t
-            elif s is not None:
-                del out[key]
+            accumulate(out, key, c)
         return TensorElement(self.n, a.k, out)
 
     def __neg__(self):
@@ -111,15 +100,11 @@ class TensorElement:
             out: dict[tuple[Word, Word], Radical] = {}
             for (mu, nu), c in a.entries.items():
                 for lam, d in rows.get(nu, ()):
-                    key = (mu, lam)
-                    s = out.get(key)
-                    t = c * d if s is None else s + c * d
-                    if t:
-                        out[key] = t
-                    elif s is not None:
-                        del out[key]
+                    accumulate(out, (mu, lam), c * d)
             return TensorElement(self.n, a.k, out)
-        c = _coerce(other)
+        c = scalar(other)
+        if c is None:
+            raise TypeError("entry must be Radical or rational, got %r" % (other,))
         return TensorElement(self.n, self.k,
                              {key: v * c for key, v in self.entries.items()})
 
@@ -136,6 +121,9 @@ class TensorElement:
 
     def is_zero(self) -> bool:
         return not self.entries
+
+    def __bool__(self):
+        return bool(self.entries)
 
     def trace(self) -> Radical:
         total = Radical()
@@ -213,13 +201,7 @@ def uhf_L(sys: UhfSystem, a: TensorElement) -> TensorElement:
     for (mu, nu), c in a.entries.items():
         if mu[0] != nu[0] or mu[0] > sys.N:
             continue
-        key = (mu[1:], nu[1:])
-        s = out.get(key)
-        t = c * scale if s is None else s + c * scale
-        if t:
-            out[key] = t
-        elif s is not None:
-            del out[key]
+        accumulate(out, (mu[1:], nu[1:]), c * scale)
     return TensorElement(sys.n, a.k - 1, out)
 
 
@@ -249,13 +231,7 @@ def apply_tensor(a: TensorElement, vec: dict[Word, Radical]) -> dict[Word, Radic
         for (mu, nu), val in a.entries.items():
             if nu != head:
                 continue
-            key = mu + tail
-            s = out.get(key)
-            t = val * c if s is None else s + val * c
-            if t:
-                out[key] = t
-            elif s is not None:
-                del out[key]
+            accumulate(out, mu + tail, val * c)
     return out
 
 
@@ -273,15 +249,8 @@ def prefix_rep_sweep(sys: UhfSystem, a: TensorElement, m: int) -> CheckReport:
         rhs: dict[Word, Radical] = {}
         for i in range(1, sys.N + 1):
             for u, c in apply_tensor(a, {(i,) + x: ONE}).items():
-                if u[0] != i:
-                    continue
-                key = u[1:]
-                s = rhs.get(key)
-                t = c * scale if s is None else s + c * scale
-                if t:
-                    rhs[key] = t
-                elif s is not None:
-                    del rhs[key]
+                if u[0] == i:
+                    accumulate(rhs, u[1:], c * scale)
         report.count()
         if lhs != rhs:
             bad = sorted(set(lhs) | set(rhs))[0]
@@ -516,14 +485,7 @@ def conjugate(u: list[list[Radical]], a: TensorElement) -> TensorElement:
                 right = u[s - 1][j - 1]
                 if not right:
                     continue
-                key = ((r,), (s,))
-                add = left * c * right
-                t = out.get(key)
-                t = add if t is None else t + add
-                if t:
-                    out[key] = t
-                elif key in out:
-                    del out[key]
+                accumulate(out, ((r,), (s,)), left * c * right)
     return TensorElement(n, 1, out)
 
 
@@ -542,14 +504,7 @@ def first_slot_conjugate(u: list[list[Radical]], a: TensorElement) -> TensorElem
                 right = u[s - 1][nu[0] - 1]
                 if not right:
                     continue
-                key = ((r,) + mu[1:], (s,) + nu[1:])
-                add = left * c * right
-                t = out.get(key)
-                t = add if t is None else t + add
-                if t:
-                    out[key] = t
-                elif key in out:
-                    del out[key]
+                accumulate(out, ((r,) + mu[1:], (s,) + nu[1:]), left * c * right)
     return TensorElement(n, a.k, out)
 
 
@@ -568,7 +523,5 @@ def to_core_element(g: Graph, loops: dict[int, str], a: TensorElement) -> StarEl
     for (mu, nu), c in a.entries.items():
         pm = g.path([loops[i] for i in mu])
         pn = g.path([loops[i] for i in nu])
-        key = (pm, pn)
-        prior = out.get(key)
-        out[key] = c if prior is None else prior + c
+        accumulate(out, (pm, pn), c)
     return StarElement(g, out)

@@ -1,5 +1,6 @@
 """Shared plumbing: the deterministic PRNG used by sweeps, a tiny check-report
-type, the one rational Gaussian elimination and the per-object memo."""
+type, the one rational Gaussian elimination, the one sparse-map accumulate and
+the per-object memo."""
 
 from __future__ import annotations
 
@@ -67,6 +68,23 @@ def rational_echelon(rows: list[list[Fraction]], n: int) -> Fraction:
                 f = rows[r][col] * inv
                 rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
     return det
+
+
+def accumulate(out: dict, key, add) -> None:
+    """out[key] += add in a sparse map that never holds a zero: a zero addend
+    is skipped, so a stored value keeps its form, and a sum that cancels
+    deletes its key.  Values are any type with + and truth meaning nonzero."""
+    if not add:
+        return
+    s = out.get(key)
+    if s is None:
+        out[key] = add
+        return
+    t = s + add
+    if t:
+        out[key] = t
+    else:
+        del out[key]
 
 
 class Memo:

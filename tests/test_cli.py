@@ -145,6 +145,16 @@ def test_large_radicands_in_element_files(capsys, o2_file, tmp_path):
     assert code == 2 and err.startswith("error: bad element file") and out == ""
 
 
+def test_oversized_product_radicand_is_usage_error(capsys, o2_file, tmp_path):
+    prime = tmp_path / "prime.elem"
+    prime.write_text("TERM 1*sqrt(9223372036854775783) e1 e1\n")
+    two = tmp_path / "two.elem"
+    two.write_text("TERM 1*sqrt(2) e1 e1\n")
+    code, out, err = run(capsys, "core", "mul", o2_file, str(prime), str(two))
+    assert code == 2 and out == ""
+    assert err.startswith("error: product: radicand 18446744073709551566 exceeds")
+
+
 def test_module_and_exel_commands(capsys, o2_file):
     for args in (("module", "verify-frames", o2_file),
                  ("module", "verify-u", o2_file, "--depth", "2"),
@@ -228,3 +238,24 @@ def test_out_of_range_counts_are_usage_errors(capsys, o2_file, args):
     code, out, err = run(capsys, *(a.format(g=o2_file) for a in args))
     assert code == 2, out
     assert err.startswith("error: --") and out == ""
+
+
+SNAPSHOTS = os.path.join(os.path.dirname(__file__), "snapshots")
+
+
+@pytest.mark.parametrize("name, args", [
+    ("uhf-demo-n3-N2", ("uhf", "demo", "--n", "3", "--N", "2")),
+    ("module-verify-frames-n2-N2", ("module", "verify-frames", "--n", "2", "--N", "2")),
+    ("module-verify-frames-o2", ("module", "verify-frames", "{g}")),
+    ("module-verify-u-o2-depth3", ("module", "verify-u", "{g}", "--depth", "3")),
+    ("exel-verify-transfer-o2", ("exel", "verify-transfer", "{g}")),
+])
+def test_json_matches_snapshot(capsys, o2_file, name, args):
+    # the snapshots hold the --json bytes of these commands with the line
+    # echoing the command (it names a temporary file) taken out
+    code, out, _ = run(capsys, *(a.format(g=o2_file) for a in args), "--json")
+    assert code == 0
+    kept = re.sub(r'(?m)^  "command": .*\n', "", out)
+    assert kept != out
+    with open(os.path.join(SNAPSHOTS, name + ".json"), encoding="utf-8") as fh:
+        assert kept == fh.read()

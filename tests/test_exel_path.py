@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from corealg.exel_path import (
     DepthFunction,
@@ -13,6 +14,7 @@ from corealg.exel_path import (
     transfer_L,
     transfer_identity_check,
 )
+from corealg.graph import bouquet, load_graph
 from corealg.scalar import ONE, Radical
 
 
@@ -138,3 +140,35 @@ def test_load_errors(o2):
         load_depth_function(o2, "# empty\n")
     with pytest.raises(DepthFunctionFormatError):
         load_depth_function(o2, "F e1 1\nF e1.e1 1\n")  # mixed lengths
+    with pytest.raises(DepthFunctionFormatError, match="exponent"):
+        load_depth_function(o2, "F e1 1e3\n")
+
+
+# -- loader fuzzing -----------------------------------------------------------------
+
+# a vertex and an edge share the name "a" in the second graph
+_FUZZ_GRAPHS = (bouquet(2), load_graph("V a; V b\nE a a b; E x b a; E y b b\n"))
+_path_tokens = st.one_of(
+    st.sampled_from(["@v", "@a", "@b", "e1", "e2.e1", "a", "x.a", "y.x", "e3", "e1..e2", "@", ""]),
+    st.text(alphabet="e12axy.@v", max_size=6))
+_value_tokens = st.one_of(
+    st.builds(str, st.fractions(min_value=-4, max_value=4, max_denominator=6)),
+    st.text(alphabet="0123456789/.-+eE_", max_size=12))
+_lines = st.one_of(
+    st.builds("F {} {}".format, _path_tokens, _value_tokens),
+    st.text(max_size=20))
+
+
+@settings(max_examples=150, deadline=3000)
+@given(st.sampled_from(_FUZZ_GRAPHS), st.lists(_lines, max_size=4).map("\n".join))
+@example(_FUZZ_GRAPHS[0], "F e1 1e10000000")
+@example(_FUZZ_GRAPHS[0], "F e2 -1E-10000000")
+def test_load_depth_function_accepts_or_raises_value_error(g, text):
+    try:
+        f, warnings = load_depth_function(g, text)
+    except ValueError:
+        return
+    assert all(isinstance(w, str) for w in warnings)
+    if f.values:
+        again, _ = load_depth_function(g, f.text())
+        assert again.equal(f)

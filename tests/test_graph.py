@@ -2,6 +2,7 @@ import copy
 import pickle
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corealg.graph import Graph, GraphFormatError, Path, bouquet, cycle, load_graph
 
@@ -153,3 +154,25 @@ def test_paths_stay_immutable():
     for q in (copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
         assert "_hash" not in vars(q)
         assert q == p and hash(q) == hash(p)
+
+
+# -- loader fuzzing -----------------------------------------------------------------
+
+_names = st.one_of(st.sampled_from(["v", "w", "e1", "e2", "x_1", "V", "E", "bad-name", "\u00e9"]),
+                   st.text(alphabet="vwe12_-.#;", max_size=4))
+_statements = st.one_of(
+    st.builds("V {}".format, _names),
+    st.builds("E {} {} {}".format, _names, _names, _names),
+    st.text(max_size=15))
+_graph_texts = st.lists(st.lists(_statements, min_size=1, max_size=3).map("; ".join),
+                        max_size=6).map("\n".join)
+
+
+@settings(max_examples=150, deadline=3000)
+@given(_graph_texts)
+def test_load_graph_accepts_or_raises_value_error(text):
+    try:
+        g = load_graph(text)
+    except ValueError:
+        return
+    assert load_graph(g.text()).text() == g.text()

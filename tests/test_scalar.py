@@ -58,6 +58,18 @@ def test_sqrt_pulls_out_square_factors():
     assert Radical.sqrt(1) == ONE
 
 
+def test_constructor_reduces_radicands():
+    assert Radical({4: 1}) == Radical.from_rational(2)
+    assert Radical({4: 1}).text() == "2"
+    assert Radical({2: 1, 8: 1}) == Radical.sqrt(2) * 3
+    assert Radical({8: 1}) * Radical.sqrt(2) == Radical.from_rational(4)
+    assert Radical({2: 1, 8: Fraction(-1, 2)}) == ZERO
+    with pytest.raises(ValueError):
+        Radical({0: 1})
+    with pytest.raises(OverflowError):
+        Radical({RADICAND_LIMIT + 1: 1})
+
+
 def test_product_radicands_match_factoring():
     squarefree = [k for k in range(1, 201) if _squarefree_split(k)[0] == 1]
     for j in squarefree:
