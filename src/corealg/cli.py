@@ -1,9 +1,8 @@
 """Command-line front end: verification sweeps and small computations.
 
 Reports are deterministic for a fixed argv and seed: the only line that may
-differ between runs is the timestamp header, sweeps draw their randomness
-from a seeded splitmix64 stream, and parallel runs pre-generate their case
-list and sort results by case index before printing.
+differ between runs is the timestamp header, and sweeps draw their randomness
+from a seeded splitmix64 stream.
 
 Exit codes: 0 all checks passed, 1 at least one verification failed,
 2 bad input (unparseable file, bad flag, violated precondition).
@@ -15,7 +14,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import dilation as dl
 from . import ktheory as kt
@@ -35,7 +33,7 @@ from .hilbert_module import (
     u_isometry_report,
 )
 from .scalar import ONE
-from .star_algebra import StarElement, matrix_unit, op_norm, parse_element
+from .star_algebra import StarElement, matrix_unit, op_norm, parse_element, unit
 from .util import CheckReport, SplitMix64
 
 
@@ -119,6 +117,14 @@ def _load_element(g: Graph, path: str) -> StarElement:
         raise CliError("bad element file %s: %s" % (path, exc))
 
 
+def _checked(compute, *args):
+    """compute(*args), with a ValueError (a violated precondition) as bad input."""
+    try:
+        return compute(*args)
+    except ValueError as exc:
+        raise CliError(str(exc))
+
+
 def _require_at_least(args, flag: str, low: int) -> None:
     value = getattr(args, flag)
     if value < low:
@@ -140,17 +146,6 @@ def parse_points(text: str) -> list[tuple[int, ...]]:
         return [tuple(int(x) for x in row.split(",")) for row in text.split(";") if row.strip()]
     except ValueError as exc:
         raise CliError("bad point list %r: %s" % (text, exc))
-
-
-def _run_cases(cases, worker, parallel: bool) -> list[CheckReport]:
-    """Evaluate worker over an already-generated case list, order-stable."""
-    if not parallel:
-        return [worker(c) for c in cases]
-    with ThreadPoolExecutor() as pool:
-        indexed = list(pool.map(lambda pair: (pair[0], worker(pair[1])),
-                                list(enumerate(cases))))
-    indexed.sort(key=lambda pair: pair[0])
-    return [rep for _, rep in indexed]
 
 
 # -- graph ------------------------------------------------------------------------
@@ -190,10 +185,7 @@ def cmd_core_mul(args, report: RunReport) -> None:
 def cmd_core_beta(args, report: RunReport) -> None:
     g = _load_graph(args.graph)
     a = _load_element(g, args.a)
-    try:
-        image = CoreEndo(g).beta(a)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    image = _checked(lambda: CoreEndo(g).beta(a))
     report.say("shift image:")
     report.data.extend(image.text().rstrip("\n").split("\n"))
 
@@ -201,18 +193,13 @@ def cmd_core_beta(args, report: RunReport) -> None:
 def cmd_core_iexpand(args, report: RunReport) -> None:
     g = _load_graph(args.graph)
     a = _load_element(g, args.a)
-    try:
-        parts = a.i_expand(args.level)
-    except ValueError as exc:
-        raise CliError(str(exc))
-    total = StarElement.zero(g)
+    parts = _checked(a.i_expand, args.level)
     for i, part in enumerate(parts):
         report.say("component %d:" % i)
         report.data.extend(part.text().rstrip("\n").split("\n"))
-        total = total + part
     sec = CheckReport("expansion recombines")
     sec.count()
-    if not total.equal(a):
+    if not sum(parts, StarElement.zero(g)).equal(a):
         sec.fail("sum of components differs from the input")
     report.add(sec)
 
@@ -220,10 +207,7 @@ def cmd_core_iexpand(args, report: RunReport) -> None:
 def cmd_core_norm(args, report: RunReport) -> None:
     g = _load_graph(args.graph)
     a = _load_element(g, args.a)
-    try:
-        res = op_norm(a)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    res = _checked(op_norm, a)
     report.say("norm: %.12g" % res.value)
     report.say("error_bound: %.3e" % res.error_bound)
 
@@ -239,23 +223,39 @@ def _random_core(g: Graph, rng: SplitMix64, depth: int) -> StarElement:
     return x
 
 
+def _shift_verdicts(endo: CoreEndo, w: StarElement, x: StarElement):
+    """x, beta(x) and the verdicts of the two checks on x alone:
+    beta(x*) = beta(x)* and beta(x) = WxW*."""
+    bx = endo.beta(x)
+    return x, bx, endo.beta(x.adjoint()).equal(bx.adjoint()), bx.equal(w * x * w.adjoint())
+
+
+def _check_shift_pair(sweep: CheckReport, endo: CoreEndo, verdicts, y, by) -> None:
+    """Count the pair's three checks: multiplicativity, then x's two verdicts,
+    so a failing verdict is reported once for every pair x is in."""
+    x, bx, adjoint_ok, covariant = verdicts
+    sweep.count()
+    if not endo.beta(x * y).equal(bx * by):
+        sweep.fail("multiplicativity fails for x=\n%sy=\n%s" % (x.text(), y.text()))
+    sweep.count()
+    if not adjoint_ok:
+        sweep.fail("adjoint fails for x=\n%s" % x.text())
+    sweep.count()
+    if not covariant:
+        sweep.fail("covariance fails for x=\n%s" % x.text())
+
+
 def cmd_core_verify_beta(args, report: RunReport) -> None:
     _require_at_least(args, "depth", 1)
     _require_at_least(args, "trials", 0)
     g = _load_graph(args.graph)
-    try:
-        endo = CoreEndo(g)
-        w = endo.build_W()
-    except ValueError as exc:
-        raise CliError(str(exc))
+    endo = _checked(CoreEndo, g)
+    w = _checked(endo.build_W)
     rng = SplitMix64(args.seed)
 
     gauge = CheckReport("W is a covariance isometry")
     gauge.count()
-    total = StarElement.zero(g)
-    for v in g.vertices:
-        total = total + matrix_unit(g, g.empty_path(v), g.empty_path(v))
-    if not (w.adjoint() * w).equal(total):
+    if not (w.adjoint() * w).equal(unit(g)):
         gauge.fail("W*W differs from the unit")
     report.add(gauge)
 
@@ -264,29 +264,16 @@ def cmd_core_verify_beta(args, report: RunReport) -> None:
         paths = g.paths(level)
         units.extend(matrix_unit(g, mu, nu)
                      for mu in paths for nu in paths if mu.src == nu.src)
-    pairs = [(x, y) for x in units for y in units]
-    for _ in range(args.trials):
-        pairs.append((_random_core(g, rng, args.depth), _random_core(g, rng, args.depth)))
-
-    def check_pair(case) -> CheckReport:
-        x, y = case
-        rep = CheckReport("pair")
-        bx, by = endo.beta(x), endo.beta(y)
-        rep.count()
-        if not endo.beta(x * y).equal(bx * by):
-            rep.fail("multiplicativity fails for x=\n%sy=\n%s" % (x.text(), y.text()))
-        rep.count()
-        if not endo.beta(x.adjoint()).equal(bx.adjoint()):
-            rep.fail("adjoint fails for x=\n%s" % x.text())
-        rep.count()
-        if not bx.equal(w * x * w.adjoint()):
-            rep.fail("covariance fails for x=\n%s" % x.text())
-        return rep
-
     sweep = CheckReport("shift homomorphism sweep, %d exhaustive pairs, %d random"
-                        % (len(pairs) - args.trials, args.trials))
-    for rep in _run_cases(pairs, check_pair, args.parallel):
-        sweep.merge(rep)
+                        % (len(units) ** 2, args.trials))
+    exhaustive = [_shift_verdicts(endo, w, x) for x in units]
+    for vx in exhaustive:
+        for y, by, _, _ in exhaustive:
+            _check_shift_pair(sweep, endo, vx, y, by)
+    for _ in range(args.trials):
+        x = _random_core(g, rng, args.depth)
+        y = _random_core(g, rng, args.depth)
+        _check_shift_pair(sweep, endo, _shift_verdicts(endo, w, x), y, endo.beta(y))
     report.add(sweep)
 
 
@@ -315,27 +302,24 @@ def cmd_exel_verify_transfer(args, report: RunReport) -> None:
     basic.count()
     if not transfer_L(one).equal(one):
         basic.fail("L(1) differs from 1")
-    for k in range(1, args.depth + 1):
-        for p in g.paths(k):
-            f = DepthFunction.indicator(g, p)
+    levels = [[DepthFunction.indicator(g, p) for p in g.paths(k)]
+              for k in range(1, args.depth + 1)]
+    for fs in levels:
+        for f in fs:
             basic.count()
             if not transfer_L(alpha_shift(f)).equal(f):
                 basic.fail("L(alpha(f)) differs from f at f=\n%s" % f.text())
     report.add(basic)
 
-    cases = []
-    for k in range(1, args.depth + 1):
-        for p in g.paths(k):
-            for q in g.paths(k):
-                cases.append((DepthFunction.indicator(g, p), DepthFunction.indicator(g, q)))
-    for _ in range(args.trials):
-        cases.append((_random_depth_function(g, rng, args.depth),
-                      _random_depth_function(g, rng, args.depth)))
-
     sweep = CheckReport("transfer identity sweep, %d exhaustive pairs, %d random"
-                        % (len(cases) - args.trials, args.trials))
-    for rep in _run_cases(cases, lambda ab: transfer_identity_check(*ab), args.parallel):
-        sweep.merge(rep)
+                        % (sum(len(fs) ** 2 for fs in levels), args.trials))
+    for fs in levels:
+        for a in fs:
+            for b in fs:
+                sweep.merge(transfer_identity_check(a, b))
+    for _ in range(args.trials):
+        sweep.merge(transfer_identity_check(_random_depth_function(g, rng, args.depth),
+                                            _random_depth_function(g, rng, args.depth)))
     report.add(sweep)
 
 
@@ -344,17 +328,10 @@ def cmd_exel_verify_transfer(args, report: RunReport) -> None:
 
 def _frame_system(args):
     if args.graph_file:
-        g = _load_graph(args.graph_file)
-        try:
-            return GraphFrameSystem(g)
-        except ValueError as exc:
-            raise CliError(str(exc))
+        return _checked(GraphFrameSystem, _load_graph(args.graph_file))
     if args.n is None or args.N is None:
         raise CliError("give a graph file, or both --n and --N")
-    try:
-        return UhfFrameSystem(uc.UhfSystem(args.n, args.N))
-    except ValueError as exc:
-        raise CliError(str(exc))
+    return _checked(lambda: UhfFrameSystem(uc.UhfSystem(args.n, args.N)))
 
 
 def cmd_module_verify_frames(args, report: RunReport) -> None:
@@ -370,10 +347,7 @@ def cmd_module_verify_frames(args, report: RunReport) -> None:
 
 def cmd_module_verify_u(args, report: RunReport) -> None:
     system = _frame_system(args)
-    try:
-        _, rep = build_U(system, args.depth)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    _, rep = _checked(build_U, system, args.depth)
     report.add(rep)
     for degree in range(1, min(args.depth, 2) + 1):
         report.add(u_isometry_report(system, degree))
@@ -385,11 +359,11 @@ def cmd_module_crosscheck(args, report: RunReport) -> None:
     if not g.path_space_admissible:
         raise CliError("graph must have no sinks and no singular vertices")
     paths = g.paths(args.level)
-    cases = [(mu, nu) for mu in paths for nu in paths]
     sweep = CheckReport("two-route shift comparison, level %d, %d pairs"
-                        % (args.level, len(cases)))
-    for rep in _run_cases(cases, lambda mn: beta_crosscheck(g, *mn), args.parallel):
-        sweep.merge(rep)
+                        % (args.level, len(paths) ** 2))
+    for mu in paths:
+        for nu in paths:
+            sweep.merge(beta_crosscheck(g, mu, nu))
     report.add(sweep)
 
 
@@ -398,10 +372,7 @@ def cmd_module_crosscheck(args, report: RunReport) -> None:
 
 def cmd_uhf_demo(args, report: RunReport) -> None:
     _require_at_least(args, "depth", 0)
-    try:
-        sys_ = uc.UhfSystem(args.n, args.N)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    sys_ = _checked(uc.UhfSystem, args.n, args.N)
     n, cap = args.n, args.N
     report.say("system: n=%d, N=%d" % (n, cap))
 
@@ -449,10 +420,7 @@ def cmd_dilation_verify(args, report: RunReport) -> None:
     _require_at_least(args, "box", 0)
     _require_at_least(args, "level", 0)
     b = parse_int_matrix(args.matrix)
-    try:
-        system = dl.LatticeSystem(b)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    system = _checked(dl.LatticeSystem, b)
     report.say("dimension: %d, |det| = %d" % (system.d, system.det_abs))
     report.say("transversal: %s" % "; ".join(",".join(str(x) for x in p)
                                              for p in system.Sigma))
@@ -486,9 +454,7 @@ def cmd_dilation_verify(args, report: RunReport) -> None:
 def cmd_ktheory_graph(args, report: RunReport) -> None:
     g = _load_graph(args.file)
     try:
-        res = kt.graph_k_theory(g)
-    except ValueError as exc:
-        raise CliError(str(exc))
+        res = _checked(kt.graph_k_theory, g)
     except kt.StabilizationError as exc:
         failed = CheckReport("stabilization")
         failed.count()
@@ -512,10 +478,7 @@ def cmd_ktheory_graph(args, report: RunReport) -> None:
 
 def cmd_ktheory_paschke(args, report: RunReport) -> None:
     m = parse_int_matrix(args.matrix)
-    try:
-        res = kt.paschke_sequence(m, args.af)
-    except ValueError as exc:
-        raise CliError(str(exc))
+    res = _checked(kt.paschke_sequence, m, args.af)
     report.data.extend(res.diagram.split("\n"))
     if res.k0 is not None:
         report.say("K_0 = %s" % res.k0.text())
@@ -529,91 +492,78 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="structured output")
     common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--parallel", action="store_true")
 
     top = argparse.ArgumentParser(prog="corealg")
     sub = top.add_subparsers(dest="group", required=True)
 
-    def leaf(group, name):
-        return group.add_parser(name, parents=[common])
+    def leaf(group, name, func):
+        p = group.add_parser(name, parents=[common])
+        p.set_defaults(func=func)
+        return p
 
     g = sub.add_parser("graph").add_subparsers(dest="action", required=True)
-    p = leaf(g, "info")
+    p = leaf(g, "info", cmd_graph_info)
     p.add_argument("file")
-    p.set_defaults(func=cmd_graph_info)
 
     c = sub.add_parser("core").add_subparsers(dest="action", required=True)
-    p = leaf(c, "mul")
+    p = leaf(c, "mul", cmd_core_mul)
     p.add_argument("graph")
     p.add_argument("a")
     p.add_argument("b")
-    p.set_defaults(func=cmd_core_mul)
-    p = leaf(c, "beta")
+    p = leaf(c, "beta", cmd_core_beta)
     p.add_argument("graph")
     p.add_argument("a")
-    p.set_defaults(func=cmd_core_beta)
-    p = leaf(c, "iexpand")
+    p = leaf(c, "iexpand", cmd_core_iexpand)
     p.add_argument("graph")
     p.add_argument("a")
     p.add_argument("--level", type=int, default=1)
-    p.set_defaults(func=cmd_core_iexpand)
-    p = leaf(c, "norm")
+    p = leaf(c, "norm", cmd_core_norm)
     p.add_argument("graph")
     p.add_argument("a")
-    p.set_defaults(func=cmd_core_norm)
-    p = leaf(c, "verify-beta")
+    p = leaf(c, "verify-beta", cmd_core_verify_beta)
     p.add_argument("graph")
     p.add_argument("--depth", type=int, default=1)
     p.add_argument("--trials", type=int, default=25)
-    p.set_defaults(func=cmd_core_verify_beta)
 
     e = sub.add_parser("exel").add_subparsers(dest="action", required=True)
-    p = leaf(e, "verify-transfer")
+    p = leaf(e, "verify-transfer", cmd_exel_verify_transfer)
     p.add_argument("graph")
     p.add_argument("--depth", type=int, default=2)
     p.add_argument("--trials", type=int, default=25)
-    p.set_defaults(func=cmd_exel_verify_transfer)
 
     m = sub.add_parser("module").add_subparsers(dest="action", required=True)
-    p = leaf(m, "verify-frames")
+    p = leaf(m, "verify-frames", cmd_module_verify_frames)
     p.add_argument("graph_file", nargs="?")
     p.add_argument("--n", type=int)
     p.add_argument("--N", type=int)
-    p.set_defaults(func=cmd_module_verify_frames)
-    p = leaf(m, "verify-u")
+    p = leaf(m, "verify-u", cmd_module_verify_u)
     p.add_argument("graph_file", nargs="?")
     p.add_argument("--n", type=int)
     p.add_argument("--N", type=int)
     p.add_argument("--depth", type=int, default=2)
-    p.set_defaults(func=cmd_module_verify_u)
-    p = leaf(m, "crosscheck")
+    p = leaf(m, "crosscheck", cmd_module_crosscheck)
     p.add_argument("graph")
     p.add_argument("--level", type=int, default=1)
-    p.set_defaults(func=cmd_module_crosscheck)
 
     u = sub.add_parser("uhf").add_subparsers(dest="action", required=True)
-    p = leaf(u, "demo")
+    p = leaf(u, "demo", cmd_uhf_demo)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--depth", type=int, default=2)
-    p.set_defaults(func=cmd_uhf_demo)
 
     d = sub.add_parser("dilation").add_subparsers(dest="action", required=True)
-    p = leaf(d, "verify")
+    p = leaf(d, "verify", cmd_dilation_verify)
     p.add_argument("--matrix", required=True)
     p.add_argument("--box", type=int, default=4)
     p.add_argument("--sigma")
     p.add_argument("--level", type=int, default=2)
-    p.set_defaults(func=cmd_dilation_verify)
 
     k = sub.add_parser("ktheory").add_subparsers(dest="action", required=True)
-    p = leaf(k, "graph")
+    p = leaf(k, "graph", cmd_ktheory_graph)
     p.add_argument("file")
-    p.set_defaults(func=cmd_ktheory_graph)
-    p = leaf(k, "paschke")
+    p = leaf(k, "paschke", cmd_ktheory_paschke)
     p.add_argument("--matrix", required=True)
     p.add_argument("--af", action="store_true")
-    p.set_defaults(func=cmd_ktheory_paschke)
     return top
 
 

@@ -19,6 +19,11 @@ from .util import CheckReport, accumulate
 
 _ZERO = Fraction(0)
 
+# The most paths of one length a loaded function may range over: the loader
+# warns once per unlisted path and every DepthFunction operation walks all
+# paths of its depth.  On the two-loop bouquet this admits depth 16, not 17.
+PATH_LIMIT = 2**16
+
 
 class DepthFunctionFormatError(ValueError):
     pass
@@ -216,7 +221,8 @@ def transfer_identity_check(a: DepthFunction, b: DepthFunction) -> CheckReport:
 
 def load_depth_function(g: Graph, text: str) -> tuple[DepthFunction, list[str]]:
     """Parse lines `F <path> <rational>`.  All listed paths must have one
-    length; length-k paths not listed default to 0 and produce a warning."""
+    length, with at most PATH_LIMIT paths of that length in the graph;
+    length-k paths not listed default to 0 and produce a warning."""
     entries: dict[Path, Fraction] = {}
     depth = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -237,6 +243,11 @@ def load_depth_function(g: Graph, text: str) -> tuple[DepthFunction, list[str]]:
             raise DepthFunctionFormatError("line %d: %s" % (lineno, exc)) from exc
         if depth is None:
             depth = len(p)
+            count = g.path_count(depth)
+            if count > PATH_LIMIT:
+                raise DepthFunctionFormatError(
+                    "line %d: %d paths of length %d exceed PATH_LIMIT = %d"
+                    % (lineno, count, depth, PATH_LIMIT))
         elif len(p) != depth:
             raise DepthFunctionFormatError(
                 "line %d: path length %d does not match earlier length %d"

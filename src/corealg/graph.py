@@ -207,6 +207,13 @@ class Graph:
                      for p in level for e in self._in[p.src]]
         return level
 
+    def path_count(self, n: int) -> int:
+        """len(self.paths(n)), counted per source vertex without building a path."""
+        count = dict.fromkeys(self.vertices, 1)
+        for _ in range(n):
+            count = {v: sum(count[self._rng[e]] for e in self._out[v]) for v in self.vertices}
+        return sum(count.values())
+
     def parse_path(self, text: str) -> Path:
         if text.startswith("@"):
             return self.empty_path(text[1:])

@@ -11,6 +11,8 @@ import pytest
 
 import corealg
 from corealg.cli import main
+from corealg.core_endo import CoreEndo
+from corealg.star_algebra import StarElement
 
 O2_TEXT = "V v\nE e1 v v\nE e2 v v\n"
 ELEM_TEXT = "TERM 1 e1 e2\nTERM -1/3 e2.e1 e2.e1\n"
@@ -83,13 +85,28 @@ def test_seed_changes_cases(capsys, o2_file):
     assert "seed: 1" in out1 and "seed: 2" in out2
 
 
-def test_parallel_matches_serial(capsys, o2_file):
-    base = ("core", "verify-beta", o2_file, "--trials", "8", "--seed", "5")
-    _, serial, _ = run(capsys, *base)
-    _, parallel, _ = run(capsys, *base, "--parallel")
-    # Everything below the echoed command line must agree byte for byte.
-    drop = lambda out: body(out).split("\n", 1)[1]
-    assert drop(serial) == drop(parallel)
+def test_parallel_flag_is_gone(o2_file):
+    # sweeps run serially; the flag that ran them on threads was removed
+    with pytest.raises(SystemExit) as exc:
+        main(["core", "verify-beta", o2_file, "--parallel"])
+    assert exc.value.code == 2
+
+
+def test_verify_beta_computes_each_unit_image_once(capsys, o2_file, monkeypatch):
+    # O_2 at depth 1: 4 matrix units, 16 exhaustive pairs, no random pairs.
+    # beta(x) and beta(x*) once per unit, beta(xy) once per pair.
+    calls = []
+    original = CoreEndo.beta
+
+    def counted(self, x):
+        calls.append(x)
+        return original(self, x)
+
+    monkeypatch.setattr(CoreEndo, "beta", counted)
+    code, out, _ = run(capsys, "core", "verify-beta", o2_file, "--depth", "1",
+                       "--trials", "0")
+    assert code == 0 and "16 exhaustive pairs, 0 random" in out
+    assert len(calls) <= 2 * 4 + 16
 
 
 def test_json_output(capsys, o2_file):
@@ -249,6 +266,9 @@ SNAPSHOTS = os.path.join(os.path.dirname(__file__), "snapshots")
     ("module-verify-frames-o2", ("module", "verify-frames", "{g}")),
     ("module-verify-u-o2-depth3", ("module", "verify-u", "{g}", "--depth", "3")),
     ("exel-verify-transfer-o2", ("exel", "verify-transfer", "{g}")),
+    ("core-verify-beta-o2-depth2", ("core", "verify-beta", "{g}", "--depth", "2",
+                                    "--trials", "10", "--seed", "3")),
+    ("module-crosscheck-o2-level2", ("module", "crosscheck", "{g}", "--level", "2")),
 ])
 def test_json_matches_snapshot(capsys, o2_file, name, args):
     # the snapshots hold the --json bytes of these commands with the line
@@ -258,4 +278,28 @@ def test_json_matches_snapshot(capsys, o2_file, name, args):
     kept = re.sub(r'(?m)^  "command": .*\n', "", out)
     assert kept != out
     with open(os.path.join(SNAPSHOTS, name + ".json"), encoding="utf-8") as fh:
+        assert kept == fh.read()
+
+
+def test_planted_failure_matches_snapshot(capsys, o2_file, monkeypatch):
+    # beta doubled on the words whose mu starts with e1: multiplicativity,
+    # adjoint and covariance each fail, and the text lists every witness
+    original = CoreEndo.beta
+
+    def planted(self, x):
+        image = StarElement.zero(x.graph)
+        for (mu, nu), c in x.items():
+            term = original(self, StarElement.word(x.graph, c, mu, nu))
+            image = image + (term * 2 if mu.edges[:1] == ("e1",) else term)
+        return image
+
+    monkeypatch.setattr(CoreEndo, "beta", planted)
+    code, out, _ = run(capsys, "core", "verify-beta", o2_file, "--depth", "1",
+                       "--trials", "3", "--seed", "7")
+    assert code == 1
+    kept = body(out).split("\n", 1)[1] + "\n"
+    for kind in ("multiplicativity", "adjoint", "covariance"):
+        assert "witness: %s fails" % kind in kept
+    with open(os.path.join(SNAPSHOTS, "core-verify-beta-planted-o2.txt"),
+              encoding="utf-8") as fh:
         assert kept == fh.read()

@@ -1,10 +1,12 @@
 """The averaging transfer operator on locally constant path functions."""
 
+import signal
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from corealg import exel_path
 from corealg.exel_path import (
     DepthFunction,
     DepthFunctionFormatError,
@@ -142,6 +144,26 @@ def test_load_errors(o2):
         load_depth_function(o2, "F e1 1\nF e1.e1 1\n")  # mixed lengths
     with pytest.raises(DepthFunctionFormatError, match="exponent"):
         load_depth_function(o2, "F e1 1e3\n")
+
+
+def test_load_refuses_depths_beyond_path_limit(o2, monkeypatch):
+    # 2^20 paths of length 20 on O_2: refused from the count, none built
+    def too_slow(signum, frame):
+        raise TimeoutError("a 20-edge line took over 2 s to load")
+
+    old = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        with pytest.raises(DepthFunctionFormatError, match="PATH_LIMIT"):
+            load_depth_function(o2, "F %s 1\n" % ".".join(["e1"] * 20))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    monkeypatch.setattr(exel_path, "PATH_LIMIT", 4)
+    loaded, warnings = load_depth_function(o2, "F e1.e2 1\n")
+    assert len(warnings) == 3
+    with pytest.raises(DepthFunctionFormatError, match="line 1: 8 paths of length 3"):
+        load_depth_function(o2, "F e1.e2.e1 1\n")
 
 
 # -- loader fuzzing -----------------------------------------------------------------

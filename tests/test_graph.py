@@ -75,6 +75,14 @@ def test_paths_counts_on_cycle(two_cycle):
     assert len(two_cycle.paths(5)) == 2  # unique path of each length per start
 
 
+def test_path_count_matches_enumeration(o2, two_cycle, single_edge):
+    uneven = load_graph("V a; V b\nE x a a; E y a b; E z b a; E w b b; E u b b\n")
+    for g in (o2, two_cycle, single_edge, uneven):
+        for n in range(5):
+            assert g.path_count(n) == len(g.paths(n))
+    assert bouquet(2).path_count(40) == 2**40
+
+
 def test_path_text_round_trip(o2):
     for n in range(0, 3):
         for p in o2.paths(n):
