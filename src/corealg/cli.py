@@ -477,12 +477,22 @@ def cmd_ktheory_graph(args, report: RunReport) -> None:
 
 
 def cmd_ktheory_paschke(args, report: RunReport) -> None:
-    m = parse_int_matrix(args.matrix)
-    res = _checked(kt.paschke_sequence, m, args.af)
+    beta_star = parse_int_matrix(args.matrix)
+    res = _checked(kt.paschke_sequence, beta_star, args.af)
     report.data.extend(res.diagram.split("\n"))
     if res.k0 is not None:
         report.say("K_0 = %s" % res.k0.text())
         report.say("K_1 = %s" % res.k1.text())
+    m = [[x - (1 if i == j else 0) for j, x in enumerate(row)]
+         for i, row in enumerate(beta_star)]
+    k0, ker_rank = (res.k0, res.k1.free_rank) if res.k0 is not None else kt.coker_ker(m)
+    det = kt.int_det(m)
+    agree = CheckReport("Smith form against the determinant of b* - 1")
+    agree.count()
+    # |K_0| and the kernel rank; a finite K_0 with det = 0 is a mismatch too
+    if (k0.order(), ker_rank) != ((abs(det), 0) if det else (None, k0.free_rank)):
+        agree.fail("det = %d but coker = %s, ker = Z^%d" % (det, k0.text(), ker_rank))
+    report.add(agree)
 
 
 # -- wiring -----------------------------------------------------------------------

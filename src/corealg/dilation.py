@@ -14,13 +14,11 @@ operator conjugation on a box of basis vectors.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 
-from .util import CheckReport, accumulate, rational_echelon
+from .util import CheckReport, accumulate, bareiss
 
 Vector = tuple[int, ...]
-Vec = "dict[Vector, Fraction]"
 
 
 def _col_swap(m: list[list[int]], i: int, j: int) -> None:
@@ -80,22 +78,6 @@ def hermite_normal_form(b: list[list[int]]) -> tuple[list[list[int]], list[list[
     return h, u
 
 
-def _invert_rational(b: list[list[int]]) -> list[list[Fraction]]:
-    d = len(b)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(d)]
-         for i, row in enumerate(b)]
-    if not rational_echelon(a, d):
-        raise ValueError("matrix is singular")
-    for col in reversed(range(d)):
-        scale = a[col][col]
-        a[col] = [x / scale for x in a[col]]
-        for r in range(col):
-            if a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[d:] for row in a]
-
-
 class LatticeSystem:
     """A dilation matrix with a validated transversal of Z^d / B Z^d."""
 
@@ -104,11 +86,13 @@ class LatticeSystem:
         if self.d < 1:
             raise ValueError("need dimension at least 1")
         self.B = tuple(tuple(int(x) for x in row) for row in b)
+        # raises first on a matrix that is not square or is singular
         self.H, self.U = hermite_normal_form([list(row) for row in self.B])
-        self.det_abs = 1
-        for i in range(self.d):
-            self.det_abs *= self.H[i][i]
-        self._binv = _invert_rational([list(row) for row in self.B])
+        rows = [list(row) + [int(i == j) for j in range(self.d)]
+                for i, row in enumerate(self.B)]
+        self._det = bareiss(rows, self.d)
+        self._adj = tuple(tuple(row[self.d:]) for row in rows)
+        self.det_abs = abs(self._det)
         if sigma is None:
             self.Sigma = list(product(*[range(self.H[i][i]) for i in range(self.d)]))
         else:
@@ -124,13 +108,13 @@ class LatticeSystem:
                      for i in range(self.d))
 
     def solve(self, k: Vector) -> Vector | None:
-        """B^{ -1} k when it is integral, else None."""
+        """B^{ -1} k = adj(B) k / det B when it is integral, else None."""
         out = []
-        for i in range(self.d):
-            x = sum(self._binv[i][j] * k[j] for j in range(self.d))
-            if x.denominator != 1:
+        for row in self._adj:
+            q, r = divmod(sum(a * x for a, x in zip(row, k)), self._det)
+            if r:
                 return None
-            out.append(int(x))
+            out.append(q)
         return tuple(out)
 
     def member(self, m: Vector) -> bool:
@@ -208,7 +192,7 @@ def sigma_i(sys: LatticeSystem, i: int, verify: bool = True) -> list[Vector]:
 
 
 def delta(k: Vector) -> dict:
-    return {tuple(k): Fraction(1)}
+    return {tuple(k): 1}
 
 
 def vec_add(a: dict, b: dict) -> dict:

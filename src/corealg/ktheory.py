@@ -15,7 +15,7 @@ from fractions import Fraction
 from .core_endo import CoreEndo
 from .graph import Graph
 from .star_algebra import StarElement, matrix_unit
-from .util import CheckReport, rational_echelon
+from .util import CheckReport, bareiss
 
 IntMatrix = "list[list[int]]"
 
@@ -46,13 +46,11 @@ def _mat_mul(a, b):
 
 
 def int_det(m) -> int:
-    """Exact determinant by rational Gaussian elimination."""
+    """Exact determinant by fraction-free elimination."""
     n, c = _dims(m)
     if n != c:
         raise ValueError("determinant needs a square matrix")
-    det = rational_echelon([[Fraction(x) for x in row] for row in m], n)
-    assert det.denominator == 1
-    return int(det)
+    return bareiss([[int(x) for x in row] for row in m], n)
 
 
 def smith_normal_form(m) -> tuple[list, list, list]:

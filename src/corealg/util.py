@@ -1,6 +1,6 @@
 """Shared plumbing: the deterministic PRNG used by sweeps, a tiny check-report
-type, the one rational Gaussian elimination, the one sparse-map accumulate and
-the per-object memo."""
+type, the one integer (fraction-free) elimination, the one sparse-map
+accumulate and the per-object memo."""
 
 from __future__ import annotations
 
@@ -49,25 +49,32 @@ class SplitMix64:
         return Fraction(num, den)
 
 
-def rational_echelon(rows: list[list[Fraction]], n: int) -> Fraction:
-    """Gaussian elimination in place on the first n columns of n rational
-    rows, any further columns riding along; returns the determinant of the
-    leading n x n block, stopping at 0 when a column has no pivot."""
-    det = Fraction(1)
+def bareiss(rows: list[list[int]], n: int) -> int:
+    """Fraction-free (Bareiss) elimination in place on the first n columns of
+    n integer rows; returns the determinant of the leading n x n block A,
+    stopping at 0 when a column has no pivot.  When further columns X ride
+    along, every other row is reduced too (Gauss-Jordan), so that for
+    det A != 0 the rows end as [det A * I | adj(A) X].  Every division is
+    exact: each entry after a step is, up to sign, a minor (Sylvester)."""
+    carry = any(len(row) > n for row in rows)
+    sign, prev = 1, 1
     for col in range(n):
         piv = next((r for r in range(col, n) if rows[r][col]), None)
         if piv is None:
-            return Fraction(0)
+            return 0
         if piv != col:
             rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for r in range(col + 1, n):
-            if rows[r][col]:
-                f = rows[r][col] * inv
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
-    return det
+            sign = -sign
+        top = rows[col]
+        p = top[col]
+        for r in range(n) if carry else range(col + 1, n):
+            if r != col:
+                f = rows[r][col]
+                rows[r] = [(p * x - f * y) // prev for x, y in zip(rows[r], top)]
+        prev = p
+    if sign < 0 and carry:
+        rows[:] = [[-x for x in row] for row in rows]
+    return sign * prev
 
 
 def accumulate(out: dict, key, add) -> None:

@@ -201,6 +201,17 @@ def test_ktheory_commands(capsys, o2_file):
     assert "Z/5" in out
 
 
+@pytest.mark.parametrize("matrix, det", [("6", 5), ("2,0;0,1", 0)])
+def test_paschke_check_catches_a_wrong_smith_route(capsys, monkeypatch, matrix, det):
+    from corealg import ktheory
+
+    monkeypatch.setattr(ktheory, "coker_ker",
+                        lambda m: (ktheory.GroupPresentation(0, (3,)), 0))
+    code, out, _ = run(capsys, "ktheory", "paschke", "--matrix", matrix)
+    assert code == 1 and "result: FAIL" in out
+    assert "witness: det = %d but coker = Z/3, ker = Z^0" % det in out
+
+
 def test_dilation_verify_pass(capsys):
     code, out, _ = run(capsys, "dilation", "verify", "--matrix", "2", "--box", "3")
     assert code == 0
@@ -255,6 +266,48 @@ def test_out_of_range_counts_are_usage_errors(capsys, o2_file, args):
     code, out, err = run(capsys, *(a.format(g=o2_file) for a in args))
     assert code == 2, out
     assert err.startswith("error: --") and out == ""
+
+
+SINK_TEXT = "V a\nV b\nE x a b\n"    # a receives nothing, b emits nothing
+
+
+@pytest.mark.parametrize("args, code, message", [
+    (("core", "verify-beta", "{sink}"), 2, "emits no edge"),
+    (("core", "beta", "{sink}", "{sink_elem}"), 2, "emits no edge"),
+    (("core", "iexpand", "{sink}", "{sink_elem}"), 0, ""),
+    (("exel", "verify-transfer", "{sink}"), 2, "no sinks"),
+    (("module", "verify-frames", "{sink}"), 2, "no sinks"),
+    (("module", "verify-u", "{sink}"), 2, "no sinks"),
+    (("module", "crosscheck", "{sink}"), 2, "no sinks"),
+    (("ktheory", "graph", "{sink}"), 2, "must receive an edge"),
+    (("module", "verify-frames", "--n", "0", "--N", "1"), 2, "need 1 <= N <= n"),
+    (("module", "verify-u", "--n", "0", "--N", "1"), 2, "need 1 <= N <= n"),
+    (("uhf", "demo", "--n", "0", "--N", "1"), 2, "need 1 <= N <= n"),
+    (("dilation", "verify", "--matrix", "2,0;0,0"), 2, "error: matrix is singular\n"),
+    (("dilation", "verify", "--matrix", "0"), 2, "error: matrix is singular\n"),
+    (("dilation", "verify", "--matrix", "1"), 0, ""),
+    (("dilation", "verify", "--matrix", "-3", "--box", "2", "--level", "0"), 0, ""),
+    (("dilation", "verify", "--matrix", "1,2;3,4;5,6"), 2, "must be square"),
+    (("module", "crosscheck", "{o2}", "--level", "0"), 2, "--level"),
+    (("ktheory", "paschke", "--matrix", "1"), 0, ""),
+    (("ktheory", "paschke", "--matrix", "1", "--af"), 0, ""),
+    (("ktheory", "paschke", "--matrix", "2,0;0,0"), 0, ""),
+    (("ktheory", "paschke", "--matrix", "2,0;0,0", "--af"), 0, ""),
+    (("ktheory", "paschke", "--matrix", "1,2,3;4,5,6", "--af"), 2, "must be square"),
+])
+def test_edge_inputs_end_cleanly(capsys, tmp_path, o2_file, args, code, message):
+    sink = tmp_path / "sink.graph"
+    sink.write_text(SINK_TEXT)
+    sink_elem = tmp_path / "sink.elem"
+    sink_elem.write_text("TERM 1 x x\n")
+    argv = [a.format(sink=sink, sink_elem=sink_elem, o2=o2_file) for a in args]
+    got, out, err = run(capsys, *argv)
+    assert got == code and "Traceback" not in err, (out, err)
+    assert message in err
+    if code == 0:
+        assert "result: PASS" in out and "checks: 0 " not in out    # something was checked
+    else:
+        assert err.startswith("error: ") and out == ""
 
 
 SNAPSHOTS = os.path.join(os.path.dirname(__file__), "snapshots")

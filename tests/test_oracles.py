@@ -1,0 +1,87 @@
+"""sympy as an independent oracle for the integer linear algebra: exact
+determinants, lattice solves, Smith diagonals and Hermite forms."""
+
+from itertools import product
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+sympy = pytest.importorskip("sympy")
+from sympy.matrices.normalforms import (  # noqa: E402
+    hermite_normal_form as sympy_hermite,
+    smith_normal_form as sympy_smith,
+)
+
+from corealg.dilation import LatticeSystem, hermite_normal_form  # noqa: E402
+from corealg.ktheory import int_det, smith_normal_form  # noqa: E402
+
+
+def matrices(rows, cols, bound=6):
+    return st.lists(st.lists(st.integers(-bound, bound), min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+square = st.integers(1, 6).flatmap(lambda n: matrices(n, n))
+small_square = st.integers(1, 3).flatmap(lambda n: matrices(n, n, bound=4))
+rectangular = st.tuples(st.integers(1, 4), st.integers(1, 4)).flatmap(lambda rc: matrices(*rc))
+
+
+def reversed_both(m):
+    """J M J with J the reversal permutation: rows and columns in reverse order."""
+    return [list(row[::-1]) for row in m[::-1]]
+
+
+def test_sympy_hermite_convention():
+    # sympy's Hermite form is upper triangular with the entries right of each
+    # pivot reduced; corealg's is lower triangular with the entries left of it
+    # reduced, so the two agree after reversing rows and columns
+    assert sympy_hermite(sympy.Matrix([[2, 1], [0, 3]])).tolist() == [[2, 1], [0, 3]]
+    assert hermite_normal_form([[2, 1], [0, 3]])[0] == [[1, 0], [3, 6]]
+    m = [[3, 1, 4], [1, 5, 9], [2, 6, 5]]
+    assert sympy_hermite(sympy.Matrix(m)).tolist() == [[90, 41, 71], [0, 1, 0], [0, 0, 1]]
+    assert hermite_normal_form(m)[0] == [[1, 0, 0], [0, 1, 0], [71, 59, 90]]
+    for b in ([[2, 1], [0, 3]], [[1, 1], [-1, 1]], m, [[-3]]):
+        via_sympy = reversed_both(sympy_hermite(sympy.Matrix(reversed_both(b))).tolist())
+        assert hermite_normal_form(b)[0] == via_sympy
+
+
+def test_sympy_smith_convention():
+    assert sympy_smith(sympy.Matrix([[2, 4], [6, 8]]), domain=sympy.ZZ).tolist() == \
+        [[2, 0], [0, 4]]
+    assert sympy_smith(sympy.Matrix([[1, 2], [2, 4]]), domain=sympy.ZZ).tolist() == \
+        [[1, 0], [0, 0]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(square)
+def test_int_det_matches_sympy(m):
+    assert int_det(m) == sympy.Matrix(m).det()
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_square)
+def test_lattice_solve_matches_sympy_inverse(b):
+    assume(sympy.Matrix(b).det() != 0)
+    system = LatticeSystem(b)
+    inverse = sympy.Matrix(b).inv()
+    for k in product(range(-2, 3), repeat=len(b)):
+        x = inverse * sympy.Matrix(k)
+        expected = tuple(int(v) for v in x) if all(v.is_integer for v in x) else None
+        assert system.solve(k) == expected, (b, k)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rectangular)
+def test_smith_diagonal_matches_sympy(m):
+    _, d, _ = smith_normal_form(m)
+    theirs = sympy_smith(sympy.Matrix(m), domain=sympy.ZZ)
+    size = min(len(m), len(m[0]))
+    assert [d[i][i] for i in range(size)] == [abs(theirs[i, i]) for i in range(size)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: matrices(n, n)))
+def test_hermite_matches_sympy(b):
+    assume(sympy.Matrix(b).det() != 0)
+    via_sympy = reversed_both(sympy_hermite(sympy.Matrix(reversed_both(b))).tolist())
+    assert hermite_normal_form(b)[0] == via_sympy
