@@ -1,6 +1,9 @@
-"""sympy as an independent oracle for the integer linear algebra: exact
-determinants, lattice solves, Smith diagonals and Hermite forms."""
+"""sympy as an independent oracle for the integer linear algebra (exact
+determinants, lattice solves, Smith diagonals and Hermite forms) and for the
+radical scalars (ring operations and square roots against sympy.sqrt)."""
 
+import math
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -14,6 +17,7 @@ from sympy.matrices.normalforms import (  # noqa: E402
 
 from corealg.dilation import LatticeSystem, hermite_normal_form  # noqa: E402
 from corealg.ktheory import int_det, smith_normal_form  # noqa: E402
+from corealg.scalar import RADICAND_LIMIT, Radical, parse_radical  # noqa: E402
 
 
 def matrices(rows, cols, bound=6):
@@ -85,3 +89,73 @@ def test_hermite_matches_sympy(b):
     assume(sympy.Matrix(b).det() != 0)
     via_sympy = reversed_both(sympy_hermite(sympy.Matrix(reversed_both(b))).tolist())
     assert hermite_normal_form(b)[0] == via_sympy
+
+
+# -- radical scalars -------------------------------------------------------------
+
+# small radicands, square and not, and large ones whose products can pass the limit
+radicands = st.one_of(st.integers(1, 72),
+                      st.sampled_from([3037000453, 3037000493, 2**31 - 1,
+                                       RADICAND_LIMIT, RADICAND_LIMIT - 25]))
+coefficients = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+
+
+@st.composite
+def radical_pairs(draw):
+    """A Radical built through the public constructor, and its sympy value."""
+    table = draw(st.dictionaries(radicands, coefficients, max_size=4))
+    return Radical(table), sympy.Add(*[rat(c) * sympy.sqrt(k) for k, c in table.items()])
+
+
+def rat(q):
+    q = Fraction(q)
+    return sympy.Rational(q.numerator, q.denominator)
+
+
+def as_sympy(x: Radical):
+    return sympy.Add(*[rat(c) * sympy.sqrt(k) for k, c in x.terms()])
+
+
+def same(x: Radical, expr) -> bool:
+    return sympy.expand(as_sympy(x) - expr) == 0
+
+
+def product_radicands(x: Radical, y: Radical):
+    return [j * k // math.gcd(j, k) ** 2 for j, _ in x.terms() for k, _ in y.terms()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(radical_pairs(), radical_pairs())
+def test_radical_arithmetic_matches_sympy(xa, yb):
+    (x, a), (y, b) = xa, yb
+    assert same(x, a) and same(y, b)
+    assert same(x + y, a + b)
+    assert same(x - y, a - b)
+    assert same(-x, -a)
+    try:
+        xy = x * y
+    except OverflowError:
+        assert max(product_radicands(x, y)) > RADICAND_LIMIT
+    else:
+        assert max(product_radicands(x, y), default=1) <= RADICAND_LIMIT
+        assert same(xy, sympy.expand(a * b))
+    assert (x == y) == (sympy.expand(a - b) == 0)
+    assert x == (x + y) - y and (x + y) - y == x
+    assert (x - x == 0) and (x == x * 1)
+    text = x.text()
+    assert parse_radical(text) == x and same(parse_radical(text), a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 10**6), coefficients.filter(lambda q: q > 0))
+def test_radical_roots_match_sympy(n, q):
+    assert same(Radical.sqrt(n), sympy.sqrt(n))
+    assert same(Radical.inv_sqrt(n), 1 / sympy.sqrt(n))
+    assert same(Radical.inv_sqrt_rational(q), sympy.radsimp(1 / sympy.sqrt(rat(q))))
+    assert Radical.inv_sqrt(n) * Radical.sqrt(n) == 1
+
+
+def test_radical_roots_at_the_radicand_limit():
+    for n in (RADICAND_LIMIT, 3037000493 ** 2, 2 * (2**31 - 1) ** 2):
+        assert same(Radical.sqrt(n), sympy.sqrt(n))
+        assert same(Radical.inv_sqrt(n), sympy.radsimp(1 / sympy.sqrt(n)))
