@@ -64,6 +64,13 @@ class RunReport:
     def failed(self) -> int:
         return sum(len(s.failures) for s in self.sections)
 
+    @property
+    def result(self) -> str:
+        # a run that checked nothing only computed: it did not pass anything
+        if self.failed:
+            return "FAIL"
+        return "PASS" if self.checks else "computed"
+
     def body_lines(self) -> list[str]:
         out = ["command: %s" % self.command, "seed: %d" % self.seed]
         out.extend(self.data)
@@ -71,7 +78,7 @@ class RunReport:
             out.extend(s.lines())
         out.append("checks: %d  passed: %d  failed: %d"
                    % (self.checks, self.checks - self.failed, self.failed))
-        out.append("result: %s" % ("PASS" if self.failed == 0 else "FAIL"))
+        out.append("result: %s" % self.result)
         return out
 
     def text(self) -> str:
@@ -87,7 +94,7 @@ class RunReport:
                          for s in self.sections],
             "checks": self.checks,
             "failed": self.failed,
-            "result": "PASS" if self.failed == 0 else "FAIL",
+            "result": self.result,
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

@@ -19,7 +19,6 @@ from .util import accumulate
 RADICAND_LIMIT = 2**63 - 1
 
 _Scalar = Union[int, Fraction]
-_Q0 = Fraction(0)
 
 
 def _squarefree_split(n: int) -> tuple[int, int]:
@@ -59,9 +58,11 @@ def _check_rational(q) -> Fraction:
 
 
 class Radical:
-    """Immutable element of Q[sqrt(k)], stored as {squarefree radicand: Fraction}."""
+    """Immutable element of Q[sqrt(k)], stored as integer numerators
+    {squarefree radicand: nonzero int} over one positive int denominator,
+    with no factor common to the denominator and every numerator."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_num", "_den", "_hash")
 
     def __init__(self, terms: dict[int, Fraction] | None = None):
         """Any positive radicands up to RADICAND_LIMIT; each is reduced to
@@ -72,35 +73,52 @@ class Radical:
                 c = _check_rational(c)
                 s, m = _squarefree_split(k)
                 accumulate(clean, m, c * s)
-        self._terms = clean
+        den = math.lcm(*(c.denominator for c in clean.values()))
+        self._num = {k: c.numerator * (den // c.denominator) for k, c in clean.items()}
+        self._den = den
         self._hash: int | None = None
 
     @classmethod
-    def _wrap(cls, terms: dict[int, Fraction]) -> "Radical":
-        """Internal constructor without checks.  Every key of `terms` must be
-        a squarefree radicand in [1, RADICAND_LIMIT] and every value a nonzero
-        Fraction; the dict is taken over, not copied."""
+    def _raw(cls, num: dict[int, int], den: int) -> "Radical":
+        """Internal constructor without checks.  Every key of `num` must be a
+        squarefree radicand in [1, RADICAND_LIMIT], every value a nonzero int,
+        `den` positive and gcd(den, *num.values()) == 1; the dict is taken
+        over, not copied."""
         r = cls.__new__(cls)
-        r._terms = terms
+        r._num = num
+        r._den = den
         r._hash = None
         return r
 
     @classmethod
+    def _wrap(cls, num: dict[int, int], den: int) -> "Radical":
+        """As _raw, but cancels the factor common to den and the numerators."""
+        if not num:
+            return ZERO
+        if den != 1:
+            g = math.gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                num = {k: c // g for k, c in num.items()}
+        return cls._raw(num, den)
+
+    @classmethod
     def from_rational(cls, q: _Scalar) -> "Radical":
-        q = _check_rational(q)
-        return cls._wrap({1: q} if q else {})
+        if not isinstance(q, (int, Fraction)):
+            _check_rational(q)      # raises: only exact types pass
+        return cls._raw({1: q.numerator} if q else {}, q.denominator)
 
     @classmethod
     def sqrt(cls, n: int) -> "Radical":
         """sqrt(n) for a positive integer n, reduced to canonical form."""
         s, m = _squarefree_split(n)
-        return cls._wrap({m: Fraction(s)})
+        return cls._raw({m: s}, 1)
 
     @classmethod
     def inv_sqrt(cls, n: int) -> "Radical":
         """1/sqrt(n):  with n = s*s*m squarefree-split this is sqrt(m)/(s*m)."""
         s, m = _squarefree_split(n)
-        return cls._wrap({m: Fraction(1, s * m)})
+        return cls._raw({m: 1}, s * m)
 
     @classmethod
     def inv_sqrt_rational(cls, q: _Scalar) -> "Radical":
@@ -112,9 +130,19 @@ class Radical:
 
     # -- ring operations ---------------------------------------------------
 
-    def _combine(self, terms: dict[int, Fraction], negate: bool) -> "Radical":
-        out = dict(self._terms)
-        for k, c in terms.items():
+    def _combine(self, o: "Radical", negate: bool) -> "Radical":
+        den, oden = self._den, o._den
+        if den == oden:
+            out, scale = dict(self._num), 1
+        else:
+            # over lcm(den, oden): self's numerators times oden/g, o's times den/g
+            g = math.gcd(den, oden)
+            scale, lift = den // g, oden // g
+            out = {k: c * lift for k, c in self._num.items()}
+            den *= lift
+        for k, c in o._num.items():
+            if scale != 1:
+                c *= scale
             s = out.get(k)
             if s is None:
                 out[k] = -c if negate else c
@@ -124,40 +152,43 @@ class Radical:
                     out[k] = t
                 else:
                     del out[k]
-        return Radical._wrap(out)
+        return Radical._wrap(out, den)
 
     def __add__(self, other):
         o = scalar(other)
         if o is None:
             return NotImplemented
-        return self._combine(o._terms, False)
+        return self._combine(o, False)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Radical._wrap({k: -c for k, c in self._terms.items()})
+        return Radical._raw({k: -c for k, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
         o = scalar(other)
         if o is None:
             return NotImplemented
-        return self._combine(o._terms, True)
+        return self._combine(o, True)
 
     def __rsub__(self, other):
         o = scalar(other)
         if o is None:
             return NotImplemented
-        return o._combine(self._terms, True)
+        return o._combine(self, True)
 
     def __mul__(self, other):
         o = scalar(other)
         if o is None:
             return NotImplemented
-        st, ot = self._terms, o._terms
+        st, ot = self._num, o._num
+        den = self._den * o._den
         if len(st) == 1 == len(ot) and 1 in st and 1 in ot:
             # both rational and nonzero, so the product is too
-            return Radical._wrap({1: st[1] * ot[1]})
-        out: dict[int, Fraction] = {}
+            n = st[1] * ot[1]
+            g = math.gcd(n, den)
+            return Radical._raw({1: n // g}, den // g)
+        out: dict[int, int] = {}
         for j, a in st.items():
             for k, b in ot.items():
                 # j and k are squarefree, so j*k = s*s*m with s = gcd(j, k)
@@ -167,7 +198,7 @@ class Radical:
                 if m > RADICAND_LIMIT:
                     raise OverflowError("radicand %d exceeds the machine-word bound" % m)
                 accumulate(out, m, a * b if s == 1 else a * b * s)
-        return Radical._wrap(out)
+        return Radical._wrap(out, den)
 
     __rmul__ = __mul__
 
@@ -175,36 +206,41 @@ class Radical:
         o = scalar(other)
         if o is None:
             return NotImplemented
-        return self._terms == o._terms
+        return self._den == o._den and self._num == o._num
 
     def __hash__(self):
         # a rational element equals its Fraction, so it must hash like one
         if self._hash is None:
             self._hash = (hash(self.rational_part()) if self.is_rational()
-                          else hash(tuple(sorted(self._terms.items()))))
+                          else hash((self._den, tuple(sorted(self._num.items())))))
         return self._hash
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self._num)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def is_rational(self) -> bool:
-        return all(k == 1 for k in self._terms)
+        return all(k == 1 for k in self._num)
 
     def rational_part(self) -> Fraction:
-        return self._terms.get(1, _Q0)
+        return Fraction(self._num.get(1, 0), self._den)
 
     def terms(self) -> Iterable[tuple[int, Fraction]]:
-        return sorted(self._terms.items())
+        return sorted((k, Fraction(c, self._den)) for k, c in self._num.items())
+
+    def term_count(self) -> int:
+        """Number of nonzero terms, one per radicand."""
+        return len(self._num)
 
     # -- float side ---------------------------------------------------------
 
     def evalf(self) -> float:
         """Float value; each sqrt is one correctly-rounded double, so the
         error is bounded by a few ulp per term."""
-        return sum(float(c) * math.sqrt(k) for k, c in self._terms.items())
+        # int / int rounds correctly, so each c / den is float(Fraction(c, den))
+        return sum(c / self._den * math.sqrt(k) for k, c in self._num.items())
 
     def __float__(self) -> float:
         return self.evalf()
@@ -214,12 +250,14 @@ class Radical:
     def text(self) -> str:
         """Canonical text: '+'-joined `p/q*sqrt(k)` terms sorted by radicand,
         rational slot printed bare.  Round-trips exactly through parse_radical."""
-        if not self._terms:
+        if not self._num:
             return "0"
         parts = []
-        for k, c in sorted(self._terms.items()):
-            body = str(c) if k == 1 else "%s*sqrt(%d)" % (c, k)
-            parts.append(body)
+        for k, c in sorted(self._num.items()):
+            # c/den in lowest terms, printed as str(Fraction(c, den)) would
+            g = math.gcd(c, self._den)
+            q = "%d" % (c // g) if g == self._den else "%d/%d" % (c // g, self._den // g)
+            parts.append(q if k == 1 else "%s*sqrt(%d)" % (q, k))
         out = parts[0]
         for body in parts[1:]:
             out += body if body.startswith("-") else "+" + body

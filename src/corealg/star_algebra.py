@@ -380,7 +380,7 @@ def op_norm(x: StarElement) -> NormResult:
                 continue
             block[rows[mu], cols[nu]] = c.evalf()
             used = True
-            max_term_count = max(max_term_count, len(list(c.terms())))
+            max_term_count = max(max_term_count, c.term_count())
         if not used:
             continue
         max_dim = max(max_dim, len(rows), len(cols))

@@ -48,15 +48,15 @@ def body(out: str) -> str:
 def test_graph_info(capsys, o2_file):
     code, out, err = run(capsys, "graph", "info", o2_file)
     assert code == 0 and err == ""
-    assert "result: PASS" in out
+    assert "checks: 0 " in out and "result: computed" in out    # nothing was checked
     assert "v" in out and "regular" in out
 
 
 def test_core_mul_and_norm(capsys, o2_file, elem_file):
     code, out, _ = run(capsys, "core", "mul", o2_file, elem_file, elem_file)
-    assert code == 0
+    assert code == 0 and out.endswith("checks: 0  passed: 0  failed: 0\nresult: computed\n")
     code, out, _ = run(capsys, "core", "norm", o2_file, elem_file)
-    assert code == 0
+    assert code == 0 and out.endswith("checks: 0  passed: 0  failed: 0\nresult: computed\n")
     assert "norm:" in out and "error_bound:" in out
 
 
@@ -64,7 +64,7 @@ def test_core_beta_and_iexpand(capsys, o2_file, tmp_path):
     core = tmp_path / "core.elem"
     core.write_text("TERM 1 e1 e1\nTERM 1/2 e2 e1\n")
     code, out, _ = run(capsys, "core", "beta", o2_file, str(core))
-    assert code == 0
+    assert code == 0 and out.endswith("checks: 0  passed: 0  failed: 0\nresult: computed\n")
     code, out, _ = run(capsys, "core", "iexpand", o2_file, str(core), "--level", "2")
     assert code == 0
     assert "result: PASS" in out
@@ -113,7 +113,7 @@ def test_json_output(capsys, o2_file):
     code, out, _ = run(capsys, "graph", "info", o2_file, "--json")
     assert code == 0
     doc = json.loads(out)
-    assert doc["result"] == "PASS"
+    assert doc["result"] == "computed" and doc["checks"] == 0
     assert doc["command"].startswith("graph info")
     assert doc["failed"] == 0
     assert "# run" not in out
@@ -249,7 +249,7 @@ def test_module_entry_point(o2_file):
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
-    assert "result: PASS" in proc.stdout
+    assert "result: computed" in proc.stdout
 
 
 @pytest.mark.parametrize("args", [

@@ -15,19 +15,42 @@ from corealg.scalar import (
     ONE, RADICAND_LIMIT, ZERO, Radical, _squarefree_split, parse_radical)
 
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+# coefficients whose denominators mix and cancel across terms: shared small
+# factors, a large prime and arbitrary denominators up to 10**6
+coefficients = st.one_of(
+    fracs,
+    st.builds(Fraction, st.integers(-60, 60).filter(bool),
+              st.sampled_from([1, 2, 3, 4, 6, 12, 999983, 10**6])),
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6),
+)
+
+SMALL = (1, 2, 3, 5, 6, 10)
+# squarefree radicands near the limit, with factors small enough that the
+# checked constructor splits them at once: RADICAND_LIMIT = 7*7*q1, and
+# q2 = 701 * (product of the primes up to 43) is within 0.6% of the limit.
+# Each family is closed under products (q*q = q**2).
+Q1 = RADICAND_LIMIT // 49
+Q2 = 701 * math.prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43))
+NEAR_LIMIT = ((1, Q1), (1, Q2))
+ROOTS = {k: Radical.sqrt(k) for k in SMALL + (Q1, Q2)}
 
 
 @st.composite
-def radicals(draw):
-    table = draw(st.dictionaries(st.sampled_from([1, 2, 3, 5, 6, 10]), fracs, max_size=3))
+def radicals(draw, family=SMALL, coefficient=coefficients):
+    table = draw(st.dictionaries(st.sampled_from(family), coefficient, max_size=3))
     x = ZERO
     for k, c in table.items():
-        x = x + Radical.sqrt(k) * c
+        x = x + ROOTS[k] * c
     return x
 
 
-@given(radicals(), radicals(), radicals())
-def test_ring_laws(a, b, c):
+triples = st.sampled_from((SMALL,) + NEAR_LIMIT).flatmap(
+    lambda family: st.tuples(*[radicals(family)] * 3))
+
+
+@given(triples)
+def test_ring_laws(abc):
+    a, b, c = abc
     assert a + b == b + a
     assert (a + b) + c == a + (b + c)
     assert a * b == b * a
@@ -38,7 +61,8 @@ def test_ring_laws(a, b, c):
     assert a - a == ZERO
 
 
-@given(radicals(), radicals())
+# small coefficients: wide ones can cancel to values that floats cannot resolve
+@given(radicals(coefficient=fracs), radicals(coefficient=fracs))
 def test_evalf_is_multiplicative(a, b):
     assert math.isclose((a * b).evalf(), a.evalf() * b.evalf(),
                         rel_tol=1e-12, abs_tol=1e-12)
@@ -49,6 +73,27 @@ def test_evalf_is_multiplicative(a, b):
 @given(radicals())
 def test_text_round_trip(a):
     assert parse_radical(a.text()) == a
+
+
+def test_denominators_mix_and_cancel():
+    x = Radical.sqrt(2) * Fraction(1, 6) + Radical.sqrt(3) * Fraction(1, 4)
+    assert x.text() == "1/6*sqrt(2)+1/4*sqrt(3)"
+    assert (x * 12).text() == "2*sqrt(2)+3*sqrt(3)"
+    assert x * 12 == Radical({2: 2, 3: 3})
+    assert (x - Radical.sqrt(3) * Fraction(1, 4)).terms() == [(2, Fraction(1, 6))]
+    y = Radical.sqrt(2) * Fraction(1, 3) - Radical.sqrt(3) * Fraction(1, 4)
+    assert (x + y).text() == "1/2*sqrt(2)"
+    assert x * Fraction(6, 5) + Radical.sqrt(3) * Fraction(-3, 10) == Radical.sqrt(2) * Fraction(1, 5)
+    assert (x * x).text() == "35/144+1/12*sqrt(6)"
+    assert hash(x * 12 - Radical({2: 2, 3: 3}) + Fraction(5, 4)) == hash(Fraction(5, 4))
+
+
+def test_near_limit_radicands():
+    assert _squarefree_split(RADICAND_LIMIT) == (7, Q1) and _squarefree_split(Q2) == (1, Q2)
+    assert Radical.sqrt(RADICAND_LIMIT) == ROOTS[Q1] * 7
+    assert ROOTS[Q2] * ROOTS[Q2] * Fraction(1, Q2) == ONE
+    with pytest.raises(OverflowError):
+        ROOTS[Q1] * ROOTS[Q2]
 
 
 def test_sqrt_pulls_out_square_factors():
@@ -213,13 +258,17 @@ def _checked_copy(x: Radical) -> Radical:
     return Radical(dict(x.terms()))
 
 
-rationals = st.builds(Radical.from_rational, fracs)
+rationals = st.builds(Radical.from_rational, coefficients)
+operands = st.sampled_from((SMALL,) + NEAR_LIMIT).flatmap(
+    lambda family: st.tuples(*[st.one_of(radicals(family), rationals)] * 2))
 
 
-@given(st.one_of(radicals(), rationals), st.one_of(radicals(), rationals))
-def test_unchecked_results_are_canonical(a, b):
+@given(operands)
+def test_unchecked_results_are_canonical(ab):
     # +, -, * and the rational fast path build results without checks
-    for r in (a + b, a - b, a * b, -a, a + 1, 2 - a, a * Fraction(1, 3), a - a, a * ZERO):
+    a, b = ab
+    for r in (a + b, a - b, a * b, -a, a + 1, 2 - a, a * Fraction(1, 3), a - a, a * ZERO,
+              a * 12, (a + b) * Fraction(1, 10**6)):
         assert all(type(c) is Fraction and c for _, c in r.terms())
         assert _checked_copy(r) == r
         assert hash(_checked_copy(r)) == hash(r)

@@ -1,16 +1,18 @@
 """The shared sparse-map accumulate, over every coefficient type that uses
-it, and the one integer elimination."""
+it, the one integer elimination, and the layers that build no Fraction."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
+from corealg.core_endo import CoreEndo
 from corealg.dilation import LatticeSystem, lattice_rep_check
 from corealg.exel_path import DepthFunction
 from corealg.graph import bouquet
 from corealg.ktheory import smith_normal_form
 from corealg.scalar import ONE, Radical
+from corealg.star_algebra import parse_element
 from corealg.uhf_cuntz import TensorElement
 from corealg.util import accumulate, bareiss
 
@@ -49,7 +51,8 @@ def test_bareiss_pinned():
     assert bareiss([], 0) == 1
 
 
-def test_integer_layer_constructs_no_fraction(monkeypatch):
+def count_fractions(monkeypatch) -> list:
+    """The argument tuples of every Fraction constructed from here on."""
     made = []
     new = Fraction.__new__
 
@@ -60,10 +63,37 @@ def test_integer_layer_constructs_no_fraction(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", counting)
     assert Fraction(1, 2) and made == [(1, 2)]    # the wrapper does count
     made.clear()
+    return made
+
+
+def test_integer_layer_constructs_no_fraction(monkeypatch):
+    made = count_fractions(monkeypatch)
     system = LatticeSystem([[2, 1], [0, 3]])
     assert lattice_rep_check(system, 2).passed
     rnd = random.Random(12)
     m = [[rnd.randint(-3, 3) for _ in range(12)] for _ in range(12)]
     _, d, _ = smith_normal_form(m)
     assert d[11][11] == 33825001
+    assert made == []
+
+
+def test_scalar_layer_constructs_no_fraction(monkeypatch):
+    # every input is built before Fraction is counted
+    half, third = Radical.from_rational(Fraction(1, 2)), Radical.from_rational(Fraction(-1, 3))
+    sixth = Radical.from_rational(Fraction(-1, 6))
+    r2, r6 = Radical.inv_sqrt(2), Radical.sqrt(6) * Fraction(5, 4)
+    mixed = half + r2 - r6
+    g = bouquet(2)
+    endo = CoreEndo(g)
+    x = parse_element(g, "TERM 1/2*sqrt(3) e1 e2\nTERM -2/3 e2.e1 e2.e2\nTERM 1 e2 e2\n")
+    made = count_fractions(monkeypatch)
+    for a in (half, third, r2, r6, mixed):
+        for b in (half, third, r2, r6, mixed):
+            assert a * b == b * a
+            assert (a + b) - b == a and -(a - b) == b - a
+        assert a * 3 - a == a * 2 and a != a + 1 and a == -(-a)
+    assert half * third == sixth
+    assert r2 * r2 == half and r2 * r6 - r6 * r2 == 0
+    bx = endo.beta(x)
+    assert bx.items() and (x * bx).equal(x * bx)
     assert made == []
