@@ -144,6 +144,9 @@ class StarElement:
         and by the vertex of kappa when kappa is empty.  Vertex and edge names
         may coincide, so the two groupings are separate dicts.  A left term
         then visits only the groups that can hold a prefix-compatible kappa.
+        In the group of nu's first edge each kappa gets one prefix test, in
+        the direction the lengths allow, and the remainder is cut (with
+        Graph.drop_first) only on a match.
 
         The result skips the constructor's checks.  That is sound because
         every word built pairs paths with one source (mu kappa' and lam end
@@ -152,6 +155,7 @@ class StarElement:
         """
         if other.graph is not self.graph:
             raise ValueError("elements live over different graphs")
+        g = self.graph
         by_edge: dict[str, list] = {}
         by_vertex: dict[str, list] = {}
         for (kappa, lam), b in other._terms.items():
@@ -161,43 +165,35 @@ class StarElement:
                 by_vertex.setdefault(kappa.src, []).append((lam, b))
         out: dict[tuple[Path, Path], Radical] = {}
         for (mu, nu), a in self._terms.items():
-            for key, b in self._matches(mu, nu, by_edge, by_vertex):
-                accumulate(out, key, a * b)
-        return StarElement._wrap(self.graph, out)
-
-    def _matches(self, mu: Path, nu: Path, by_edge: dict, by_vertex: dict):
-        """Yield (word, b) for each right term b t_kappa t_lam^* whose product
-        with t_mu t_nu^* is the word t_word[0] t_word[1]^*."""
-        g = self.graph
-        if not nu.edges:
-            # nu = @v is a prefix of kappa exactly when r(kappa) = v
-            v = nu.src
-            for lam, b in by_vertex.get(v, ()):
-                yield (mu, lam), b
-            for e in g.in_edges(v):
-                for kappa, lam, b in by_edge.get(e, ()):
-                    yield (g.concat(mu, kappa), lam), b
-            return
-        # kappa = @r(nu) is a prefix of nu
-        for lam, b in by_vertex.get(nu.rng, ()):
-            yield (mu, g.concat(lam, nu)), b
-        # otherwise kappa and nu share their first edge
-        for kappa, lam, b in by_edge.get(nu.edges[0], ()):
-            rest = self._split_prefix(nu, kappa)
-            if rest is not None:
-                yield (g.concat(mu, rest), lam), b
-            else:
-                rest = self._split_prefix(kappa, nu)
-                if rest is not None:
-                    yield (mu, g.concat(lam, rest)), b
-
-    def _split_prefix(self, nu: Path, kappa: Path) -> Path | None:
-        """Remainder kappa' with kappa = nu.kappa' for a nonempty nu, or None
-        if nu is no prefix of kappa."""
-        j = len(nu.edges)
-        if kappa.edges[:j] != nu.edges:
-            return None
-        return self.graph.drop_first(kappa, j)
+            ne = nu.edges
+            if not ne:
+                # nu = @v is a prefix of kappa exactly when r(kappa) = v
+                v = nu.src
+                for lam, b in by_vertex.get(v, ()):
+                    accumulate(out, (mu, lam), a * b)
+                for e in g.in_edges(v):
+                    for kappa, lam, b in by_edge.get(e, ()):
+                        accumulate(out, (g.concat(mu, kappa), lam), a * b)
+                continue
+            # kappa = @r(nu) is a prefix of nu
+            for lam, b in by_vertex.get(nu.rng, ()):
+                accumulate(out, (mu, g.concat(lam, nu)), a * b)
+            # otherwise kappa and nu share their first edge, and the shorter
+            # must be a prefix of the longer
+            n = len(ne)
+            for kappa, lam, b in by_edge.get(ne[0], ()):
+                ke = kappa.edges
+                k = len(ke)
+                if k >= n:
+                    if ke[:n] != ne:
+                        continue
+                    word = (g.concat(mu, g.drop_first(kappa, n)), lam)
+                else:
+                    if ne[:k] != ke:
+                        continue
+                    word = (mu, g.concat(lam, g.drop_first(nu, k)))
+                accumulate(out, word, a * b)
+        return StarElement._wrap(g, out)
 
     def adjoint(self) -> "StarElement":
         """Swap mu and nu in every term (coefficients are real)."""
@@ -268,9 +264,14 @@ class StarElement:
         """Decide equality in the relation quotient.  Per gauge degree the
         difference is expanded to a common level and compared as matrix-unit
         coefficients; balanced components blocked by a singular vertex fall
-        back to the i-expansion, whose components are unique."""
+        back to the i-expansion, whose components are unique.
+
+        Equal term dicts are equal elements, so they are decided at once,
+        without building the difference."""
         if other.graph is not self.graph:
             raise ValueError("elements live over different graphs")
+        if self._terms == other._terms:
+            return True
         diff = self - other
         for d, comp in diff.degree_decompose().items():
             K = max(min(len(mu), len(nu)) for mu, nu in comp._terms)

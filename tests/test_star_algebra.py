@@ -167,6 +167,36 @@ def test_equal_undecidable_off_core(singular_loop):
         x.equal(y)
 
 
+def test_equal_skips_identical_terms(o2, monkeypatch):
+    t1, t2 = edge_isometry(o2, "e1"), edge_isometry(o2, "e2")
+    x = t1 * Radical.sqrt(2) + t2 * t1.adjoint() * Fraction(1, 3) + vertex_projection(o2, "v")
+    copy = parse_element(o2, x.text())
+    calls = [0]
+    plain_combine = Radical._combine
+
+    def counting_combine(self, o, negate):
+        calls[0] += 1
+        return plain_combine(self, o, negate)
+
+    monkeypatch.setattr(Radical, "_combine", counting_combine)
+    assert x.equal(copy) and copy.equal(x)
+    assert calls[0] == 0
+    # the graph check still comes first, even for two equal (empty) dicts
+    with pytest.raises(ValueError):
+        StarElement.zero(bouquet(2)).equal(StarElement.zero(bouquet(2)))
+    # different dicts are still decided through expansion
+    expansions = [0]
+    plain_expand = StarElement.expand_to_level
+
+    def counting_expand(self, K):
+        expansions[0] += 1
+        return plain_expand(self, K)
+
+    monkeypatch.setattr(StarElement, "expand_to_level", counting_expand)
+    assert vertex_projection(o2, "v").equal(t1 * t1.adjoint() + t2 * t2.adjoint())
+    assert expansions[0] > 0
+
+
 # -- numeric norm -------------------------------------------------------------------
 
 
@@ -331,34 +361,64 @@ def test_vertex_and_edge_names_do_not_meet():
     assert dict((p * p).items()) == dict(p.items())
 
 
+_TEXT_GRAPHS = [
+    bouquet(2),
+    load_graph("V a\nV b\nE x a a\nE y a b\nE z b a\n"),
+    # b is a sink: it emits nothing
+    load_graph("V a\nV b\nE x a b\nE y a a\n"),
+    # every edge is named after a vertex
+    load_graph("V a\nV b\nE a a b\nE b b a\n"),
+]
+
+
+def _text_elements(g):
+    """Elements whose mu and nu have independent lengths 0..3, so empty and
+    mixed-length words both occur."""
+    paths = [p for n in range(4) for p in g.paths(n)]
+    same_src = {v: [p for p in paths if p.src == v] for v in g.vertices}
+    words = st.sampled_from(paths).flatmap(
+        lambda mu: st.tuples(st.just(mu), st.sampled_from(same_src[mu.src])))
+    return st.dictionaries(words, _radical_coeffs, max_size=5).map(lambda t: StarElement(g, t))
+
+
+@pytest.mark.parametrize("g", _TEXT_GRAPHS, ids=["O2", "G3", "sink", "edge_vertex_names"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_product_text_matches_naive_prefix_rule(g, data):
+    x, y = data.draw(_text_elements(g)), data.draw(_text_elements(g))
+    assert (x * y).text() == naive_product(x, y).text()
+
+
 def _shares_first_edge(nu, kappa) -> bool:
     return bool(nu.edges and kappa.edges and nu.edges[0] == kappa.edges[0])
 
 
 def test_product_visits_only_indexed_pairs(o3, monkeypatch):
     """Operation-count guard: inside a word product, Radical.__mul__ runs once
-    per prefix-compatible term pair, and the prefix test runs at most twice
-    per pair whose nu and kappa start with the same edge, never once per pair
-    of terms as an all-pairs scan would."""
-    counts = dict.fromkeys(("mul", "split", "compatible", "shared", "pairs"), 0)
+    per prefix-compatible term pair and Graph.drop_first once per such pair
+    whose nu and kappa are both nonempty, never once per pair of terms as an
+    all-pairs scan would."""
+    counts = dict.fromkeys(("mul", "drop", "compatible", "nonempty", "shared", "pairs"), 0)
     inside = [False]
     plain_mul = Radical.__mul__
-    plain_split = StarElement._split_prefix
+    plain_drop = Graph.drop_first
     plain_product = StarElement._product
 
     def counting_mul(self, other):
         counts["mul"] += inside[0]
         return plain_mul(self, other)
 
-    def counting_split(self, nu, kappa):
-        counts["split"] += inside[0]
-        return plain_split(self, nu, kappa)
+    def counting_drop(self, p, k=1):
+        counts["drop"] += inside[0]
+        return plain_drop(self, p, k)
 
     def counting_product(self, other):
         for (_, nu) in dict(self.items()):
             for (kappa, _) in dict(other.items()):
+                compatible = _compatible(o3, nu, kappa)
                 counts["pairs"] += 1
-                counts["compatible"] += _compatible(o3, nu, kappa)
+                counts["compatible"] += compatible
+                counts["nonempty"] += compatible and bool(nu.edges and kappa.edges)
                 counts["shared"] += _shares_first_edge(nu, kappa)
         inside[0] = True
         try:
@@ -367,12 +427,12 @@ def test_product_visits_only_indexed_pairs(o3, monkeypatch):
             inside[0] = False
 
     monkeypatch.setattr(Radical, "__mul__", counting_mul)
-    monkeypatch.setattr(StarElement, "_split_prefix", counting_split)
+    monkeypatch.setattr(Graph, "drop_first", counting_drop)
     monkeypatch.setattr(StarElement, "_product", counting_product)
     family, report = CoreEndo(o3).matrix_unit_images(1, "v")
     assert len(family) == 9 and report.passed and report.checks == 90
     assert counts["mul"] == counts["compatible"] > 0
-    assert counts["shared"] <= counts["split"] <= 2 * counts["shared"]
+    assert counts["drop"] == counts["nonempty"] > 0
     assert 2 * counts["shared"] < counts["pairs"]
 
 
