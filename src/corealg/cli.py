@@ -343,8 +343,7 @@ def _frame_system(args):
 
 def cmd_module_verify_frames(args, report: RunReport) -> None:
     system = _frame_system(args)
-    _, rep = canonical_frame(system)
-    report.add(rep)
+    report.add(canonical_frame(system))
     elements = [ModuleElement.basis_word(system, (i,)) for i in system.indices]
     elements += [ModuleElement.from_algebra(system, a) for a in system.basis(1)]
     for m in elements:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .graph import Graph, Path
+from .graph import Graph, Path, bouquet
 from .scalar import ONE, Radical
 from .star_algebra import StarElement, matrix_unit, unit
 from .util import CheckReport
@@ -111,7 +111,8 @@ def tensor_beta_compare(n: int, x) -> CheckReport:
     report = CheckReport("tensor form of beta on the %d-loop bouquet" % n)
     if x.n != n:
         raise ValueError("tensor element is over M_%d, expected M_%d" % (x.n, n))
-    g, loops = uhf_cuntz.bouquet_edges(n)
+    g = bouquet(n)
+    loops = {i: "e%d" % i for i in range(1, n + 1)}
     endo = CoreEndo(g)
 
     p_entries = {((i,), (j,)): Radical.from_rational(Fraction(1, n))
@@ -134,7 +135,7 @@ def tensor_beta_compare(n: int, x) -> CheckReport:
     u = uhf_cuntz.averaging_unitary(n)
     e11 = uhf_cuntz.TensorElement(n, 1, {((1,), (1,)): ONE})
     report.count()
-    if not uhf_cuntz.conjugate(u, e11).equal(p):
+    if not uhf_cuntz.first_slot_conjugate(u, e11).equal(p):
         report.fail("u e_11 u* != p")
     conj = uhf_cuntz.first_slot_conjugate(u, uhf_cuntz.tensor_prepend(e11, x))
     report.count()

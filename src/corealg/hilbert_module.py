@@ -3,14 +3,15 @@
 Everything here is exact.  A module element of degree i is a finite tuple of
 coefficient-algebra entries indexed by i-letter words in the frame indices;
 inner products, left actions, the shift isometries U and U_i, and the rank-one
-operator calculus are all expressed through two primitives per system:
+operator calculus are all expressed through one primitive per system,
 
-    gram1(i, j)   = <F_i, F_j>
-    act1(i, b, j) = <F_i, b F_j>
+    act1(i, b, j) = <F_i, b F_j>,
 
-with the degree-i pairing peeling one letter at a time.  Coordinate vectors
-represent the same element exactly when the Gram matrix maps their difference
-to zero, so equality tests go through Gram-projected (canonical) coordinates.
+applied letter by letter to give the frame coordinates of b . F_w.  With b the
+unit these are the columns of the Gram matrix <F_u, F_w>, and the one helper
+_act applies them: coordinate vectors represent the same element exactly when
+their Gram projections agree, inner products pair coordinates with the Gram
+projection, and equality tests compare Gram-projected (canonical) coordinates.
 
 Two systems are provided: the path system of a finite regular graph, whose
 coefficient algebra is exel_path's locally constant functions with exact
@@ -20,7 +21,7 @@ tensor elements of uhf_cuntz.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import product
 from types import MappingProxyType
 
 import numpy as np
@@ -28,7 +29,7 @@ import numpy as np
 from .core_endo import CoreEndo
 from .exel_path import DepthFunction, alpha_shift, transfer_L
 from .graph import Graph, Path
-from .scalar import ONE, Radical
+from .scalar import ONE, Radical, scalar
 from .star_algebra import StarElement, matrix_unit, unit
 from .uhf_cuntz import TensorElement, UhfSystem, uhf_L, uhf_alpha
 from .uhf_cuntz import words as tensor_words
@@ -170,20 +171,7 @@ class UhfFrameSystem:
         return [np.block(blocks)]
 
 
-# -- pairing and module elements -----------------------------------------------------
-
-
-def pair(system, w: tuple, b, wp: tuple):
-    """<F_w, b F_wp> by peeling the leading letters."""
-    if len(w) != len(wp):
-        raise ValueError("words of unequal degree")
-    while w:
-        if b.is_zero():
-            return b
-        b = system.act1(w[0], b, wp[0])
-        w = w[1:]
-        wp = wp[1:]
-    return b
+# -- the left action and module elements ---------------------------------------------
 
 
 def _left_act_word(system, b, w: tuple) -> dict:
@@ -198,6 +186,21 @@ def _left_act_word(system, b, w: tuple) -> dict:
         for v, d in _left_act_word(system, b1, w[1:]).items():
             accumulate(out, (i,) + v, d)
     return out
+
+
+def _act(system, b, coords: dict) -> dict:
+    """Frame coordinates of sum_w b . F_w c_w; with b the unit, the Gram
+    projection of the coordinates c."""
+    out: dict[tuple, object] = {}
+    for w, c in coords.items():
+        for v, d in _left_act_word(system, b, w).items():
+            accumulate(out, v, d * c)
+    return out
+
+
+def _same(a: dict, b: dict) -> bool:
+    """Two canonical maps agree: the same keys, and equal entries."""
+    return a.keys() == b.keys() and all(a[k].equal(b[k]) for k in a)
 
 
 class ModuleElement:
@@ -256,37 +259,24 @@ class ModuleElement:
                              {w: c * b for w, c in self.coords.items()})
 
     def inner(self, other: "ModuleElement"):
-        """<self, other> in the coefficient algebra."""
+        """<self, other> = sum_w c_w^* (G d)_w in the coefficient algebra."""
         if other.degree != self.degree:
             raise ValueError("degree mismatch")
-        sys = self.system
-        total = sys.zero()
+        canon = other.canonical_coords()
+        total = self.system.zero()
         for w, c in self.coords.items():
-            cw = c.adjoint()
-            for v, d in other.coords.items():
-                gv = pair(sys, w, sys.unit(), v)
-                if gv.is_zero():
-                    continue
-                total = total + cw * gv * d
+            d = canon.get(w)
+            if d is not None:
+                total = total + c.adjoint() * d
         return total
 
     def canonical_coords(self) -> dict:
         """Gram-projected coordinates; equal vectors mean equal elements."""
-        sys = self.system
-        out: dict[tuple, object] = {}
-        for v, c in self.coords.items():
-            for w, d in _left_act_word(sys, sys.unit(), v).items():
-                accumulate(out, w, d * c)
-        return out
+        return _act(self.system, self.system.unit(), self.coords)
 
     def equal(self, other: "ModuleElement") -> bool:
-        if other.degree != self.degree:
-            return False
-        a = self.canonical_coords()
-        b = other.canonical_coords()
-        if set(a) != set(b):
-            return False
-        return all(a[w].equal(b[w]) for w in a)
+        return (other.degree == self.degree
+                and _same(self.canonical_coords(), other.canonical_coords()))
 
     def is_null(self) -> bool:
         return not self.canonical_coords()
@@ -304,14 +294,7 @@ class ModuleElement:
 
 def left_act(system, b, m: ModuleElement) -> ModuleElement:
     """The left action of the coefficient algebra through the frame."""
-    if m.degree == 0:
-        c = m.coords.get((), system.zero())
-        return ModuleElement(system, 0, {(): b * c})
-    out: dict[tuple, object] = {}
-    for w, c in m.coords.items():
-        for v, d in _left_act_word(system, b, w).items():
-            accumulate(out, v, d * c)
-    return ModuleElement(system, m.degree, out)
+    return ModuleElement(system, m.degree, _act(system, b, m.coords))
 
 
 def tensor(m1: ModuleElement, m2: ModuleElement) -> ModuleElement:
@@ -328,22 +311,12 @@ def tensor(m1: ModuleElement, m2: ModuleElement) -> ModuleElement:
 # -- frames ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Frame:
-    system: object
-    indices: tuple
-
-    def gram(self, i, j):
-        return self.system.act1(i, self.system.unit(), j)
-
-
-def canonical_frame(system) -> tuple[Frame, CheckReport]:
-    """The standard frame of the system, with its Gram identities verified."""
-    frame = Frame(system, tuple(system.indices))
+def canonical_frame(system) -> CheckReport:
+    """The Gram identities <F_i, F_j> of the system's standard frame."""
     report = CheckReport("frame Gram identities")
-    for i in frame.indices:
-        for j in frame.indices:
-            got = frame.gram(i, j)
+    for i in system.indices:
+        for j in system.indices:
+            got = system.act1(i, system.unit(), j)
             if system.kind == "graph":
                 if i == j:
                     v = system.graph.src(i)
@@ -356,10 +329,9 @@ def canonical_frame(system) -> tuple[Frame, CheckReport]:
             report.count()
             if not got.equal(expected):
                 report.fail("gram(%s, %s) = %s" % (i, j, system.a_text(got)))
-    for i in frame.indices:
-        sub = reconstruct_check(ModuleElement.basis_word(system, (i,)))
-        report.merge(sub)
-    return frame, report
+    for i in system.indices:
+        report.merge(reconstruct_check(ModuleElement.basis_word(system, (i,))))
+    return report
 
 
 def reconstruct_check(m: ModuleElement) -> CheckReport:
@@ -375,11 +347,7 @@ def reconstruct_check(m: ModuleElement) -> CheckReport:
         a = m.source
         rep = sys.zero()
         for j in sys.indices:
-            h = sys.zero()
-            for v, c in m.coords.items():
-                gv = pair(sys, (j,), sys.unit(), v)
-                if not gv.is_zero():
-                    h = h + gv * c
+            h = recon.coords.get((j,), sys.zero())
             rep = rep + sys.frame_rep(j) * sys.alpha(h)
         diff = rep + a * Radical.from_rational(-1)
         gap = sys.L(diff.adjoint() * diff)
@@ -453,7 +421,7 @@ def u_isometry_report(system, degree: int, with_module_identities: bool = True) 
     """U_i* U_i = 1 on the degree-i coordinate basis, plus the two module
     identities tying U_i to alpha and L on degree-1 generators."""
     report = CheckReport("U_%d isometry" % degree)
-    basis_words = _index_words(system, degree)
+    basis_words = list(product(system.indices, repeat=degree))
     for w in basis_words:
         m = ModuleElement.basis_word(system, w)
         report.count()
@@ -477,13 +445,6 @@ def u_isometry_report(system, degree: int, with_module_identities: bool = True) 
     return report
 
 
-def _index_words(system, degree: int) -> list[tuple]:
-    out = [()]
-    for _ in range(degree):
-        out = [w + (i,) for w in out for i in system.indices]
-    return out
-
-
 # -- compact operators -------------------------------------------------------------------
 
 
@@ -505,24 +466,14 @@ class CompactOp:
 
     @classmethod
     def from_theta(cls, m: ModuleElement, n: ModuleElement) -> "CompactOp":
-        """The rank-one operator x -> m <n, x>."""
+        """The rank-one operator x -> m <n, x>: its (w, v) entry is
+        c_w (G d)_v^*, since the Gram matrix G is self-adjoint."""
         if m.degree != n.degree:
             raise ValueError("theta needs equal degrees")
-        sys = m.system
-        entries = {}
-        for v in _index_words(sys, n.degree):
-            h = sys.zero()
-            for u, d in n.coords.items():
-                gv = pair(sys, u, sys.unit(), v)
-                if not gv.is_zero():
-                    h = h + d.adjoint() * gv
-            if h.is_zero():
-                continue
-            for w, c in m.coords.items():
-                val = c * h
-                if not val.is_zero():
-                    entries[(w, v)] = val
-        return cls(sys, m.degree, entries)
+        canon = n.canonical_coords()
+        return cls(m.system, m.degree, {(w, v): c * d.adjoint()
+                                        for v, d in canon.items()
+                                        for w, c in m.coords.items()})
 
     def apply(self, m: ModuleElement) -> ModuleElement:
         sys = self.system
@@ -561,20 +512,15 @@ class CompactOp:
     def canonical_entries(self) -> dict:
         """Left-multiply by the Gram matrix; equal results mean equal operators."""
         sys = self.system
-        out: dict[tuple, object] = {}
+        columns: dict[tuple, dict] = {}
         for (w, v), c in self.entries.items():
-            for u, d in _left_act_word(sys, sys.unit(), w).items():
-                accumulate(out, (u, v), d * c)
-        return out
+            columns.setdefault(v, {})[w] = c
+        return {(u, v): d for v, col in columns.items()
+                for u, d in _act(sys, sys.unit(), col).items()}
 
     def equal(self, other: "CompactOp") -> bool:
-        if other.degree != self.degree:
-            return False
-        a = self.canonical_entries()
-        b = other.canonical_entries()
-        if set(a) != set(b):
-            return False
-        return all(a[k].equal(b[k]) for k in a)
+        return (other.degree == self.degree
+                and _same(self.canonical_entries(), other.canonical_entries()))
 
     def is_null(self) -> bool:
         return not self.canonical_entries()
@@ -586,7 +532,7 @@ class CompactOp:
 def _check_restriction(sys, degree: int) -> bool:
     """U at degree+1 restricts to U at degree on simple tensors, checked on
     the coordinate basis; raises RuntimeError when it does not."""
-    for w in _index_words(sys, degree):
+    for w in product(sys.indices, repeat=degree):
         m = ModuleElement.basis_word(sys, w)
         for j in sys.indices:
             lhs = U_map(sys, tensor(m, ModuleElement.basis_word(sys, (j,))))
@@ -605,7 +551,7 @@ def conj_beta(T: CompactOp) -> CompactOp:
     sys = T.system
     sys.memo.get(("restricts", T.degree), lambda: _check_restriction(sys, T.degree))
     entries: dict[tuple, object] = {}
-    for v in _index_words(sys, T.degree + 1):
+    for v in product(sys.indices, repeat=T.degree + 1):
         col = U_map(sys, T.apply(U_star_map(sys, ModuleElement.basis_word(sys, v))))
         for w, c in col.coords.items():
             entries[(w, v)] = c
@@ -627,11 +573,7 @@ def compact_to_star(T: CompactOp) -> StarElement:
         tv = _word_isometry(g, v)
         if tv is None:
             continue
-        mid = StarElement.zero(g)
-        for lam in g.paths(b.depth):
-            c = b.values.get(lam)
-            if c:
-                mid = mid + matrix_unit(g, lam, lam) * c
+        mid = StarElement(g, {(lam, lam): scalar(c) for lam, c in b.values.items()})
         out = out + tw * mid * tv.adjoint()
     return out
 

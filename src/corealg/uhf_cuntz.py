@@ -470,25 +470,6 @@ def averaging_unitary(n: int) -> list[list[Radical]]:
     return u
 
 
-def conjugate(u: list[list[Radical]], a: TensorElement) -> TensorElement:
-    """u a u^adj for a depth-1 element, with real unitary entries."""
-    if a.k != 1:
-        raise ValueError("conjugate expects a depth-1 element")
-    n = a.n
-    out: dict[tuple[Word, Word], Radical] = {}
-    for ((i,), (j,)), c in a.entries.items():
-        for r in range(1, n + 1):
-            left = u[r - 1][i - 1]
-            if not left:
-                continue
-            for s in range(1, n + 1):
-                right = u[s - 1][j - 1]
-                if not right:
-                    continue
-                accumulate(out, ((r,), (s,)), left * c * right)
-    return TensorElement(n, 1, out)
-
-
 def first_slot_conjugate(u: list[list[Radical]], a: TensorElement) -> TensorElement:
     """(u (x) 1) a (u^adj (x) 1) acting on the leading tensor slot."""
     if a.k < 1:
@@ -506,12 +487,6 @@ def first_slot_conjugate(u: list[list[Radical]], a: TensorElement) -> TensorElem
                     continue
                 accumulate(out, ((r,) + mu[1:], (s,) + nu[1:]), left * c * right)
     return TensorElement(n, a.k, out)
-
-
-def bouquet_edges(n: int) -> tuple[Graph, dict[int, str]]:
-    """The n-loop bouquet with loops indexed 1..n, for the tensor dictionary."""
-    names = [("e%d" % i, "v", "v") for i in range(1, n + 1)]
-    return Graph(["v"], names), {i: "e%d" % i for i in range(1, n + 1)}
 
 
 def to_core_element(g: Graph, loops: dict[int, str], a: TensorElement) -> StarElement:

@@ -15,6 +15,7 @@ from corealg.core_endo import CoreEndo
 from corealg.star_algebra import StarElement
 
 O2_TEXT = "V v\nE e1 v v\nE e2 v v\n"
+G3_TEXT = "V a\nV b\nE x a a\nE y a b\nE z b a\n"
 ELEM_TEXT = "TERM 1 e1 e2\nTERM -1/3 e2.e1 e2.e1\n"
 
 
@@ -322,11 +323,18 @@ SNAPSHOTS = os.path.join(os.path.dirname(__file__), "snapshots")
     ("core-verify-beta-o2-depth2", ("core", "verify-beta", "{g}", "--depth", "2",
                                     "--trials", "10", "--seed", "3")),
     ("module-crosscheck-o2-level2", ("module", "crosscheck", "{g}", "--level", "2")),
+    # two vertices and irrational frame weights: the depth of inner products
+    # decides how many Gram-positivity blocks verify-frames counts
+    ("module-verify-frames-g3", ("module", "verify-frames", "{g3}")),
+    ("module-verify-u-g3-depth3", ("module", "verify-u", "{g3}", "--depth", "3")),
+    ("module-crosscheck-g3-level2", ("module", "crosscheck", "{g3}", "--level", "2")),
 ])
-def test_json_matches_snapshot(capsys, o2_file, name, args):
+def test_json_matches_snapshot(capsys, tmp_path, o2_file, name, args):
     # the snapshots hold the --json bytes of these commands with the line
     # echoing the command (it names a temporary file) taken out
-    code, out, _ = run(capsys, *(a.format(g=o2_file) for a in args), "--json")
+    g3 = tmp_path / "g3.graph"
+    g3.write_text(G3_TEXT)
+    code, out, _ = run(capsys, *(a.format(g=o2_file, g3=g3) for a in args), "--json")
     assert code == 0
     kept = re.sub(r'(?m)^  "command": .*\n', "", out)
     assert kept != out

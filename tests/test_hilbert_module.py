@@ -6,6 +6,7 @@ import sys
 import threading
 import weakref
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -13,7 +14,7 @@ from corealg import hilbert_module
 
 from corealg.core_endo import CoreEndo
 from corealg.exel_path import DepthFunction
-from corealg.graph import bouquet, cycle
+from corealg.graph import bouquet, cycle, load_graph
 from corealg.hilbert_module import (
     CompactOp,
     GraphFrameSystem,
@@ -30,7 +31,7 @@ from corealg.hilbert_module import (
     frame_rep_psi,
     graph_frame_system,
     gram_psd_check,
-    pair,
+    left_act,
     reconstruct_check,
     tensor,
     u_element,
@@ -84,19 +85,19 @@ def test_frame_system_requires_path_space(single_edge):
 
 
 def test_canonical_frame_graph(gsys):
-    frame, report = canonical_frame(gsys)
+    report = canonical_frame(gsys)
     assert report.passed, report.lines()
-    assert set(frame.indices) == {"e1", "e2"}
+    assert set(gsys.indices) == {"e1", "e2"}
     # Normalized edge indicators have inner products delta_ef * chi_{Z(s(e))}.
-    g11 = frame.gram("e1", "e1")
+    g11 = gsys.act1("e1", gsys.unit(), "e1")
     assert g11.equal(DepthFunction(gsys.graph, 0, {gsys.graph.empty_path("v"): ONE}))
-    assert frame.gram("e1", "e2").is_zero()
+    assert gsys.act1("e1", gsys.unit(), "e2").is_zero()
 
 
 def test_canonical_frame_uhf(usys):
-    frame, report = canonical_frame(usys)
+    report = canonical_frame(usys)
     assert report.passed, report.lines()
-    assert set(frame.indices) == {(1, 1), (2, 1)}
+    assert set(usys.indices) == {(1, 1), (2, 1)}
 
 
 def test_reconstruction_from_algebra(gsys, usys):
@@ -129,7 +130,7 @@ def test_inner_products_and_pairing(gsys):
     n = ModuleElement.basis_word(gsys, ("e2",))
     assert m.inner(n).is_zero()
     assert not m.inner(m).is_zero()
-    assert not pair(gsys, ("e1",), gsys.unit(), ("e1",)).is_zero()
+    assert not gsys.act1("e1", gsys.unit(), "e1").is_zero()
     assert not (m - m).coords
 
 
@@ -209,6 +210,80 @@ def test_theta_composition_rule(gsys):
     expected = CompactOp.from_theta(m.right_mul(n.inner(n)), m)
     assert comp.equal(expected)
     assert comp.apply(n).is_null()
+
+
+_FRAME_SYSTEMS = {
+    "graph-O2": lambda: GraphFrameSystem(bouquet(2)),
+    "graph-G3": lambda: GraphFrameSystem(load_graph("V a; V b\nE x a a; E y a b; E z b a\n")),
+    "tensor-2-1": lambda: UhfFrameSystem(UhfSystem(2, 1)),
+    "tensor-3-2": lambda: UhfFrameSystem(UhfSystem(3, 2)),
+}
+
+
+def _sample_elements(system, degree: int) -> list:
+    """The first and last nonzero basis words, and the first and last nonzero
+    q-images of depth-1 basis elements (tensored with a basis word at degree 2)."""
+    def ends(elements):
+        nonzero = [m for m in elements if not m.is_null()]
+        return [nonzero[0], nonzero[-1]]
+
+    words = product(system.indices, repeat=degree)
+    qs = [ModuleElement.from_algebra(system, a) for a in system.basis(1)]
+    if degree == 2:
+        qs = [tensor(q, ModuleElement.basis_word(system, (i,)))
+              for q in qs for i in system.indices]
+    return ends(ModuleElement.basis_word(system, w) for w in words) + ends(qs)
+
+
+def _gram(system, w: tuple, v: tuple):
+    """<F_w, F_v> straight from the frame system, one letter at a time."""
+    b = system.unit()
+    for i, j in zip(w, v):
+        b = system.act1(i, b, j)
+    return b
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("name", sorted(_FRAME_SYSTEMS))
+def test_gram_projection_identities(name, degree):
+    system = _FRAME_SYSTEMS[name]()
+    words = list(product(system.indices, repeat=degree))
+    gram = {(w, v): _gram(system, w, v) for w in words for v in words}
+    for (w, v), g in gram.items():
+        fw, fv = ModuleElement.basis_word(system, w), ModuleElement.basis_word(system, v)
+        assert fw.inner(fv).equal(g)
+    # the Gram matrix is a projection, so on the module it acts as the identity
+    assert (CompactOp(system, degree, gram)
+            .equal(CompactOp(system, degree, {(w, w): system.unit() for w in words})))
+
+    # b is not self-adjoint on the tensor systems
+    b = system.basis(1)[1]
+    m1, m2, n1, n2 = _sample_elements(system, degree)
+    elements = [m1, m2, n1, n2, m2.right_mul(b)]
+    for m in elements:
+        for n in elements:
+            # theta_{m,n} x = m <n, x>, and <m, n>* = <n, m>
+            theta = CompactOp.from_theta(m, n)
+            for x in elements:
+                assert theta.apply(x).equal(m.right_mul(n.inner(x)))
+            assert m.inner(n).adjoint().equal(n.inner(m))
+
+    # an operator with several columns, equal to itself written another way
+    t1, t2 = CompactOp.from_theta(m1, n2), CompactOp.from_theta(m2, n1 + n2)
+    total = t1.add(t2)
+    assert len({v for _, v in total.entries}) > 1
+    assert total.equal(t2.add(t1))
+    # over functions theta_{m,n} can vanish when m and n have disjoint supports
+    assert total.equal(t1) is t2.is_null() and total.equal(t2) is t1.is_null()
+    assert (CompactOp.from_theta(m2.right_mul(b), n1)
+            .equal(CompactOp.from_theta(m2, n1.right_mul(b.adjoint()))))
+
+    # the left action on degree 0 is multiplication
+    c = system.frame_rep(system.indices[-1])
+    got = left_act(system, b, ModuleElement(system, 0, {(): c}))
+    assert got.degree == 0 and len(got.coords) == len(ModuleElement(system, 0, {(): b * c}).coords)
+    assert got.coords.get((), system.zero()).equal(b * c)
+    assert not left_act(system, b, ModuleElement.zero(system, 0)).coords
 
 
 def test_conj_beta_matches_endo(o2):
