@@ -11,6 +11,7 @@ end (mu -> mu.e with r(e) = s(mu)) and prepends at the range end
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .util import Memo
@@ -22,31 +23,16 @@ class GraphFormatError(ValueError):
     """Raised with a line number when a graph file fails to parse."""
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(namedtuple("Path", ("edges", "src", "rng"))):
     """Immutable composable edge word; empty paths remember their vertex.
 
-    Paths are dict keys in every hot loop, so each object computes its hash
-    once, on first use.  That is sound because no field can be reassigned
-    (assignment raises FrozenInstanceError, an AttributeError).  Equality is
-    the generated field-by-field comparison.
+    A named tuple: hash, equality and field reads run in C, no field can be
+    assigned, and a pickled copy carries only its fields, so it rehashes in
+    its own process.  A Path equals the plain tuple (edges, src, rng),
+    iterates over those three fields and orders like that tuple.
     """
 
-    edges: tuple[str, ...]
-    src: str
-    rng: str
-    _hash = None  # class default, not a field; replaced per object by __hash__
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.edges, self.src, self.rng))
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    def __reduce__(self):
-        # string hashes differ between processes: a copy rehashes
-        return Path, (self.edges, self.src, self.rng)
+    __slots__ = ()
 
     def __len__(self):
         return len(self.edges)

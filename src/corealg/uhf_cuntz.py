@@ -48,6 +48,15 @@ class TensorElement:
                     self.entries[(mu, nu)] = r
 
     @classmethod
+    def _wrap(cls, n: int, k: int, entries: dict) -> "TensorElement":
+        # internal fast path: entries already checked and zero-free
+        el = cls.__new__(cls)
+        el.n = n
+        el.k = k
+        el.entries = entries
+        return el
+
+    @classmethod
     def identity(cls, n: int, k: int) -> "TensorElement":
         return cls(n, k, {(w, w): ONE for w in words(n, k)})
 
@@ -66,7 +75,7 @@ class TensorElement:
         for (mu, nu), c in self.entries.items():
             for rho in tails:
                 out[(mu + rho, nu + rho)] = c
-        return TensorElement(self.n, k, out)
+        return TensorElement._wrap(self.n, k, out)
 
     def _common(self, other: "TensorElement"):
         if other.n != self.n:
@@ -81,10 +90,10 @@ class TensorElement:
         out = dict(a.entries)
         for key, c in b.entries.items():
             accumulate(out, key, c)
-        return TensorElement(self.n, a.k, out)
+        return TensorElement._wrap(self.n, a.k, out)
 
     def __neg__(self):
-        return TensorElement(self.n, self.k, {key: -c for key, c in self.entries.items()})
+        return TensorElement._wrap(self.n, self.k, {key: -c for key, c in self.entries.items()})
 
     def __sub__(self, other):
         if not isinstance(other, TensorElement):
@@ -101,19 +110,19 @@ class TensorElement:
             for (mu, nu), c in a.entries.items():
                 for lam, d in rows.get(nu, ()):
                     accumulate(out, (mu, lam), c * d)
-            return TensorElement(self.n, a.k, out)
+            return TensorElement._wrap(self.n, a.k, out)
         c = scalar(other)
         if c is None:
             raise TypeError("entry must be Radical or rational, got %r" % (other,))
-        return TensorElement(self.n, self.k,
-                             {key: v * c for key, v in self.entries.items()})
+        return TensorElement._wrap(self.n, self.k,
+                                   {key: v * c for key, v in self.entries.items()} if c else {})
 
     def __rmul__(self, other):
         return self * other
 
     def adjoint(self) -> "TensorElement":
-        return TensorElement(self.n, self.k,
-                             {(nu, mu): c for (mu, nu), c in self.entries.items()})
+        return TensorElement._wrap(self.n, self.k,
+                                   {(nu, mu): c for (mu, nu), c in self.entries.items()})
 
     def equal(self, other: "TensorElement") -> bool:
         a, b = self._common(other)

@@ -118,6 +118,10 @@ class Memo:
                 self._values[key] = compute()
             return self._values[key]
 
+    def __reduce__(self):
+        # a lock cannot be pickled; a copy of the owner recomputes its values
+        return Memo, ()
+
 
 @dataclass
 class CheckReport:

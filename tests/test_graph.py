@@ -1,9 +1,13 @@
 import copy
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import corealg
 from corealg.graph import Graph, GraphFormatError, Path, bouquet, cycle, load_graph
 
 
@@ -160,8 +164,53 @@ def test_paths_stay_immutable():
     assert p.edges == ("e1", "e2")
     # copies carry the fields, not the hash of this process
     for q in (copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
-        assert "_hash" not in vars(q)
+        _, args, state = q.__reduce_ex__(2)[:3]
+        assert args == (Path, ("e1", "e2"), "v", "v") and state is None
+        for field in ("edges", "src", "rng", "_hash"):
+            with pytest.raises(AttributeError):
+                setattr(q, field, ())
         assert q == p and hash(q) == hash(p)
+
+
+_KEYS = """
+import pickle, sys
+from corealg.graph import load_graph
+from corealg.star_algebra import StarElement
+
+def keys(g):
+    paths = [p for n in range(3) for p in g.paths(n)]
+    pairs = [(mu, nu) for mu in paths for nu in paths if mu.src == nu.src]
+    return paths, {pair: i + 1 for i, pair in enumerate(pairs)}
+"""
+_DUMP = _KEYS + """
+g = load_graph("V a; V b; E x a a; E y a b; E z b a")
+paths, terms = keys(g)
+sys.stdout.buffer.write(pickle.dumps(
+    (hash("x.z"), {p: p.text() for p in paths}, StarElement(g, terms))))
+"""
+_LOOKUP = _KEYS + """
+h, by_path, x = pickle.loads(sys.stdin.buffer.read())
+assert hash("x.z") != h, "both processes hash strings alike"
+paths, terms = keys(x.graph)
+assert len(by_path) == len(paths) and all(by_path[p] == p.text() for p in paths)
+assert x.equal(StarElement(x.graph, terms))
+"""
+
+
+def test_path_keys_rehash_in_another_process():
+    """A dict keyed by Paths and a StarElement, pickled under one string-hash
+    seed, answer lookups by freshly built keys under another."""
+    src = os.path.dirname(os.path.dirname(corealg.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+    def run(code, seed, data=None):
+        env = dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-c", code], input=data,
+                              capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr.decode()
+        return proc.stdout
+
+    run(_LOOKUP, "2", run(_DUMP, "1"))
 
 
 # -- loader fuzzing -----------------------------------------------------------------

@@ -5,7 +5,6 @@ import gc
 import sys
 import threading
 import weakref
-from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -14,7 +13,7 @@ from corealg import hilbert_module
 
 from corealg.core_endo import CoreEndo
 from corealg.exel_path import DepthFunction
-from corealg.graph import bouquet, cycle, load_graph
+from corealg.graph import bouquet, load_graph
 from corealg.hilbert_module import (
     CompactOp,
     GraphFrameSystem,

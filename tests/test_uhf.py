@@ -59,6 +59,19 @@ def test_adjoint_and_trace():
     assert (a * a.adjoint()).trace() == Fraction(5, 4)
 
 
+def test_internal_results_pass_the_public_checks():
+    """Arithmetic results skip the constructor's checks; rebuilding each one
+    through the constructor must accept it and drop nothing."""
+    a = e(2, [1], [2], Fraction(3, 5)) + e(2, [2], [2], Radical.sqrt(2))
+    b = e(2, [1, 2], [2, 1], -1) + e(2, [2, 2], [1, 2])
+    results = [a.lift(3), a + b, a - b, a - a, -b, a * b, b * a, a * 0, 0 * b,
+               a * Radical.sqrt(3), Fraction(-1, 2) * b, a.adjoint(), b.adjoint()]
+    for r in results:
+        assert TensorElement(r.n, r.k, r.entries).entries == r.entries
+        assert all(len(mu) == len(nu) == r.k for mu, nu in r.entries)
+    assert (a - a).is_zero() and (a * 0).is_zero() and (0 * b).is_zero()
+
+
 def test_words_and_identity():
     assert len(words(2, 2)) == 4
     assert len(words(3, 0)) == 1
