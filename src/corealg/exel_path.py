@@ -20,13 +20,23 @@ from .util import CheckReport, accumulate
 _ZERO = Fraction(0)
 
 # The most paths of one length a loaded function may range over: the loader
-# warns once per unlisted path and every DepthFunction operation walks all
-# paths of its depth.  On the two-loop bouquet this admits depth 16, not 17.
+# warns once per unlisted path, and `constant` and `text` walk all paths of
+# their depth (the other operations read only the stored support).  On the
+# two-loop bouquet this admits depth 16, not 17.
 PATH_LIMIT = 2**16
 
 
 class DepthFunctionFormatError(ValueError):
     pass
+
+
+def _in_graph(graph: Graph, p) -> bool:
+    """p is a path of graph: its edges compose there, or it is @v for a vertex v."""
+    try:
+        return isinstance(p, Path) and p == (graph.path(p.edges) if p.edges
+                                             else graph.empty_path(p.src))
+    except (KeyError, ValueError):
+        return False
 
 
 def _as_scalar(x):
@@ -39,7 +49,9 @@ def _as_scalar(x):
 
 class DepthFunction:
     """Function determined by length-k path prefixes, with Fraction or
-    Radical values."""
+    Radical values.  `values` holds the support: the length-k paths of the
+    graph with a nonzero value; every operation but `constant` and `text`
+    reads only the support."""
 
     __slots__ = ("graph", "depth", "values")
 
@@ -54,6 +66,8 @@ class DepthFunction:
         self.values = {}
         if values:
             for p, x in values.items():
+                if not _in_graph(graph, p):
+                    raise ValueError("%r is not a path of the graph" % (p,))
                 if len(p) != depth:
                     raise ValueError("path %s has length %d, expected %d"
                                      % (p.text(), len(p), depth))
@@ -88,16 +102,17 @@ class DepthFunction:
         return self.values.get(self.graph.prefix(p, self.depth), _ZERO)
 
     def lift(self, depth: int) -> "DepthFunction":
+        """The same function at a larger depth: each supported path extends at
+        its source end by every edge that reaches it."""
         if depth < self.depth:
             raise ValueError("cannot lower depth %d to %d" % (self.depth, depth))
         if depth == self.depth:
             return self
-        out = {}
-        for p in self.graph.paths(depth):
-            x = self.value(p)
-            if x:
-                out[p] = x
-        return DepthFunction._wrap(self.graph, depth, out)
+        g = self.graph
+        out = self.values
+        for _ in range(depth - self.depth):
+            out = {g.append_edge(q, e): x for q, x in out.items() for e in g.in_edges(q.src)}
+        return DepthFunction._wrap(g, depth, out)
 
     def _common(self, other: "DepthFunction") -> tuple["DepthFunction", "DepthFunction"]:
         if other.graph is not self.graph:
@@ -173,34 +188,27 @@ class DepthFunction:
 
 
 def alpha_shift(f: DepthFunction) -> DepthFunction:
-    """Precompose with the shift that drops the first edge; depth rises by 1."""
+    """Precompose with the shift that drops the first edge; depth rises by 1.
+    alpha(f) lives on the one-edge extensions e.q of the support at its range."""
     g = f.graph
-    out = {}
-    for p in g.paths(f.depth + 1):
-        x = f.value(g.drop_first(p))
-        if x:
-            out[p] = x
+    out = {g.prepend_edge(e, q): x for q, x in f.values.items() for e in g.out_edges(q.rng)}
     return DepthFunction._wrap(g, f.depth + 1, out)
 
 
 def transfer_L(f: DepthFunction) -> DepthFunction:
     """Average over the shift preimages: L(f)(eta) is the mean of f(e.eta)
-    over the edges e that can extend eta at its range."""
+    over the edges e that can extend eta at its range.  Each supported e.eta
+    adds its value to eta; a one-edge path e adds to the empty path @s(e), so
+    at depth 1 L(f) is constant on the edges that reach each vertex."""
     g = f.graph
     if f.depth == 0:
         f = f.lift(1)
-    k = max(f.depth - 1, 1)
-    out = {}
-    for p in g.paths(k):
-        exts = g.out_edges(p.rng)
-        total = None
-        for e in exts:
-            x = f.value(g.prepend_edge(e, p))
-            if x:
-                total = x if total is None else total + x
-        if total:
-            out[p] = total * Fraction(1, len(exts))
-    return DepthFunction._wrap(g, k, out)
+    sums = {}
+    for q, x in f.values.items():
+        accumulate(sums, g.drop_first(q), x)
+    weight = {v: Fraction(1, len(g.out_edges(v))) for v in {p.rng for p in sums}}
+    out = {p: total * weight[p.rng] for p, total in sums.items()}
+    return DepthFunction._wrap(g, f.depth - 1, out).lift(max(f.depth - 1, 1))
 
 
 def ml_inner(a: DepthFunction, b: DepthFunction) -> DepthFunction:

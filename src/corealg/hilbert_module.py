@@ -79,16 +79,11 @@ class GraphFrameSystem:
     def restrict_edge(self, b: DepthFunction, e: str) -> DepthFunction:
         """The function rho -> b(e.rho) on the cylinder reaching s(e)."""
         g = self.graph
-        v = g.src(e)
-        depth = max(b.depth - 1, 0)
-        out = {}
-        for p in g.paths(depth):
-            if p.rng != v:
-                continue
-            x = b.value(g.prepend_edge(e, p))
-            if x:
-                out[p] = x
-        return DepthFunction._wrap(g, depth, out)
+        if b.depth == 0:
+            x = b.values.get(g.empty_path(g.rng(e)))
+            return DepthFunction._wrap(g, 0, {g.empty_path(g.src(e)): x} if x else {})
+        out = {g.drop_first(q): x for q, x in b.values.items() if q.edges[0] == e}
+        return DepthFunction._wrap(g, b.depth - 1, out)
 
     def act1(self, e: str, b: DepthFunction, f: str) -> DepthFunction:
         if e != f:

@@ -328,6 +328,9 @@ SNAPSHOTS = os.path.join(os.path.dirname(__file__), "snapshots")
     ("module-verify-frames-g3", ("module", "verify-frames", "{g3}")),
     ("module-verify-u-g3-depth3", ("module", "verify-u", "{g3}", "--depth", "3")),
     ("module-crosscheck-g3-level2", ("module", "crosscheck", "{g3}", "--level", "2")),
+    # out-degrees 2 and 1: L averages with a different weight at each vertex
+    ("exel-verify-transfer-g3", ("exel", "verify-transfer", "{g3}", "--depth", "3",
+                                 "--trials", "20")),
 ])
 def test_json_matches_snapshot(capsys, tmp_path, o2_file, name, args):
     # the snapshots hold the --json bytes of these commands with the line

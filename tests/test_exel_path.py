@@ -16,13 +16,25 @@ from corealg.exel_path import (
     transfer_L,
     transfer_identity_check,
 )
-from corealg.graph import bouquet, load_graph
+from corealg.graph import Graph, Path, bouquet, cycle, load_graph
+from corealg.hilbert_module import GraphFrameSystem
 from corealg.scalar import ONE, Radical
 
 
 def test_requires_path_space(single_edge):
     with pytest.raises(ValueError):
         DepthFunction.constant(single_edge, 1)
+
+
+def test_rejects_paths_not_in_the_graph(o2):
+    foreign = bouquet(3).path(["e3"])              # an edge o2 does not have
+    misplaced = Path(("e1",), "w", "v")            # o2's edge, wrong endpoints
+    for p in (foreign, misplaced, Path((), "w", "w"), Path((), "v", "w")):
+        with pytest.raises(ValueError, match="not a path of the graph"):
+            DepthFunction(o2, len(p), {p: 1})
+    with pytest.raises(ValueError, match="not a path of the graph"):
+        DepthFunction.indicator(o2, foreign)
+    assert DepthFunction(o2, 0, {o2.empty_path("v"): 1}).equal(DepthFunction.constant(o2, 1))
 
 
 def test_value_and_lift(o2):
@@ -194,3 +206,111 @@ def test_load_depth_function_accepts_or_raises_value_error(g, text):
     if f.values:
         again, _ = load_depth_function(g, f.text())
         assert again.equal(f)
+
+
+# -- the support-driven operations against the dense loops over all paths ----------
+
+_G3 = load_graph("V a; V b\nE x a a; E y a b; E z b a\n")   # out-degrees 2 and 1
+_DENSE_SYSTEMS = tuple(GraphFrameSystem(g) for g in (bouquet(2), bouquet(3), cycle(2), _G3))
+
+
+def _dense_lift(f, depth):
+    out = {}
+    for p in f.graph.paths(depth):
+        x = f.value(p)
+        if x:
+            out[p] = x
+    return out
+
+
+def _dense_alpha(f):
+    g = f.graph
+    out = {}
+    for p in g.paths(f.depth + 1):
+        x = f.value(g.drop_first(p))
+        if x:
+            out[p] = x
+    return out
+
+
+def _dense_L(f):
+    g = f.graph
+    if f.depth == 0:
+        f = DepthFunction(g, 1, _dense_lift(f, 1))
+    k = max(f.depth - 1, 1)
+    out = {}
+    for p in g.paths(k):
+        exts = g.out_edges(p.rng)
+        total = None
+        for e in exts:
+            x = f.value(g.prepend_edge(e, p))
+            if x:
+                total = x if total is None else total + x
+        if total:
+            out[p] = total * Fraction(1, len(exts))
+    return out
+
+
+def _dense_restrict(b, e):
+    g = b.graph
+    v = g.src(e)
+    out = {}
+    for p in g.paths(max(b.depth - 1, 0)):
+        if p.rng != v:
+            continue
+        x = b.value(g.prepend_edge(e, p))
+        if x:
+            out[p] = x
+    return out
+
+
+# few values, so that sums over the preimages of a path often cancel
+_VALUES = (0, 0, 1, -1, Fraction(1, 2), Radical.sqrt(2), -Radical.sqrt(2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(range(len(_DENSE_SYSTEMS))), st.integers(0, 3),
+       st.lists(st.sampled_from(_VALUES), min_size=27, max_size=27))
+# sums of L that cancel: on O_2 at e1 and e2, on G3 at @a (f(x) + f(y)) and at x
+@example(0, 2, [1, 1, -1, -1] + [0] * 23)
+@example(3, 1, [1, 5, -1] + [0] * 24)
+@example(3, 2, [1, 1, -1, -1, 7] + [0] * 22)
+def test_support_operations_match_dense_loops(index, depth, values):
+    system = _DENSE_SYSTEMS[index]
+    g = system.graph
+    f = DepthFunction(g, depth, dict(zip(g.paths(depth), values)))
+    checks = [(f.lift(m).values, _dense_lift(f, m)) for m in range(depth, 4)]
+    checks.append((alpha_shift(f).values, _dense_alpha(f)))
+    checks.append((transfer_L(f).values, _dense_L(f)))
+    checks += [(system.restrict_edge(f, e).values, _dense_restrict(f, e))
+               for e in g.edge_names]
+    for got, want in checks:
+        assert got == want
+    assert transfer_L(f).depth == max(depth - 1, 1)
+    assert transfer_L(f).text() == DepthFunction(g, max(depth - 1, 1), _dense_L(f)).text()
+
+
+def test_operations_never_list_the_paths(o2, two_cycle, monkeypatch):
+    # every operation but constant, text and the loader reads only the support
+    systems = [GraphFrameSystem(g) for g in (o2, two_cycle, _G3)]
+
+    def listed(self, n):
+        raise AssertionError("Graph.paths(%d) called" % n)
+
+    monkeypatch.setattr(Graph, "paths", listed)
+    for system in systems:
+        g = system.graph
+        e = g.edge_names[0]
+        a = DepthFunction.indicator(g, g.path([e]))
+        ef = g.append_edge(g.path([e]), g.in_edges(g.src(e))[0])
+        b = (DepthFunction.indicator(g, ef) * Fraction(2, 3)
+             + DepthFunction.indicator(g, g.empty_path(g.vertices[0])))
+        assert a.lift(3).depth == 3 and alpha_shift(b).depth == 3
+        assert transfer_L(alpha_shift(a)).equal(a)
+        assert not (a * b).equal(a + b)
+        assert transfer_identity_check(a, b).passed
+        assert transfer_identity_check(b, a).passed
+        for f in (a, b, DepthFunction.indicator(g, g.empty_path(g.vertices[-1]))):
+            for e in g.edge_names:
+                assert system.restrict_edge(f, e).depth == max(f.depth - 1, 0)
+                system.act1(e, f, e)
