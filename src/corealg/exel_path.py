@@ -20,9 +20,9 @@ from .util import CheckReport, accumulate
 _ZERO = Fraction(0)
 
 # The most paths of one length a loaded function may range over: the loader
-# warns once per unlisted path, and `constant` and `text` walk all paths of
-# their depth (the other operations read only the stored support).  On the
-# two-loop bouquet this admits depth 16, not 17.
+# warns once per unlisted path, and `constant` walks all paths of its depth
+# (every other operation, `text` included, reads only the stored support).
+# On the two-loop bouquet this admits depth 16, not 17.
 PATH_LIMIT = 2**16
 
 
@@ -50,8 +50,8 @@ def _as_scalar(x):
 class DepthFunction:
     """Function determined by length-k path prefixes, with Fraction or
     Radical values.  `values` holds the support: the length-k paths of the
-    graph with a nonzero value; every operation but `constant` and `text`
-    reads only the support."""
+    graph with a nonzero value; every operation but `constant` reads only
+    the support."""
 
     __slots__ = ("graph", "depth", "values")
 
@@ -179,11 +179,11 @@ class DepthFunction:
         return "DepthFunction(depth=%d, %d nonzero)" % (self.depth, len(self.values))
 
     def text(self) -> str:
-        lines = []
-        for p in self.graph.paths(self.depth):
-            x = self.values.get(p)
-            if x:
-                lines.append("F %s %s" % (p.text(), x.text() if isinstance(x, Radical) else x))
+        """One `F <path> <value>` line per supported path, in the order of
+        Graph.paths: by range vertex, then by edge names."""
+        lines = ["F %s %s" % (p.text(), x.text() if isinstance(x, Radical) else x)
+                 for p, x in sorted(self.values.items(),
+                                    key=lambda px: (px[0].rng, px[0].edges))]
         return "\n".join(lines) + "\n" if lines else ""
 
 

@@ -538,16 +538,40 @@ def _check_restriction(sys, degree: int) -> bool:
     return True
 
 
+def _u_star_columns(sys, degree: int):
+    """U*(F_v) for every word v of length degree+1, in product order, and the
+    inverse index u -> positions of the v whose U*(F_v) has a coordinate at
+    u.  Computed once per system and degree."""
+    def compute():
+        columns = tuple((v, U_star_map(sys, ModuleElement.basis_word(sys, v)))
+                        for v in product(sys.indices, repeat=degree + 1))
+        reach: dict[tuple, list] = {}
+        for pos, (_, back) in enumerate(columns):
+            for u in back.coords:
+                reach.setdefault(u, []).append(pos)
+        return columns, MappingProxyType(reach)
+    return sys.memo.get(("U* columns", degree), compute)
+
+
 def conj_beta(T: CompactOp) -> CompactOp:
     """U_i T U_i*, one degree up.  The compatibility of consecutive V's
     (U at degree i+1 restricting to U at degree i on simple tensors) is
     verified on the coordinate basis before conjugating, once per system
-    and degree; a failed check is not remembered and raises on every call."""
+    and degree; a failed check is not remembered and raises on every call.
+
+    Column v of the result is U T U*(F_v).  The vectors U*(F_v) are
+    memoized per system and degree, and only the columns whose U*(F_v) has
+    a coordinate at a column word of T are computed: T sends every other
+    one to zero.  Columns are visited in product order, so the entries keep
+    the order of the all-columns loop."""
     sys = T.system
     sys.memo.get(("restricts", T.degree), lambda: _check_restriction(sys, T.degree))
+    columns, reach = _u_star_columns(sys, T.degree)
+    hit = {pos for _, u in T.entries for pos in reach.get(u, ())}
     entries: dict[tuple, object] = {}
-    for v in product(sys.indices, repeat=T.degree + 1):
-        col = U_map(sys, T.apply(U_star_map(sys, ModuleElement.basis_word(sys, v))))
+    for pos in sorted(hit):
+        v, back = columns[pos]
+        col = U_map(sys, T.apply(back))
         for w, c in col.coords.items():
             entries[(w, v)] = c
     return CompactOp(sys, T.degree + 1, entries)

@@ -229,35 +229,34 @@ def almost_faithful_witness(sys: UhfSystem, a: TensorElement):
 # -- graded prefix model --------------------------------------------------------
 
 
-def apply_tensor(a: TensorElement, vec: dict[Word, Radical]) -> dict[Word, Radical]:
-    """Apply a as a matrix on the first depth(a) letters of each basis word."""
-    out: dict[Word, Radical] = {}
-    j = a.k
-    for x, c in vec.items():
-        if len(x) < j:
-            raise ValueError("word %r shorter than the element depth %d" % (x, j))
-        head, tail = x[:j], x[j:]
-        for (mu, nu), val in a.entries.items():
-            if nu != head:
-                continue
-            accumulate(out, mu + tail, val * c)
-    return out
+def _by_column(a: TensorElement) -> dict[Word, list]:
+    """The entries of a grouped by column word: nu -> [(mu, value), ...]."""
+    cols: dict[Word, list] = {}
+    for (mu, nu), c in a.entries.items():
+        cols.setdefault(nu, []).append((mu, c))
+    return cols
 
 
 def prefix_rep_sweep(sys: UhfSystem, a: TensorElement, m: int) -> CheckReport:
     """Compare (pi(L(a)) d_x | d_y) with the average of (pi(a) d_ix | d_iy)
     over the first N letters i, in the length-m prefix model.  Every x of
-    length m is checked; comparing the full image vectors covers every y."""
+    length m is checked; comparing the full image vectors covers every y.
+    The entries of a and L(a) are grouped by column once, so each image
+    vector reads only the entries whose column is a prefix of its word."""
     report = CheckReport("prefix model sweep (depth %d, m=%d)" % (a.k, m))
     if m < a.k + 1:
         raise ValueError("m=%d too small for depth %d; need m >= depth+1" % (m, a.k))
     la = uhf_L(sys, a)
-    scale = Fraction(1, sys.N)
+    la_cols, a_cols = _by_column(la), _by_column(a)
+    j, k = la.k, a.k
+    scale = Radical.from_rational(Fraction(1, sys.N))
     for x in words(sys.n, m):
-        lhs = apply_tensor(la, {x: ONE})
+        lhs = {mu + x[j:]: c for mu, c in la_cols.get(x[:j], ())}
         rhs: dict[Word, Radical] = {}
         for i in range(1, sys.N + 1):
-            for u, c in apply_tensor(a, {(i,) + x: ONE}).items():
+            ix = (i,) + x
+            for mu, c in a_cols.get(ix[:k], ()):
+                u = mu + ix[k:]
                 if u[0] == i:
                     accumulate(rhs, u[1:], c * scale)
         report.count()
@@ -285,9 +284,22 @@ def canonical_cuntz_family(sys: UhfSystem) -> tuple[Graph, dict]:
 
 
 def verify_cuntz_family(family: dict) -> None:
-    """Isometries with orthogonal ranges summing to the identity."""
-    some = next(iter(family.values()))
-    g = some.graph
+    """Isometries with orthogonal ranges summing to the identity.
+
+    A family that passes is recorded in its graph's memo under its content
+    (each index with its terms), so verifying it again costs one lookup; a
+    different or corrupted family over the same graph gets the full check,
+    and a failure is never remembered."""
+    if not family:
+        raise CuntzFamilyError("empty family")
+    g = next(iter(family.values())).graph
+    if any(S.graph is not g for S in family.values()):
+        raise CuntzFamilyError("family members live over different graphs")
+    key = frozenset((index, frozenset(S.items())) for index, S in family.items())
+    g.memo.get(("cuntz family", key), lambda: _check_cuntz_family(g, family))
+
+
+def _check_cuntz_family(g: Graph, family: dict) -> bool:
     one = unit(g)
     zero = StarElement.zero(g)
     for a, S in family.items():
@@ -302,32 +314,46 @@ def verify_cuntz_family(family: dict) -> None:
         total = total + S * S.adjoint()
     if not total.equal(one):
         raise CuntzFamilyError("sum of range projections differs from 1")
+    return True
+
+
+def _word_isometries(family: dict):
+    """T_{mu lam} = T_(mu_1, lam_1) ... T_(mu_k, lam_k), each product made
+    once per returned function and kept in its cache."""
+    cache: dict[tuple[Word, Word], StarElement] = {}
+
+    def word_isometry(mu: Word, lam: Word) -> StarElement:
+        key = (mu, lam)
+        got = cache.get(key)
+        if got is None:
+            got = family[(mu[0], lam[0])]
+            for t in range(1, len(mu)):
+                got = got * family[(mu[t], lam[t])]
+            cache[key] = got
+        return got
+
+    return word_isometry
+
+
+def _require_indexed(sys: UhfSystem, family: dict) -> None:
+    if set(family) != set(sys.indices()):
+        raise ValueError("family must be indexed by the (i, j) pairs of the system")
 
 
 def pi_T(sys: UhfSystem, family: dict, a: TensorElement, trusted: bool = False) -> StarElement:
     """Send e_{mu nu} (x) 1 to sum_lambda T_{mu lambda} T_{nu lambda}^* with
     lambda running over {1..N}^depth."""
-    if set(family) != set(sys.indices()):
-        raise ValueError("family must be indexed by the (i, j) pairs of the system")
+    _require_indexed(sys, family)
     if not trusted:
         verify_cuntz_family(family)
+    return _pi_T(sys, family, a, _word_isometries(family))
+
+
+def _pi_T(sys: UhfSystem, family: dict, a: TensorElement, word_isometry) -> StarElement:
     g = next(iter(family.values())).graph
     if a.k == 0:
         c = a.entries.get(((), ()), Radical())
         return unit(g) * c if c else StarElement.zero(g)
-
-    prod_cache: dict[tuple[Word, Word], StarElement] = {}
-
-    def word_isometry(mu: Word, lam: Word) -> StarElement:
-        key = (mu, lam)
-        got = prod_cache.get(key)
-        if got is None:
-            got = family[(mu[0], lam[0])]
-            for t in range(1, len(mu)):
-                got = got * family[(mu[t], lam[t])]
-            prod_cache[key] = got
-        return got
-
     out = StarElement.zero(g)
     lams = words(sys.N, a.k)
     for (mu, nu), c in a.entries.items():
@@ -338,23 +364,32 @@ def pi_T(sys: UhfSystem, family: dict, a: TensorElement, trusted: bool = False) 
 
 def pi_T_report(sys: UhfSystem, family: dict, a: TensorElement) -> CheckReport:
     """Unitality plus the compression relation
-    T_ij* pi(a) T_kl = pi(<E_ij, a E_kl>) for every pair of indices."""
+    T_ij* pi(a) T_kl = pi(<E_ij, a E_kl>) for every pair of indices.
+
+    The family is verified (once per family, see verify_cuntz_family), the
+    images share one cache of word isometries, and the factors T_ij* pi(a)
+    and e_ji a are formed once per (i, j) and reused for every (k, l)."""
     report = CheckReport("pi_T relations at depth %d" % a.k)
     verify_cuntz_family(family)
+    _require_indexed(sys, family)
     g = next(iter(family.values())).graph
+    word_isometry = _word_isometries(family)
     report.count()
-    if not pi_T(sys, family, TensorElement.identity(sys.n, 1), trusted=True).equal(unit(g)):
+    if not _pi_T(sys, family, TensorElement.identity(sys.n, 1), word_isometry).equal(unit(g)):
         report.fail("pi_T(1) differs from 1")
-    image = pi_T(sys, family, a, trusted=True)
+    image = _pi_T(sys, family, a, word_isometry)
+    right = {kl: sys.matrix_unit(*kl) for kl in sys.indices()}
     for (i, j) in sys.indices():
-        for (k, l) in sys.indices():
-            lhs = family[(i, j)].adjoint() * image * family[(k, l)]
-            inner = uhf_L(sys, sys.matrix_unit(j, i) * a * sys.matrix_unit(k, l)) * sys.N
-            rhs = pi_T(sys, family, inner, trusted=True)
+        left = family[(i, j)].adjoint() * image
+        ea = sys.matrix_unit(j, i) * a
+        for kl, e_kl in right.items():
+            lhs = left * family[kl]
+            inner = uhf_L(sys, ea * e_kl) * sys.N
+            rhs = _pi_T(sys, family, inner, word_isometry)
             report.count()
             if not lhs.equal(rhs):
                 report.fail("compression relation fails at ij=%s kl=%s for a=\n%s"
-                            % ((i, j), (k, l), a.text()))
+                            % ((i, j), kl, a.text()))
     return report
 
 

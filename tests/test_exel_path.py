@@ -290,6 +290,31 @@ def test_support_operations_match_dense_loops(index, depth, values):
     assert transfer_L(f).text() == DepthFunction(g, max(depth - 1, 1), _dense_L(f)).text()
 
 
+def _paths_text(f):
+    """text() as the loop over Graph.paths(depth) writes it."""
+    lines = []
+    for p in f.graph.paths(f.depth):
+        x = f.values.get(p)
+        if x:
+            lines.append("F %s %s" % (p.text(), x.text() if isinstance(x, Radical) else x))
+    return "\n".join(lines) + "\n" if lines else ""
+
+
+# vertices and edges declared against name order, edge names against vertex order
+_UNSORTED = load_graph("V b; V a\nE z a b; E y b a; E x a a; E w b b; E v b a\n")
+_TEXT_GRAPHS = (bouquet(2), bouquet(3), cycle(2), _G3, _UNSORTED)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(range(len(_TEXT_GRAPHS))), st.integers(0, 3),
+       st.lists(st.sampled_from(_VALUES), min_size=81, max_size=81))
+def test_text_matches_the_paths_loop(index, depth, values):
+    g = _TEXT_GRAPHS[index]
+    paths = g.paths(depth)
+    f = DepthFunction(g, depth, dict(zip(reversed(paths), values)))
+    assert f.text() == _paths_text(f)
+
+
 def test_operations_never_list_the_paths(o2, two_cycle, monkeypatch):
     # every operation but constant, text and the loader reads only the support
     systems = [GraphFrameSystem(g) for g in (o2, two_cycle, _G3)]

@@ -5,10 +5,12 @@ import gc
 import sys
 import threading
 import weakref
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
+from conftest import two_vertex_graphs
 from corealg import hilbert_module
 
 from corealg.core_endo import CoreEndo
@@ -39,6 +41,8 @@ from corealg.hilbert_module import (
 from corealg.scalar import ONE, Radical
 from corealg.star_algebra import matrix_unit
 from corealg.uhf_cuntz import TensorElement, UhfSystem
+
+G3_TEXT = "V a; V b\nE x a a; E y a b; E z b a\n"   # out-degrees 2 and 1
 
 
 @pytest.fixture
@@ -213,7 +217,7 @@ def test_theta_composition_rule(gsys):
 
 _FRAME_SYSTEMS = {
     "graph-O2": lambda: GraphFrameSystem(bouquet(2)),
-    "graph-G3": lambda: GraphFrameSystem(load_graph("V a; V b\nE x a a; E y a b; E z b a\n")),
+    "graph-G3": lambda: GraphFrameSystem(load_graph(G3_TEXT)),
     "tensor-2-1": lambda: UhfFrameSystem(UhfSystem(2, 1)),
     "tensor-3-2": lambda: UhfFrameSystem(UhfSystem(3, 2)),
 }
@@ -297,6 +301,70 @@ def test_conj_beta_matches_endo(o2):
     word = compact_to_star(out)
     expected = CoreEndo(o2).beta(matrix_unit(o2, mu, nu))
     assert word.equal(expected)
+
+
+# -- conj_beta against the loop over every column --------------------------------------
+
+
+def _all_columns_conj_beta(T):
+    """The conjugation loop that computes every column U T U*(F_v)."""
+    sys = T.system
+    entries = {}
+    for v in product(sys.indices, repeat=T.degree + 1):
+        col = U_map(sys, T.apply(U_star_map(sys, ModuleElement.basis_word(sys, v))))
+        for w, c in col.coords.items():
+            entries[(w, v)] = c
+    return CompactOp(sys, T.degree + 1, entries)
+
+
+def _operators(system, degree: int, step: int = 1):
+    """Rank-one thetas of basis words and of a scaled word, their sums,
+    adjoints and products, on every step-th pair of words."""
+    words = list(product(system.indices, repeat=degree))
+    pairs = [(w, v) for w in words for v in words][::step]
+    coeff = Radical.from_rational(Fraction(-3, 2)) + Radical.sqrt(2)
+    thetas = [CompactOp.from_theta(ModuleElement.basis_word(system, w),
+                                   ModuleElement.basis_word(system, v)) for w, v in pairs]
+    ops = list(thetas)
+    for (w, v), t, s in zip(pairs, thetas, thetas[1:] + thetas[:1]):
+        ops.append(t.add(s))
+        ops.append(t.adjoint())
+        ops.append(t.compose(s.adjoint()))
+        ops.append(CompactOp.from_theta(ModuleElement.basis_word(system, w).scale(coeff),
+                                        ModuleElement.basis_word(system, v)))
+    return ops
+
+
+def _assert_same_conj_beta(ops):
+    for T in ops:
+        got, want = conj_beta(T), _all_columns_conj_beta(T)
+        assert list(got.entries) == list(want.entries)
+        assert all(c.equal(want.entries[key]) for key, c in got.entries.items())
+
+
+def test_conj_beta_matches_all_columns_on_a04_graphs():
+    for _, g in two_vertex_graphs(4):
+        _assert_same_conj_beta(_operators(GraphFrameSystem(g), 1))
+
+
+@pytest.mark.parametrize("make, degree, step", [
+    (lambda: GraphFrameSystem(bouquet(3)), 2, 1),
+    (lambda: GraphFrameSystem(load_graph(G3_TEXT)), 2, 1),
+    (lambda: UhfFrameSystem(UhfSystem(2, 1)), 1, 1),
+    (lambda: UhfFrameSystem(UhfSystem(3, 2)), 1, 3),
+], ids=["O_3", "G3", "uhf-2-1", "uhf-3-2"])
+def test_conj_beta_matches_all_columns(make, degree, step):
+    _assert_same_conj_beta(_operators(make(), degree, step))
+
+
+def test_conj_beta_with_a_warm_memo_calls_no_u_star(monkeypatch):
+    system = GraphFrameSystem(load_graph(G3_TEXT))
+    ops = _operators(system, 2, 5)
+    conj_beta(ops[0])
+    calls = _count_calls(monkeypatch, hilbert_module, "U_star_map")
+    images = [conj_beta(T) for T in ops]
+    assert calls == []
+    assert any(len(im.entries) > 1 for im in images)
 
 
 def test_beta_crosscheck_levels(o2, two_cycle):

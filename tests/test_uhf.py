@@ -1,12 +1,14 @@
 """Tensor towers, the corner transfer operator, and the isometry dictionary."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
+from corealg import uhf_cuntz
 from corealg.graph import bouquet
 from corealg.scalar import ONE, Radical
-from corealg.star_algebra import matrix_unit, unit
+from corealg.star_algebra import StarElement, matrix_unit, unit
 from corealg.uhf_cuntz import (
     CuntzFamilyError,
     TensorElement,
@@ -26,6 +28,7 @@ from corealg.uhf_cuntz import (
     verify_cuntz_family,
     words,
 )
+from corealg.util import CheckReport, accumulate
 
 
 def e(n, mu, nu, c=1):
@@ -191,6 +194,177 @@ def test_prefix_model():
     assert report.passed, report.lines()
     assert report.checks > 0
 
+
+def _count_products(monkeypatch) -> list:
+    """Count StarElement word products for the test."""
+    calls = []
+    inner = StarElement._product
+
+    def counting(self, other):
+        calls.append(1)
+        return inner(self, other)
+
+    monkeypatch.setattr(StarElement, "_product", counting)
+    return calls
+
+
+def test_empty_family_raises():
+    sys = UhfSystem(2, 1)
+    with pytest.raises(CuntzFamilyError, match="empty family"):
+        verify_cuntz_family({})
+    with pytest.raises(CuntzFamilyError, match="empty family"):
+        pi_T_report(sys, {}, e(2, [1], [2]))
+
+
+def test_verified_family_is_remembered_by_content(monkeypatch):
+    products = _count_products(monkeypatch)
+    g, family = canonical_cuntz_family(UhfSystem(2, 1))
+    verify_cuntz_family(family)
+    first = len(products)
+    assert first > 0
+    verify_cuntz_family(dict(family))
+    assert len(products) == first
+    bad = dict(family)
+    bad[(1, 1)] = bad[(2, 1)]
+    for _ in range(3):
+        with pytest.raises(CuntzFamilyError):
+            verify_cuntz_family(bad)
+        assert len(products) > first
+        first = len(products)
+
+
+def test_family_over_two_graphs_rejected():
+    _, family = canonical_cuntz_family(UhfSystem(2, 1))
+    _, other = canonical_cuntz_family(UhfSystem(2, 1))
+    mixed = dict(family)
+    mixed[(2, 1)] = other[(2, 1)]
+    with pytest.raises(CuntzFamilyError, match="different graphs"):
+        verify_cuntz_family(mixed)
+
+
+def test_pi_T_report_product_count(monkeypatch):
+    # each word product of one report on (3,2), the family's verification
+    # included: 152 with T_ij* pi(a) T_kl, e_ji a e_kl and the word
+    # isometries formed anew for every (k, l) and every image, 122 now
+    sys = UhfSystem(3, 2)
+    _, family = canonical_cuntz_family(sys)
+    a = TensorElement(3, 2, {((1, 2), (2, 1)): 1, ((3, 1), (1, 1)): Fraction(-1, 2)})
+    products = _count_products(monkeypatch)
+    assert pi_T_report(sys, family, a).passed
+    assert len(products) == 122
+
+
+# -- pi_T_report and prefix_rep_sweep against the loops they replace ---------------
+
+
+def _loop_pi_T_report(sys, family, a):
+    """The compression check with every product formed inside the (k, l) loop."""
+    report = CheckReport("pi_T relations at depth %d" % a.k)
+    verify_cuntz_family(family)
+    g = next(iter(family.values())).graph
+    report.count()
+    if not pi_T(sys, family, TensorElement.identity(sys.n, 1), trusted=True).equal(unit(g)):
+        report.fail("pi_T(1) differs from 1")
+    image = pi_T(sys, family, a, trusted=True)
+    for (i, j) in sys.indices():
+        for (k, l) in sys.indices():
+            lhs = family[(i, j)].adjoint() * image * family[(k, l)]
+            inner = uhf_cuntz.uhf_L(sys, sys.matrix_unit(j, i) * a * sys.matrix_unit(k, l)) * sys.N
+            rhs = pi_T(sys, family, inner, trusted=True)
+            report.count()
+            if not lhs.equal(rhs):
+                report.fail("compression relation fails at ij=%s kl=%s for a=\n%s"
+                            % ((i, j), (k, l), a.text()))
+    return report
+
+
+def _apply_tensor(a, vec):
+    out = {}
+    j = a.k
+    for x, c in vec.items():
+        head, tail = x[:j], x[j:]
+        for (mu, nu), val in a.entries.items():
+            if nu == head:
+                accumulate(out, mu + tail, val * c)
+    return out
+
+
+def _loop_prefix_rep_sweep(sys, a, m):
+    """The prefix sweep reading every entry of a and L(a) for every word."""
+    report = CheckReport("prefix model sweep (depth %d, m=%d)" % (a.k, m))
+    la = uhf_cuntz.uhf_L(sys, a)
+    scale = Fraction(1, sys.N)
+    for x in words(sys.n, m):
+        lhs = _apply_tensor(la, {x: ONE})
+        rhs = {}
+        for i in range(1, sys.N + 1):
+            for u, c in _apply_tensor(a, {(i,) + x: ONE}).items():
+                if u[0] == i:
+                    accumulate(rhs, u[1:], c * scale)
+        report.count()
+        if lhs != rhs:
+            bad = sorted(set(lhs) | set(rhs))[0]
+            report.fail("x=%r first mismatch at y=%r: lhs=%s rhs=%s"
+                        % (x, bad, lhs.get(bad, Radical()).text(),
+                           rhs.get(bad, Radical()).text()))
+    return report
+
+
+def _elements(sys, seed):
+    """Matrix units of depth 1 (and 2 for n = 2), then seeded random
+    elements of depths 0 to 2 with rational and radical entries."""
+    n = sys.n
+    out = [e(n, mu, nu) for k in ((1, 2) if n == 2 else (1,))
+           for mu in words(n, k) for nu in words(n, k)]
+    rnd = random.Random(seed)
+    values = (1, -1, Fraction(1, 3), Fraction(-5, 2), Radical.sqrt(2), Radical.sqrt(3) * 2)
+    for k in (0, 1, 2, 2, 2):
+        ws = words(n, k)
+        out.append(TensorElement(n, k, {(rnd.choice(ws), rnd.choice(ws)): rnd.choice(values)
+                                        for _ in range(3)}))
+    return out
+
+
+_TENSOR_SYSTEMS = [(2, 1), (2, 2), (3, 2)]
+
+
+def _assert_reports_match_loops(sys, elements):
+    _, family = canonical_cuntz_family(sys)
+    for a in elements:
+        assert pi_T_report(sys, family, a).lines() == _loop_pi_T_report(sys, family, a).lines()
+        for m in range(a.k + 1, a.k + 3):
+            assert (prefix_rep_sweep(sys, a, m).lines()
+                    == _loop_prefix_rep_sweep(sys, a, m).lines())
+
+
+@pytest.mark.parametrize("nN", _TENSOR_SYSTEMS, ids=str)
+def test_reports_match_the_loops(nN):
+    sys = UhfSystem(*nN)
+    _assert_reports_match_loops(sys, _elements(sys, seed=sum(nN)))
+
+
+@pytest.mark.parametrize("nN", _TENSOR_SYSTEMS, ids=str)
+def test_planted_failures_match_the_loops(monkeypatch, nN):
+    # L with its least nonzero entry doubled: both routes must fail at the
+    # same places and print the same witnesses in the same order
+    original = uhf_cuntz.uhf_L
+
+    def planted(sys, a):
+        out = original(sys, a)
+        if not out.entries:
+            return out
+        entries = dict(out.entries)
+        key = min(entries)
+        entries[key] = entries[key] * 2
+        return TensorElement(out.n, out.k, entries)
+
+    monkeypatch.setattr(uhf_cuntz, "uhf_L", planted)
+    sys = UhfSystem(*nN)
+    elements = _elements(sys, seed=7)[-4:]
+    _, family = canonical_cuntz_family(sys)
+    assert not any(pi_T_report(sys, family, a).passed for a in elements[1:])
+    assert not all(prefix_rep_sweep(sys, a, a.k + 1).passed for a in elements)
+    _assert_reports_match_loops(sys, elements)
 
 def test_almost_faithful_witness():
     sys = UhfSystem(2, 1)
