@@ -328,13 +328,13 @@ SNAPSHOTS = os.path.join(os.path.dirname(__file__), "snapshots")
     ("module-verify-frames-g3", ("module", "verify-frames", "{g3}")),
     ("module-verify-u-g3-depth3", ("module", "verify-u", "{g3}", "--depth", "3")),
     ("module-crosscheck-g3-level2", ("module", "crosscheck", "{g3}", "--level", "2")),
+    # out-degrees 2 and 1: L averages with a different weight at each vertex
+    ("exel-verify-transfer-g3", ("exel", "verify-transfer", "{g3}", "--depth", "3",
+                                 "--trials", "20")),
     # conj_beta at degree 3 over two vertices, where most columns are empty
     ("module-crosscheck-g3-level3", ("module", "crosscheck", "{g3}", "--level", "3")),
     # pi_T relations with N = n and a depth-3 prefix sweep
     ("uhf-demo-n3-N3-depth3", ("uhf", "demo", "--n", "3", "--N", "3", "--depth", "3")),
-    # out-degrees 2 and 1: L averages with a different weight at each vertex
-    ("exel-verify-transfer-g3", ("exel", "verify-transfer", "{g3}", "--depth", "3",
-                                 "--trials", "20")),
 ])
 def test_json_matches_snapshot(capsys, tmp_path, o2_file, name, args):
     # the snapshots hold the --json bytes of these commands with the line
