@@ -401,10 +401,7 @@ def cmd_uhf_demo(args, report: RunReport) -> None:
     report.add(uc.prefix_rep_sweep(sys_, a, args.depth + 1))
     report.add(uc.iso_generators_check(sys_))
 
-    diag = uc.TensorElement(n, 0)
-    for i in range(1, cap + 1):
-        diag = diag + uc.TensorElement.unit_entry(n, (i,), (i,))
-    rsys, _, rrep = uc.rank_rescale(n, 1, diag)
+    rsys, _, rrep = uc.rank_rescale(n, 1, p)
     report.add(rrep)
     report.say("rank data reproduces n=%d, N=%d" % (rsys.n, rsys.N))
 

@@ -87,7 +87,7 @@ class LatticeSystem:
             raise ValueError("need dimension at least 1")
         self.B = tuple(tuple(int(x) for x in row) for row in b)
         # raises first on a matrix that is not square or is singular
-        self.H, self.U = hermite_normal_form([list(row) for row in self.B])
+        self.H, _ = hermite_normal_form([list(row) for row in self.B])
         rows = [list(row) + [int(i == j) for j in range(self.d)]
                 for i, row in enumerate(self.B)]
         self._det = bareiss(rows, self.d)

@@ -243,19 +243,14 @@ def load_graph(text: str) -> Graph:
                 edges.append((name, src, rng))
             else:
                 raise GraphFormatError("line %d: cannot parse %r" % (lineno, stmt.strip()))
-    try:
-        return Graph(vertices, edges)
-    except GraphFormatError:
-        raise
-    except ValueError as exc:
-        raise GraphFormatError(str(exc)) from exc
+    return Graph(vertices, edges)
 
 
-def bouquet(n: int, vertex: str = "v") -> Graph:
-    """Single vertex with n loops e1..en."""
+def bouquet(n: int) -> Graph:
+    """Single vertex v with n loops e1..en."""
     if n < 1:
         raise ValueError("bouquet needs at least one loop")
-    return Graph([vertex], [("e%d" % i, vertex, vertex) for i in range(1, n + 1)])
+    return Graph(["v"], [("e%d" % i, "v", "v") for i in range(1, n + 1)])
 
 
 def cycle(n: int) -> Graph:

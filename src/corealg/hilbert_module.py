@@ -30,7 +30,7 @@ from .core_endo import CoreEndo
 from .exel_path import DepthFunction, alpha_shift, transfer_L
 from .graph import Graph, Path
 from .scalar import ONE, Radical, scalar
-from .star_algebra import StarElement, matrix_unit, unit
+from .star_algebra import StarElement, matrix_unit, path_isometry, unit
 from .uhf_cuntz import TensorElement, UhfSystem, uhf_L, uhf_alpha
 from .uhf_cuntz import words as tensor_words
 from .util import CheckReport, Memo, accumulate
@@ -307,20 +307,14 @@ def tensor(m1: ModuleElement, m2: ModuleElement) -> ModuleElement:
 
 
 def canonical_frame(system) -> CheckReport:
-    """The Gram identities <F_i, F_j> of the system's standard frame."""
+    """The Gram identities of the system's standard frame: the entry
+    <F_i, F_j> that the left action reads, act1(i, 1, j), equals the
+    module inner product L(f_i^* f_j) of the frame representatives."""
     report = CheckReport("frame Gram identities")
     for i in system.indices:
         for j in system.indices:
             got = system.act1(i, system.unit(), j)
-            if system.kind == "graph":
-                if i == j:
-                    v = system.graph.src(i)
-                    expected = DepthFunction(system.graph, 0,
-                                             {system.graph.empty_path(v): ONE})
-                else:
-                    expected = system.zero()
-            else:
-                expected = system.unit() if i == j else system.zero()
+            expected = system.L(system.frame_rep(i).adjoint() * system.frame_rep(j))
             report.count()
             if not got.equal(expected):
                 report.fail("gram(%s, %s) = %s" % (i, j, system.a_text(got)))
@@ -412,7 +406,7 @@ def build_U(system, depth: int) -> tuple[ModuleElement, CheckReport]:
     return u, report
 
 
-def u_isometry_report(system, degree: int, with_module_identities: bool = True) -> CheckReport:
+def u_isometry_report(system, degree: int) -> CheckReport:
     """U_i* U_i = 1 on the degree-i coordinate basis, plus the two module
     identities tying U_i to alpha and L on degree-1 generators."""
     report = CheckReport("U_%d isometry" % degree)
@@ -422,21 +416,20 @@ def u_isometry_report(system, degree: int, with_module_identities: bool = True) 
         report.count()
         if not U_star_map(system, U_map(system, m)).equal(m):
             report.fail("U*U fails on the basis word %r" % (w,))
-    if with_module_identities:
-        for a in system.basis(1):
-            for w in basis_words:
-                m = ModuleElement.basis_word(system, w)
-                lhs = U_map(system, left_act(system, a, m))
-                rhs = tensor(ModuleElement.from_algebra(system, system.alpha(a)), m)
-                report.count()
-                if not lhs.equal(rhs):
-                    report.fail("U(a.m) differs from q(alpha(a)) (x) m at %r" % (w,))
-                qa = ModuleElement.from_algebra(system, a)
-                lhs2 = U_star_map(system, tensor(qa, m))
-                rhs2 = left_act(system, system.L(a), m)
-                report.count()
-                if not lhs2.equal(rhs2):
-                    report.fail("U*(q(a) (x) m) differs from L(a).m at %r" % (w,))
+    for a in system.basis(1):
+        for w in basis_words:
+            m = ModuleElement.basis_word(system, w)
+            lhs = U_map(system, left_act(system, a, m))
+            rhs = tensor(ModuleElement.from_algebra(system, system.alpha(a)), m)
+            report.count()
+            if not lhs.equal(rhs):
+                report.fail("U(a.m) differs from q(alpha(a)) (x) m at %r" % (w,))
+            qa = ModuleElement.from_algebra(system, a)
+            lhs2 = U_star_map(system, tensor(qa, m))
+            rhs2 = left_act(system, system.L(a), m)
+            report.count()
+            if not lhs2.equal(rhs2):
+                report.fail("U*(q(a) (x) m) differs from L(a).m at %r" % (w,))
     return report
 
 
@@ -586,23 +579,14 @@ def compact_to_star(T: CompactOp) -> StarElement:
     g = sys.graph
     out = StarElement.zero(g)
     for (w, v), b in T.entries.items():
-        tw = _word_isometry(g, w)
-        if tw is None:
-            continue
-        tv = _word_isometry(g, v)
-        if tv is None:
+        try:
+            tw, tv = path_isometry(g, g.path(w)), path_isometry(g, g.path(v))
+        except ValueError:
+            # a word that is not a path of g has the zero isometry
             continue
         mid = StarElement(g, {(lam, lam): scalar(c) for lam, c in b.values.items()})
         out = out + tw * mid * tv.adjoint()
     return out
-
-
-def _word_isometry(g: Graph, w: tuple):
-    try:
-        p = g.path(list(w))
-    except ValueError:
-        return None
-    return matrix_unit(g, p, g.empty_path(p.src))
 
 
 def beta_crosscheck(g: Graph, mu: Path, nu: Path) -> CheckReport:
@@ -642,9 +626,10 @@ def beta_crosscheck(g: Graph, mu: Path, nu: Path) -> CheckReport:
 # -- frame-induced representation -----------------------------------------------------
 
 
-def frame_rep_psi(system, family: dict, pi, gens=None, elements=None):
+def frame_rep_psi(system, family: dict, pi):
     """psi(m) = sum_i S_i pi(<F_i, m>) for degree-1 m, with the covariance
-    package verified on the supplied generators.
+    package verified on the generators 1 and the degree-1 basis, and on the
+    elements F_i and q(b) for the first two basis elements b.
 
     family maps each frame index to an isometry in a target word algebra and
     pi is a unital homomorphism from the coefficient algebra to that algebra.
@@ -654,11 +639,9 @@ def frame_rep_psi(system, family: dict, pi, gens=None, elements=None):
     some = next(iter(family.values()))
     g_t = some.graph
     one = unit(g_t)
-    if gens is None:
-        gens = [system.unit()] + system.basis(1)
-    if elements is None:
-        elements = [ModuleElement.basis_word(system, (i,)) for i in indices]
-        elements += [ModuleElement.from_algebra(system, b) for b in gens[1:3]]
+    gens = [system.unit()] + system.basis(1)
+    elements = [ModuleElement.basis_word(system, (i,)) for i in indices]
+    elements += [ModuleElement.from_algebra(system, b) for b in gens[1:3]]
 
     def psi(m: ModuleElement) -> StarElement:
         if m.degree != 1:

@@ -17,8 +17,6 @@ from .graph import Graph
 from .star_algebra import StarElement, matrix_unit
 from .util import CheckReport, bareiss
 
-IntMatrix = "list[list[int]]"
-
 
 class StabilizationError(RuntimeError):
     """Consecutive stages disagreed where the inductive system should have settled."""
@@ -287,20 +285,18 @@ class GraphKTheory:
     report: CheckReport
 
 
-def graph_k_theory(g: Graph, stages: int = 2) -> GraphKTheory:
+def graph_k_theory(g: Graph) -> GraphKTheory:
     """K-groups of the crossed product of the stationary core by its shift.
 
     The stage group is Z^{vertices}; the inclusion of consecutive cores acts
     by the expansion-multiplicity matrix and the shift acts by the trace
-    matrix of shifted minimal projections.  Both are computed symbolically,
-    stage by stage, and the stabilization of the resulting presentations is
-    checked rather than assumed."""
+    matrix of shifted minimal projections.  Both are computed symbolically
+    at stages 1 and 2, and the stabilization of the resulting presentations
+    is checked rather than assumed."""
     if not g.all_regular:
         raise ValueError("every vertex must receive an edge")
     if not g.beta_admissible:
         raise ValueError("every vertex must emit an edge")
-    if stages < 1:
-        raise ValueError("need at least one stage")
     report = CheckReport("stationary K-theory of %d vertices" % len(g.vertices))
     verts, a = vertex_matrix(g)
     c = _connecting_matrix(g, verts)
@@ -309,16 +305,16 @@ def graph_k_theory(g: Graph, stages: int = 2) -> GraphKTheory:
         report.fail("symbolic expansion disagrees with the transposed vertex matrix")
 
     n = len(verts)
-    results = []
-    for level in range(1, stages + 1):
+    stages = []
+    for level in (1, 2):
         t = _stage_beta_matrix(g, CoreEndo(g), verts, level, report)
         m = [[c[i][j] - t[i][j] for j in range(n)] for i in range(n)]
-        results.append((coker_ker(m), m, t))
-    (k0, ker_rank), m, t = results[-1]
-    for (pres, mm, _), (pres2, mm2, _) in zip(results, results[1:]):
-        report.count()
-        if pres != pres2 or mm != mm2:
-            report.fail("stages disagree: %s vs %s" % (pres, pres2))
+        stages.append((coker_ker(m), m, t))
+    (pres1, m1, _), (pres, m, t) = stages
+    report.count()
+    if pres1 != pres or m1 != m:
+        report.fail("stages disagree: %s vs %s" % (pres1, pres))
+    k0, ker_rank = pres
     # the inclusion acts on each stage cokernel as multiplication by the
     # connecting matrix; stable means that action is the identity
     for j in range(n):

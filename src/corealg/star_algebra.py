@@ -82,29 +82,20 @@ class StarElement:
 
     # -- linear structure ----------------------------------------------------
 
-    def _combine(self, other, negate: bool):
+    def __add__(self, other):
         if not isinstance(other, StarElement):
             return NotImplemented
         if other.graph is not self.graph:
             raise ValueError("elements live over different graphs")
         out = dict(self._terms)
         for key, c in other._terms.items():
-            s = out.get(key)
-            if s is None:
-                t = -c if negate else c
-            else:
-                t = s - c if negate else s + c
-            if t:
-                out[key] = t
-            elif s is not None:
-                del out[key]
+            accumulate(out, key, c)
         return StarElement._wrap(self.graph, out)
 
-    def __add__(self, other):
-        return self._combine(other, False)
-
     def __sub__(self, other):
-        return self._combine(other, True)
+        if not isinstance(other, StarElement):
+            return NotImplemented
+        return self + (-other)
 
     def __neg__(self):
         return StarElement._wrap(self.graph, {k: -c for k, c in self._terms.items()})

@@ -168,7 +168,8 @@ def tensor_prepend(p: TensorElement, x: TensorElement) -> TensorElement:
     for ((i,), (j,)), c in p.entries.items():
         for (mu, nu), d in x.entries.items():
             out[((i,) + mu, (j,) + nu)] = c * d
-    return TensorElement(x.n, x.k + 1, out)
+    # products of nonzero entries on distinct, well-formed keys
+    return TensorElement._wrap(x.n, x.k + 1, out)
 
 
 class UhfSystem:
@@ -211,7 +212,7 @@ def uhf_L(sys: UhfSystem, a: TensorElement) -> TensorElement:
         if mu[0] != nu[0] or mu[0] > sys.N:
             continue
         accumulate(out, (mu[1:], nu[1:]), c * scale)
-    return TensorElement(sys.n, a.k - 1, out)
+    return TensorElement._wrap(sys.n, a.k - 1, out)
 
 
 def almost_faithful_witness(sys: UhfSystem, a: TensorElement):
@@ -340,12 +341,12 @@ def _require_indexed(sys: UhfSystem, family: dict) -> None:
         raise ValueError("family must be indexed by the (i, j) pairs of the system")
 
 
-def pi_T(sys: UhfSystem, family: dict, a: TensorElement, trusted: bool = False) -> StarElement:
+def pi_T(sys: UhfSystem, family: dict, a: TensorElement) -> StarElement:
     """Send e_{mu nu} (x) 1 to sum_lambda T_{mu lambda} T_{nu lambda}^* with
-    lambda running over {1..N}^depth."""
+    lambda running over {1..N}^depth.  The family is verified, which costs
+    one memo lookup for a family already seen (see verify_cuntz_family)."""
     _require_indexed(sys, family)
-    if not trusted:
-        verify_cuntz_family(family)
+    verify_cuntz_family(family)
     return _pi_T(sys, family, a, _word_isometries(family))
 
 
@@ -401,10 +402,9 @@ def iso_generators_check(sys: UhfSystem) -> CheckReport:
     report = CheckReport("generator correspondence (n=%d, N=%d)" % (sys.n, sys.N))
     fsys = hilbert_module.UhfFrameSystem(sys)
     g, family = canonical_cuntz_family(sys)
-    verify_cuntz_family(family)
 
     def pi(b: TensorElement) -> StarElement:
-        return pi_T(sys, family, b, trusted=True)
+        return pi_T(sys, family, b)
 
     psi, rep = hilbert_module.frame_rep_psi(fsys, family, pi)
     report.merge(rep)

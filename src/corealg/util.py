@@ -40,13 +40,12 @@ class SplitMix64:
             raise ValueError("choice() on empty sequence")
         return seq[self.below(len(seq))]
 
-    def fraction(self, num_bound: int = 3, den_bound: int = 4) -> Fraction:
-        """Small nonzero rational, numerator in [-num_bound, num_bound] \\ {0}."""
-        num = self.below(2 * num_bound) - num_bound
+    def fraction(self) -> Fraction:
+        """Small nonzero rational: numerator in [-3, 3] \\ {0}, denominator in [1, 4]."""
+        num = self.below(6) - 3
         if num >= 0:
             num += 1
-        den = 1 + self.below(den_bound)
-        return Fraction(num, den)
+        return Fraction(num, 1 + self.below(4))
 
 
 def bareiss(rows: list[list[int]], n: int) -> int:

@@ -6,8 +6,6 @@ line carries the same information).  Everything is exact rational or radical
 arithmetic except A12, whose numeric tolerances are pinned below.
 """
 
-from fractions import Fraction
-
 from conftest import two_vertex_graphs
 
 from corealg.core_endo import CoreEndo
@@ -224,7 +222,7 @@ def test_a07_isometry_dictionary_chain():
                     assert report.passed, (n, N, mu, nu, report.lines())
 
         def pi(b, sys=sys, family=family):
-            return pi_T(sys, family, b, trusted=True)
+            return pi_T(sys, family, b)
 
         psi, rep_report = frame_rep_psi(fsys, family, pi)
         assert rep_report.passed, (n, N, rep_report.lines())

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import corealg
-from corealg.graph import Graph, GraphFormatError, Path, bouquet, cycle, load_graph
+from corealg.graph import GraphFormatError, Path, bouquet, cycle, load_graph
 
 
 def test_incidence_and_degrees(two_cycle):

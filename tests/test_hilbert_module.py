@@ -103,6 +103,25 @@ def test_canonical_frame_uhf(usys):
     assert set(usys.indices) == {(1, 1), (2, 1)}
 
 
+@pytest.mark.parametrize("make", [lambda: GraphFrameSystem(bouquet(2)),
+                                  lambda: UhfFrameSystem(UhfSystem(2, 1))],
+                         ids=["O_2", "uhf-2-1"])
+def test_canonical_frame_reports_a_wrong_gram_entry(monkeypatch, make):
+    system = make()
+    act1 = system.act1
+
+    def planted(i, b, j):
+        # the unit off the diagonal, where <F_i, F_j> is zero
+        return system.unit() if i != j else act1(i, b, j)
+
+    monkeypatch.setattr(system, "act1", planted)
+    report = canonical_frame(system)
+    i, j = system.indices[:2]
+    assert not report.passed
+    assert "gram(%s, %s) = %s" % (i, j, system.a_text(system.unit())) in report.failures
+    assert len(report.failures) >= len(system.indices) * (len(system.indices) - 1)
+
+
 def test_reconstruction_from_algebra(gsys, usys):
     g = gsys.graph
     for a in (gsys.frame_rep("e1"),):

@@ -1,12 +1,9 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from corealg.graph import Graph, bouquet, cycle
 from corealg.ktheory import (
     GroupPresentation,
-    StabilizationError,
     coker_ker,
     graph_k_theory,
     int_det,

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from corealg import uhf_cuntz
-from corealg.graph import bouquet
 from corealg.scalar import ONE, Radical
 from corealg.star_algebra import StarElement, matrix_unit, unit
 from corealg.uhf_cuntz import (
@@ -63,12 +62,15 @@ def test_adjoint_and_trace():
 
 
 def test_internal_results_pass_the_public_checks():
-    """Arithmetic results skip the constructor's checks; rebuilding each one
-    through the constructor must accept it and drop nothing."""
+    """Arithmetic results, tensor_prepend and uhf_L skip the constructor's
+    checks; rebuilding each one through the constructor must accept it and
+    drop nothing."""
     a = e(2, [1], [2], Fraction(3, 5)) + e(2, [2], [2], Radical.sqrt(2))
     b = e(2, [1, 2], [2, 1], -1) + e(2, [2, 2], [1, 2])
     results = [a.lift(3), a + b, a - b, a - a, -b, a * b, b * a, a * 0, 0 * b,
-               a * Radical.sqrt(3), Fraction(-1, 2) * b, a.adjoint(), b.adjoint()]
+               a * Radical.sqrt(3), Fraction(-1, 2) * b, a.adjoint(), b.adjoint(),
+               tensor_prepend(a, b), uhf_alpha(UhfSystem(2, 1), a),
+               uhf_L(UhfSystem(2, 2), b * b.adjoint()), uhf_L(UhfSystem(2, 2), a), uhf_L(UhfSystem(2, 1), a - a)]
     for r in results:
         assert TensorElement(r.n, r.k, r.entries).entries == r.entries
         assert all(len(mu) == len(nu) == r.k for mu, nu in r.entries)
@@ -263,14 +265,14 @@ def _loop_pi_T_report(sys, family, a):
     verify_cuntz_family(family)
     g = next(iter(family.values())).graph
     report.count()
-    if not pi_T(sys, family, TensorElement.identity(sys.n, 1), trusted=True).equal(unit(g)):
+    if not pi_T(sys, family, TensorElement.identity(sys.n, 1)).equal(unit(g)):
         report.fail("pi_T(1) differs from 1")
-    image = pi_T(sys, family, a, trusted=True)
+    image = pi_T(sys, family, a)
     for (i, j) in sys.indices():
         for (k, l) in sys.indices():
             lhs = family[(i, j)].adjoint() * image * family[(k, l)]
             inner = uhf_cuntz.uhf_L(sys, sys.matrix_unit(j, i) * a * sys.matrix_unit(k, l)) * sys.N
-            rhs = pi_T(sys, family, inner, trusted=True)
+            rhs = pi_T(sys, family, inner)
             report.count()
             if not lhs.equal(rhs):
                 report.fail("compression relation fails at ij=%s kl=%s for a=\n%s"
@@ -406,3 +408,17 @@ def test_rank_rescale_rejects_non_projection():
 def test_iso_generators():
     report = iso_generators_check(UhfSystem(2, 1))
     assert report.passed, report.lines()
+
+
+def test_iso_generators_verify_the_family_once(monkeypatch):
+    # every pi_T image verifies its family; after the first, that is a lookup
+    runs = []
+    check = uhf_cuntz._check_cuntz_family
+
+    def counted(g, family):
+        runs.append(g)
+        return check(g, family)
+
+    monkeypatch.setattr(uhf_cuntz, "_check_cuntz_family", counted)
+    assert iso_generators_check(UhfSystem(3, 2)).passed
+    assert len(runs) == 1
