@@ -141,14 +141,17 @@ class UhfFrameSystem:
         return uhf_L(self.sys, a)
 
     def act1(self, ij, b, kl):
+        """N L(e_ji b e_kl): the (i, k) block of b when j == l, else zero."""
         i, j = ij
         k, l = kl
-        prod = self.sys.matrix_unit(j, i) * b * self.sys.matrix_unit(k, l)
-        return uhf_L(self.sys, prod) * self.sys.N
+        if j != l:
+            return TensorElement(self.sys.n, max(b.k, 1) - 1)
+        return b.block(i, k)
 
     def qcoord(self, ij, a):
+        """sqrt(N) L(e_ji a), the (i, j) block of a over sqrt(N)."""
         i, j = ij
-        return uhf_L(self.sys, self.sys.matrix_unit(j, i) * a) * Radical.sqrt(self.sys.N)
+        return a.block(i, j) * Radical.inv_sqrt(self.sys.N)
 
     def frame_rep(self, ij):
         i, j = ij
@@ -652,11 +655,13 @@ def frame_rep_psi(system, family: dict, pi):
             out = out + family[i] * pi(c)
         return out
 
+    images = [(b, pi(b)) for b in gens]
     report = CheckReport("frame representation")
     for i in indices:
+        left = family[i].adjoint()
         for j in indices:
-            for b in gens:
-                lhs = family[i].adjoint() * pi(b) * family[j]
+            for b, pb in images:
+                lhs = left * pb * family[j]
                 rhs = pi(system.act1(i, b, j))
                 report.count()
                 if not lhs.equal(rhs):
@@ -676,25 +681,25 @@ def frame_rep_psi(system, family: dict, pi):
 
     for m in elements:
         pm = psi(m)
-        for b in gens:
+        for b, pb in images:
             report.count()
-            if not psi(m.right_mul(b)).equal(pm * pi(b)):
+            if not psi(m.right_mul(b)).equal(pm * pb):
                 report.fail("psi(m.b) != psi(m)pi(b) at b=\n%s" % system.a_text(b))
             report.count()
-            if not psi(left_act(system, b, m)).equal(pi(b) * pm):
+            if not psi(left_act(system, b, m)).equal(pb * pm):
                 report.fail("psi(b.m) != pi(b)psi(m) at b=\n%s" % system.a_text(b))
         for n in elements:
             report.count()
             if not (pm.adjoint() * psi(n)).equal(pi(m.inner(n))):
                 report.fail("psi(m)*psi(n) differs from pi(<m, n>)")
 
-    for b in gens:
+    for b, pb in images:
         cov = StarElement.zero(g_t)
         for i in indices:
             fb = left_act(system, b, ModuleElement.basis_word(system, (i,)))
             cov = cov + psi(fb) * psi(ModuleElement.basis_word(system, (i,))).adjoint()
         report.count()
-        if not cov.equal(pi(b)):
+        if not cov.equal(pb):
             report.fail("covariance sum differs from pi(b) at b=\n%s" % system.a_text(b))
     return psi, report
 

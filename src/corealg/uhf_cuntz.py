@@ -77,6 +77,14 @@ class TensorElement:
                 out[(mu + rho, nu + rho)] = c
         return TensorElement._wrap(self.n, k, out)
 
+    def block(self, i: int, j: int) -> "TensorElement":
+        """The (i, j) block in M_n (x) rest: the entries whose row word starts
+        with i and whose column word starts with j, first letters dropped."""
+        a = self.lift(max(self.k, 1))
+        return TensorElement._wrap(self.n, a.k - 1, {
+            (mu[1:], nu[1:]): c for (mu, nu), c in a.entries.items()
+            if mu[0] == i and nu[0] == j})
+
     def _common(self, other: "TensorElement"):
         if other.n != self.n:
             raise ValueError("elements live over different matrix sizes")
@@ -368,8 +376,11 @@ def pi_T_report(sys: UhfSystem, family: dict, a: TensorElement) -> CheckReport:
     T_ij* pi(a) T_kl = pi(<E_ij, a E_kl>) for every pair of indices.
 
     The family is verified (once per family, see verify_cuntz_family), the
-    images share one cache of word isometries, and the factors T_ij* pi(a)
-    and e_ji a are formed once per (i, j) and reused for every (k, l)."""
+    images share one cache of word isometries, and the factor T_ij* pi(a) is
+    formed once per (i, j) and reused for every (k, l).  The product
+    e_ji a e_kl is e_jl (x) the (i, k) block of a, each matrix unit and each
+    block formed once; L is applied to it as defined, so the relation also
+    checks pi_T against L."""
     report = CheckReport("pi_T relations at depth %d" % a.k)
     verify_cuntz_family(family)
     _require_indexed(sys, family)
@@ -379,18 +390,18 @@ def pi_T_report(sys: UhfSystem, family: dict, a: TensorElement) -> CheckReport:
     if not _pi_T(sys, family, TensorElement.identity(sys.n, 1), word_isometry).equal(unit(g)):
         report.fail("pi_T(1) differs from 1")
     image = _pi_T(sys, family, a, word_isometry)
-    right = {kl: sys.matrix_unit(*kl) for kl in sys.indices()}
+    units = {jl: sys.matrix_unit(*jl) for jl in product(range(1, sys.N + 1), repeat=2)}
+    blocks = {ik: a.block(*ik) for ik in product(range(1, sys.n + 1), repeat=2)}
     for (i, j) in sys.indices():
         left = family[(i, j)].adjoint() * image
-        ea = sys.matrix_unit(j, i) * a
-        for kl, e_kl in right.items():
-            lhs = left * family[kl]
-            inner = uhf_L(sys, ea * e_kl) * sys.N
+        for (k, l) in sys.indices():
+            lhs = left * family[(k, l)]
+            inner = uhf_L(sys, tensor_prepend(units[(j, l)], blocks[(i, k)])) * sys.N
             rhs = _pi_T(sys, family, inner, word_isometry)
             report.count()
             if not lhs.equal(rhs):
                 report.fail("compression relation fails at ij=%s kl=%s for a=\n%s"
-                            % ((i, j), kl, a.text()))
+                            % ((i, j), (k, l), a.text()))
     return report
 
 
@@ -402,9 +413,11 @@ def iso_generators_check(sys: UhfSystem) -> CheckReport:
     report = CheckReport("generator correspondence (n=%d, N=%d)" % (sys.n, sys.N))
     fsys = hilbert_module.UhfFrameSystem(sys)
     g, family = canonical_cuntz_family(sys)
+    verify_cuntz_family(family)
+    word_isometry = _word_isometries(family)
 
     def pi(b: TensorElement) -> StarElement:
-        return pi_T(sys, family, b)
+        return _pi_T(sys, family, b, word_isometry)
 
     psi, rep = hilbert_module.frame_rep_psi(fsys, family, pi)
     report.merge(rep)

@@ -110,6 +110,28 @@ def test_verify_beta_computes_each_unit_image_once(capsys, o2_file, monkeypatch)
     assert len(calls) <= 2 * 4 + 16
 
 
+def test_verify_beta_reports_a_bad_w(capsys, o2_file, monkeypatch):
+    # build_W on doubled out-degrees returns W / sqrt(2): the report's W*W
+    # check reads FAIL with a witness, and build_W itself raises nothing
+    original = CoreEndo.build_W
+
+    def scaled(self):
+        counts = self._out_count
+        self._out_count = {v: 2 * c for v, c in counts.items()}
+        try:
+            return original(self)
+        finally:
+            self._out_count = counts
+
+    monkeypatch.setattr(CoreEndo, "build_W", scaled)
+    code, out, err = run(capsys, "core", "verify-beta", o2_file, "--depth", "1",
+                         "--trials", "0")
+    assert code == 1 and err == ""
+    assert "W is a covariance isometry: FAIL (1 checks, 1 failures)" in out
+    assert "witness: W*W differs from the unit" in out
+    assert out.endswith("result: FAIL\n")
+
+
 def test_json_output(capsys, o2_file):
     code, out, _ = run(capsys, "graph", "info", o2_file, "--json")
     assert code == 0

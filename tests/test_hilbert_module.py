@@ -559,6 +559,24 @@ def test_frame_rep_psi_detects_bad_family(o2):
     assert not report.passed
 
 
+def test_frame_rep_psi_forms_each_generator_image_once():
+    # (3, 2): 10 generators and 6 indices; 1228 calls of pi when pi(b) was
+    # formed anew for every (i, j) and every later use, 708 now
+    from corealg.uhf_cuntz import canonical_cuntz_family, pi_T
+
+    sys_ = UhfSystem(3, 2)
+    _, family = canonical_cuntz_family(sys_)
+    calls = []
+
+    def pi(b):
+        calls.append(b)
+        return pi_T(sys_, family, b)
+
+    psi, report = frame_rep_psi(UhfFrameSystem(sys_), family, pi)
+    assert report.passed, report.lines()
+    assert len(calls) == 708
+
+
 def test_gram_psd(gsys, usys):
     elems = [ModuleElement.basis_word(gsys, ("e1",)),
              ModuleElement.basis_word(gsys, ("e2",)),

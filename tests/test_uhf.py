@@ -2,10 +2,13 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corealg import uhf_cuntz
+from corealg.hilbert_module import UhfFrameSystem, canonical_frame
 from corealg.scalar import ONE, Radical
 from corealg.star_algebra import StarElement, matrix_unit, unit
 from corealg.uhf_cuntz import (
@@ -70,7 +73,8 @@ def test_internal_results_pass_the_public_checks():
     results = [a.lift(3), a + b, a - b, a - a, -b, a * b, b * a, a * 0, 0 * b,
                a * Radical.sqrt(3), Fraction(-1, 2) * b, a.adjoint(), b.adjoint(),
                tensor_prepend(a, b), uhf_alpha(UhfSystem(2, 1), a),
-               uhf_L(UhfSystem(2, 2), b * b.adjoint()), uhf_L(UhfSystem(2, 2), a), uhf_L(UhfSystem(2, 1), a - a)]
+               uhf_L(UhfSystem(2, 2), b * b.adjoint()), uhf_L(UhfSystem(2, 2), a), uhf_L(UhfSystem(2, 1), a - a),
+               a.block(2, 2), b.block(1, 2), b.block(2, 1), TensorElement.identity(2, 0).block(1, 1)]
     for r in results:
         assert TensorElement(r.n, r.k, r.entries).entries == r.entries
         assert all(len(mu) == len(nu) == r.k for mu, nu in r.entries)
@@ -367,6 +371,69 @@ def test_planted_failures_match_the_loops(monkeypatch, nN):
     assert not any(pi_T_report(sys, family, a).passed for a in elements[1:])
     assert not all(prefix_rep_sweep(sys, a, a.k + 1).passed for a in elements)
     _assert_reports_match_loops(sys, elements)
+
+
+# -- block reads against the matrix-unit products they replace ----------------------
+
+
+_BLOCK_SYSTEMS = [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3), (4, 2)]
+_BLOCK_VALUES = (1, -1, Fraction(1, 3), Fraction(-5, 2), Radical.sqrt(2),
+                 Radical.sqrt(3) * 2, Radical.sqrt(6) * Fraction(-1, 7))
+
+
+@st.composite
+def _system_and_element(draw):
+    n, N = draw(st.sampled_from(_BLOCK_SYSTEMS))
+    ws = words(n, draw(st.integers(0, 3)))
+    word = st.sampled_from(ws)
+    entries = draw(st.dictionaries(st.tuples(word, word), st.sampled_from(_BLOCK_VALUES),
+                                   max_size=6))
+    return UhfSystem(n, N), TensorElement(n, len(ws[0]), entries)
+
+
+def _assert_same(got, want):
+    assert (got.n, got.k, got.entries, got.text()) == (want.n, want.k, want.entries, want.text())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_system_and_element())
+def test_block_reads_match_the_matrix_unit_formulas(sys_and_b):
+    sys, b = sys_and_b
+    fsys = UhfFrameSystem(sys)
+    n, N = sys.n, sys.N
+    for (i, j) in sys.indices():
+        _assert_same(fsys.qcoord((i, j), b),
+                     uhf_L(sys, sys.matrix_unit(j, i) * b) * Radical.sqrt(N))
+        for (k, l) in sys.indices():
+            prod = sys.matrix_unit(j, i) * b * sys.matrix_unit(k, l)
+            _assert_same(fsys.act1((i, j), b, (k, l)), uhf_L(sys, prod) * N)
+    for i, j, k, l in product(range(1, n + 1), repeat=4):
+        _assert_same(tensor_prepend(sys.matrix_unit(j, l), b.block(i, k)),
+                     sys.matrix_unit(j, i) * b * sys.matrix_unit(k, l))
+
+
+def test_planted_block_fails_both_routes(monkeypatch):
+    # a block with its least entry doubled: the Gram identities read it
+    # through act1, and the compression relation through e_ji a e_kl
+    original = TensorElement.block
+
+    def planted(self, i, j):
+        out = original(self, i, j)
+        if not out.entries:
+            return out
+        entries = dict(out.entries)
+        key = min(entries)
+        entries[key] = entries[key] * 2
+        return TensorElement(out.n, out.k, entries)
+
+    monkeypatch.setattr(TensorElement, "block", planted)
+    sys = UhfSystem(2, 2)
+    assert not canonical_frame(UhfFrameSystem(sys)).passed
+    _, family = canonical_cuntz_family(sys)
+    report = pi_T_report(sys, family, e(2, [1, 2], [2, 1], Fraction(1, 3)))
+    assert not report.passed
+    assert "compression relation fails" in report.failures[0]
+
 
 def test_almost_faithful_witness():
     sys = UhfSystem(2, 1)
