@@ -18,16 +18,8 @@ from .star_algebra import (
     unit,
     vertex_projection,
 )
-from .exel_path import (
-    DepthFunction,
-    DepthFunctionFormatError,
-    alpha_shift,
-    load_depth_function,
-    ml_inner,
-    transfer_L,
-    transfer_identity_check,
-)
-from .core_endo import CoreEndo, tensor_beta_compare
+from .exel_path import DepthFunction, alpha_shift, transfer_L, transfer_identity_check
+from .core_endo import CoreEndo
 from .uhf_cuntz import TensorElement, UhfSystem, uhf_L, uhf_alpha
 from .hilbert_module import (
     CompactOp,
@@ -51,7 +43,6 @@ __all__ = [
     "CompactOp",
     "CoreEndo",
     "DepthFunction",
-    "DepthFunctionFormatError",
     "ElementFormatError",
     "Graph",
     "GraphFrameSystem",
@@ -79,16 +70,13 @@ __all__ = [
     "edge_isometry",
     "frame_rep_psi",
     "gram_psd_check",
-    "load_depth_function",
     "load_graph",
     "matrix_unit",
-    "ml_inner",
     "op_norm",
     "parse_element",
     "parse_radical",
     "path_isometry",
     "reconstruct_check",
-    "tensor_beta_compare",
     "transfer_L",
     "transfer_identity_check",
     "uhf_L",

@@ -10,10 +10,8 @@ can check the other.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .graph import Graph, Path, bouquet
-from .scalar import ONE, Radical
+from .graph import Graph, Path
+from .scalar import Radical
 from .star_algebra import StarElement, matrix_unit
 from .util import CheckReport
 
@@ -81,61 +79,3 @@ class CoreEndo:
             W = W + StarElement.word(g, Radical.inv_sqrt(self._out_count[mu.src]),
                                      mu, g.empty_path(mu.src))
         return W
-
-    def covariance_check(self, x: StarElement) -> CheckReport:
-        report = CheckReport("covariance beta(x) = WxW*")
-        W = self.build_W()
-        lhs = self.beta(x)
-        rhs = W * x * W.adjoint()
-        report.count()
-        if not lhs.equal(rhs):
-            report.fail("beta(x) != WxW* for x=\n%sbeta(x)=\n%sWxW*=\n%s"
-                        % (x.text(), lhs.text(), rhs.text()))
-        return report
-
-
-def tensor_beta_compare(n: int, x) -> CheckReport:
-    """Check the bouquet-of-n-loops form of beta on a tensor element.
-
-    The dictionary e_{mu nu} (x) 1 -> s_mu s_nu^* carries x into the balanced
-    subalgebra; there beta(x) must match p (x) x with p the rank-one averaging
-    projection (1/n) sum_{ij} e_ij.  A unitary u with first column the
-    normalized all-ones vector conjugates e_11 to p, so the same check runs
-    once more through Ad(u (x) 1) of e_11 (x) x.
-    """
-    from . import uhf_cuntz
-
-    report = CheckReport("tensor form of beta on the %d-loop bouquet" % n)
-    if x.n != n:
-        raise ValueError("tensor element is over M_%d, expected M_%d" % (x.n, n))
-    g = bouquet(n)
-    loops = {i: "e%d" % i for i in range(1, n + 1)}
-    endo = CoreEndo(g)
-
-    p_entries = {((i,), (j,)): Radical.from_rational(Fraction(1, n))
-                 for i in range(1, n + 1) for j in range(1, n + 1)}
-    p = uhf_cuntz.TensorElement(n, 1, p_entries)
-
-    report.count()
-    if not (p * p).equal(p):
-        report.fail("averaging projection is not idempotent")
-    report.count()
-    if not p.trace() == 1:
-        report.fail("averaging projection has trace %s, expected 1" % (p.trace(),))
-
-    lhs = endo.beta(uhf_cuntz.to_core_element(g, loops, x))
-    rhs = uhf_cuntz.to_core_element(g, loops, uhf_cuntz.tensor_prepend(p, x))
-    report.count()
-    if not lhs.equal(rhs):
-        report.fail("beta(x) != p (x) x for x=\n%s" % x.text())
-
-    u = uhf_cuntz.averaging_unitary(n)
-    e11 = uhf_cuntz.TensorElement(n, 1, {((1,), (1,)): ONE})
-    report.count()
-    if not uhf_cuntz.first_slot_conjugate(u, e11).equal(p):
-        report.fail("u e_11 u* != p")
-    conj = uhf_cuntz.first_slot_conjugate(u, uhf_cuntz.tensor_prepend(e11, x))
-    report.count()
-    if not conj.equal(uhf_cuntz.tensor_prepend(p, x)):
-        report.fail("Ad(u (x) 1)(e_11 (x) x) != p (x) x for x=\n%s" % x.text())
-    return report

@@ -16,25 +16,9 @@ from __future__ import annotations
 
 from itertools import product
 
-from .util import CheckReport, accumulate, bareiss
+from .util import CheckReport, accumulate, bareiss, col_axpy, col_negate, col_swap
 
 Vector = tuple[int, ...]
-
-
-def _col_swap(m: list[list[int]], i: int, j: int) -> None:
-    for row in m:
-        row[i], row[j] = row[j], row[i]
-
-
-def _col_axpy(m: list[list[int]], j: int, i: int, q: int) -> None:
-    """column j += q * column i."""
-    for row in m:
-        row[j] += q * row[i]
-
-
-def _col_negate(m: list[list[int]], j: int) -> None:
-    for row in m:
-        row[j] = -row[j]
 
 
 def hermite_normal_form(b: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
@@ -52,24 +36,20 @@ def hermite_normal_form(b: list[list[int]]) -> tuple[list[list[int]], list[list[
                 raise ValueError("matrix is singular")
             j0 = min(nz, key=lambda j: abs(h[i][j]))
             if j0 != i:
-                _col_swap(h, i, j0)
-                _col_swap(u, i, j0)
+                col_swap((h, u), i, j0)
             if all(h[i][j] == 0 for j in range(i + 1, d)):
                 break
             for j in range(i + 1, d):
                 if h[i][j]:
                     q = h[i][j] // h[i][i]
-                    _col_axpy(h, j, i, -q)
-                    _col_axpy(u, j, i, -q)
+                    col_axpy((h, u), j, i, -q)
         if h[i][i] < 0:
-            _col_negate(h, i)
-            _col_negate(u, i)
+            col_negate((h, u), i)
     for i in range(d):
         for j in range(i):
             q = h[i][j] // h[i][i]
             if q:
-                _col_axpy(h, j, i, -q)
-                _col_axpy(u, j, i, -q)
+                col_axpy((h, u), j, i, -q)
     for i in range(d):
         for j in range(d):
             got = sum(b[i][k] * u[k][j] for k in range(d))
@@ -145,11 +125,6 @@ class LatticeSystem:
 
     def __repr__(self):
         return "LatticeSystem(d=%d, |det|=%d)" % (self.d, self.det_abs)
-
-
-def coset_reps(b: list[list[int]]) -> list[Vector]:
-    """Canonical transversal of Z^d / B Z^d: the Hermite box."""
-    return list(LatticeSystem(b).Sigma)
 
 
 def transversal_check(sys: LatticeSystem, pts: list[Vector], power: int = 1) -> CheckReport:
@@ -274,31 +249,6 @@ def lattice_rep_check(sys: LatticeSystem, radius: int) -> CheckReport:
         if not vec_equal(total, dk):
             report.fail("sum over the transversal of (u_m v)(u_m v)* misses delta_k at k=%s"
                         % (k,))
-    return report
-
-
-def matrix_unit_check(sys: LatticeSystem, i: int, radius: int) -> CheckReport:
-    """T_mn = (u_m v^i)(u_n v^i)* over Sigma_i multiply like matrix units."""
-    pts = sigma_i(sys, i)
-    report = CheckReport("matrix units at level %d" % i)
-    box = list(_box(sys.d, radius))
-    for m in pts:
-        for n in pts:
-            for mp in pts:
-                for np_ in pts:
-                    report.count()
-                    ok = True
-                    for k in box:
-                        dk = delta(k)
-                        step = mono_apply(sys, (mp, i, np_), dk)
-                        lhs = mono_apply(sys, (m, i, n), step)
-                        rhs = mono_apply(sys, (m, i, np_), dk) if n == mp else {}
-                        if not vec_equal(lhs, rhs):
-                            ok = False
-                            break
-                    if not ok:
-                        report.fail("units at (%s,%s),(%s,%s) fail at k=%s"
-                                    % (m, n, mp, np_, k))
     return report
 
 

@@ -19,16 +19,6 @@ from .util import CheckReport, accumulate
 
 _ZERO = Fraction(0)
 
-# The most paths of one length a loaded function may range over: the loader
-# warns once per unlisted path, and `constant` walks all paths of its depth
-# (every other operation, `text` included, reads only the stored support).
-# On the two-loop bouquet this admits depth 16, not 17.
-PATH_LIMIT = 2**16
-
-
-class DepthFunctionFormatError(ValueError):
-    pass
-
 
 def _in_graph(graph: Graph, p) -> bool:
     """p is a path of graph: its edges compose there, or it is @v for a vertex v."""
@@ -171,10 +161,6 @@ class DepthFunction:
     def __bool__(self):
         return bool(self.values)
 
-    def nonneg(self) -> bool:
-        """Rational values only: radicals carry no exact order here."""
-        return all(x >= 0 for x in self.values.values())
-
     def __repr__(self):
         return "DepthFunction(depth=%d, %d nonzero)" % (self.depth, len(self.values))
 
@@ -211,11 +197,6 @@ def transfer_L(f: DepthFunction) -> DepthFunction:
     return DepthFunction._wrap(g, f.depth - 1, out).lift(max(f.depth - 1, 1))
 
 
-def ml_inner(a: DepthFunction, b: DepthFunction) -> DepthFunction:
-    """The pairing L(a*b); with real values the adjoint is the identity."""
-    return transfer_L(a * b)
-
-
 def transfer_identity_check(a: DepthFunction, b: DepthFunction) -> CheckReport:
     report = CheckReport("transfer identity")
     lhs = transfer_L(alpha_shift(a) * b)
@@ -225,48 +206,3 @@ def transfer_identity_check(a: DepthFunction, b: DepthFunction) -> CheckReport:
         report.fail("L(alpha(a)b) != aL(b) for a=\n%sb=\n%slhs=\n%srhs=\n%s"
                     % (a.text(), b.text(), lhs.text(), rhs.text()))
     return report
-
-
-def load_depth_function(g: Graph, text: str) -> tuple[DepthFunction, list[str]]:
-    """Parse lines `F <path> <rational>`.  All listed paths must have one
-    length, with at most PATH_LIMIT paths of that length in the graph;
-    length-k paths not listed default to 0 and produce a warning."""
-    entries: dict[Path, Fraction] = {}
-    depth = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if len(tokens) != 3 or tokens[0] != "F":
-            raise DepthFunctionFormatError("line %d: expected F <path> <rational>" % lineno)
-        if "e" in tokens[2] or "E" in tokens[2]:
-            # Fraction would build 10**exponent: a short text, a huge number
-            raise DepthFunctionFormatError("line %d: exponent in value %r"
-                                           % (lineno, tokens[2]))
-        try:
-            p = g.parse_path(tokens[1])
-            x = Fraction(tokens[2])
-        except (ValueError, KeyError, ZeroDivisionError) as exc:
-            raise DepthFunctionFormatError("line %d: %s" % (lineno, exc)) from exc
-        if depth is None:
-            depth = len(p)
-            count = g.path_count(depth)
-            if count > PATH_LIMIT:
-                raise DepthFunctionFormatError(
-                    "line %d: %d paths of length %d exceed PATH_LIMIT = %d"
-                    % (lineno, count, depth, PATH_LIMIT))
-        elif len(p) != depth:
-            raise DepthFunctionFormatError(
-                "line %d: path length %d does not match earlier length %d"
-                % (lineno, len(p), depth))
-        if p in entries:
-            raise DepthFunctionFormatError("line %d: duplicate path %s" % (lineno, tokens[1]))
-        entries[p] = x
-    if depth is None:
-        raise DepthFunctionFormatError("no F lines found")
-    warnings = []
-    for p in g.paths(depth):
-        if p not in entries:
-            warnings.append("path %s not listed, defaulting to 0" % p.text())
-    return DepthFunction(g, depth, entries), warnings

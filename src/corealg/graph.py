@@ -37,9 +37,6 @@ class Path(namedtuple("Path", ("edges", "src", "rng"))):
     def __len__(self):
         return len(self.edges)
 
-    def is_empty(self) -> bool:
-        return not self.edges
-
     def text(self) -> str:
         return ".".join(self.edges) if self.edges else "@" + self.src
 
@@ -192,13 +189,6 @@ class Graph:
             level = [self.append_edge(p, e)
                      for p in level for e in self._in[p.src]]
         return level
-
-    def path_count(self, n: int) -> int:
-        """len(self.paths(n)), counted per source vertex without building a path."""
-        count = dict.fromkeys(self.vertices, 1)
-        for _ in range(n):
-            count = {v: sum(count[self._rng[e]] for e in self._out[v]) for v in self.vertices}
-        return sum(count.values())
 
     def parse_path(self, text: str) -> Path:
         if text.startswith("@"):

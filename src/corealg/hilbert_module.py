@@ -276,9 +276,6 @@ class ModuleElement:
         return (other.degree == self.degree
                 and _same(self.canonical_coords(), other.canonical_coords()))
 
-    def is_null(self) -> bool:
-        return not self.canonical_coords()
-
     def text(self) -> str:
         sys = self.system
         lines = []
@@ -475,19 +472,6 @@ class CompactOp:
                 accumulate(out, w, c * d)
         return ModuleElement(sys, self.degree, out)
 
-    def compose(self, other: "CompactOp") -> "CompactOp":
-        if other.degree != self.degree:
-            raise ValueError("degree mismatch")
-        sys = self.system
-        by_row: dict[tuple, list] = {}
-        for (u, v), c in other.entries.items():
-            by_row.setdefault(u, []).append((v, c))
-        out: dict[tuple, object] = {}
-        for (w, u), c in self.entries.items():
-            for v, d in by_row.get(u, ()):
-                accumulate(out, (w, v), c * d)
-        return CompactOp(sys, self.degree, out)
-
     def add(self, other: "CompactOp") -> "CompactOp":
         sys = self.system
         out = dict(self.entries)
@@ -512,9 +496,6 @@ class CompactOp:
     def equal(self, other: "CompactOp") -> bool:
         return (other.degree == self.degree
                 and _same(self.canonical_entries(), other.canonical_entries()))
-
-    def is_null(self) -> bool:
-        return not self.canonical_entries()
 
     def __repr__(self):
         return "CompactOp(degree=%d, %d entries)" % (self.degree, len(self.entries))
@@ -643,8 +624,8 @@ def frame_rep_psi(system, family: dict, pi):
     g_t = some.graph
     one = unit(g_t)
     gens = [system.unit()] + system.basis(1)
-    elements = [ModuleElement.basis_word(system, (i,)) for i in indices]
-    elements += [ModuleElement.from_algebra(system, b) for b in gens[1:3]]
+    frame = [ModuleElement.basis_word(system, (i,)) for i in indices]
+    elements = frame + [ModuleElement.from_algebra(system, b) for b in gens[1:3]]
 
     def psi(m: ModuleElement) -> StarElement:
         if m.degree != 1:
@@ -656,6 +637,8 @@ def frame_rep_psi(system, family: dict, pi):
         return out
 
     images = [(b, pi(b)) for b in gens]
+    # psi of every element once, the frame's first: psi(F_i) serves all three checks
+    psi_elements = [psi(m) for m in elements]
     report = CheckReport("frame representation")
     for i in indices:
         left = family[i].adjoint()
@@ -674,13 +657,12 @@ def frame_rep_psi(system, family: dict, pi):
     if not total.equal(one):
         report.fail("range projections of the family do not sum to 1")
 
-    for i in indices:
+    for i, pf in zip(indices, psi_elements):
         report.count()
-        if not psi(ModuleElement.basis_word(system, (i,))).equal(family[i]):
+        if not pf.equal(family[i]):
             report.fail("psi(F_%s) differs from S_%s" % (i, i))
 
-    for m in elements:
-        pm = psi(m)
+    for m, pm in zip(elements, psi_elements):
         for b, pb in images:
             report.count()
             if not psi(m.right_mul(b)).equal(pm * pb):
@@ -688,16 +670,17 @@ def frame_rep_psi(system, family: dict, pi):
             report.count()
             if not psi(left_act(system, b, m)).equal(pb * pm):
                 report.fail("psi(b.m) != pi(b)psi(m) at b=\n%s" % system.a_text(b))
-        for n in elements:
+        pm_adj = pm.adjoint()
+        for n, pn in zip(elements, psi_elements):
             report.count()
-            if not (pm.adjoint() * psi(n)).equal(pi(m.inner(n))):
+            if not (pm_adj * pn).equal(pi(m.inner(n))):
                 report.fail("psi(m)*psi(n) differs from pi(<m, n>)")
 
+    frame_adj = [pf.adjoint() for pf in psi_elements[:len(frame)]]
     for b, pb in images:
         cov = StarElement.zero(g_t)
-        for i in indices:
-            fb = left_act(system, b, ModuleElement.basis_word(system, (i,)))
-            cov = cov + psi(fb) * psi(ModuleElement.basis_word(system, (i,))).adjoint()
+        for f, pf_adj in zip(frame, frame_adj):
+            cov = cov + psi(left_act(system, b, f)) * pf_adj
         report.count()
         if not cov.equal(pb):
             report.fail("covariance sum differs from pi(b) at b=\n%s" % system.a_text(b))

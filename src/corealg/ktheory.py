@@ -15,7 +15,7 @@ from fractions import Fraction
 from .core_endo import CoreEndo
 from .graph import Graph
 from .star_algebra import StarElement, matrix_unit
-from .util import CheckReport, bareiss
+from .util import CheckReport, bareiss, col_axpy, col_swap
 
 
 class StabilizationError(RuntimeError):
@@ -63,21 +63,9 @@ def smith_normal_form(m) -> tuple[list, list, list]:
         a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
         u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
 
-    def col_axpy(dst, src, q):
-        for r in a:
-            r[dst] += q * r[src]
-        for r in v:
-            r[dst] += q * r[src]
-
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
-
-    def col_swap(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
 
     t = 0
     while t < min(rows, cols):
@@ -90,7 +78,7 @@ def smith_normal_form(m) -> tuple[list, list, list]:
         if best is None:
             break
         row_swap(t, best[0])
-        col_swap(t, best[1])
+        col_swap((a, v), t, best[1])
         dirty = False
         for i in range(t + 1, rows):
             if a[i][t]:
@@ -98,7 +86,7 @@ def smith_normal_form(m) -> tuple[list, list, list]:
                 dirty = dirty or bool(a[i][t])
         for j in range(t + 1, cols):
             if a[t][j]:
-                col_axpy(j, t, -(a[t][j] // a[t][t]))
+                col_axpy((a, v), j, t, -(a[t][j] // a[t][t]))
                 dirty = dirty or bool(a[t][j])
         if dirty or any(a[i][t] for i in range(t + 1, rows)) \
                 or any(a[t][j] for j in range(t + 1, cols)):

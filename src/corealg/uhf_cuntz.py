@@ -223,18 +223,6 @@ def uhf_L(sys: UhfSystem, a: TensorElement) -> TensorElement:
     return TensorElement._wrap(sys.n, a.k - 1, out)
 
 
-def almost_faithful_witness(sys: UhfSystem, a: TensorElement):
-    """A pair (j, i) whose matrix unit b = e_ji makes L((ab)*(ab)) nonzero,
-    or None when a is zero."""
-    for j in range(1, sys.n + 1):
-        for i in range(1, sys.n + 1):
-            b = sys.matrix_unit(j, i)
-            w = a * b
-            if not uhf_L(sys, w.adjoint() * w).is_zero():
-                return (j, i)
-    return None
-
-
 # -- graded prefix model --------------------------------------------------------
 
 
@@ -515,45 +503,3 @@ def rank_rescale(m: int, k: int, p: TensorElement):
             if conj != Radical.from_rational(mat[a][b]):
                 report.fail("u (1_N + 0) u* differs from p at (%d, %d)" % (a, b))
     return UhfSystem(dim, N), u, report
-
-
-def averaging_unitary(n: int) -> list[list[Radical]]:
-    """Columns: the normalized all-ones vector, completed orthonormally."""
-    avg = TensorElement(n, 1, {((i,), (j,)): Radical.from_rational(Fraction(1, n))
-                               for i in range(1, n + 1) for j in range(1, n + 1)})
-    _, u, report = rank_rescale(n, 1, avg)
-    if not report.passed:
-        raise RuntimeError("exact diagonalization failed:\n" + "\n".join(report.lines()))
-    return u
-
-
-def first_slot_conjugate(u: list[list[Radical]], a: TensorElement) -> TensorElement:
-    """(u (x) 1) a (u^adj (x) 1) acting on the leading tensor slot."""
-    if a.k < 1:
-        raise ValueError("need depth at least 1")
-    n = a.n
-    out: dict[tuple[Word, Word], Radical] = {}
-    for (mu, nu), c in a.entries.items():
-        for r in range(1, n + 1):
-            left = u[r - 1][mu[0] - 1]
-            if not left:
-                continue
-            for s in range(1, n + 1):
-                right = u[s - 1][nu[0] - 1]
-                if not right:
-                    continue
-                accumulate(out, ((r,) + mu[1:], (s,) + nu[1:]), left * c * right)
-    return TensorElement(n, a.k, out)
-
-
-def to_core_element(g: Graph, loops: dict[int, str], a: TensorElement) -> StarElement:
-    """The dictionary e_{mu nu} (x) 1 -> t_mu t_nu^* into the bouquet algebra."""
-    if a.k == 0:
-        c = a.entries.get(((), ()), Radical())
-        return unit(g) * c if c else StarElement.zero(g)
-    out: dict = {}
-    for (mu, nu), c in a.entries.items():
-        pm = g.path([loops[i] for i in mu])
-        pn = g.path([loops[i] for i in nu])
-        accumulate(out, (pm, pn), c)
-    return StarElement(g, out)

@@ -1,6 +1,7 @@
 """Shared plumbing: the deterministic PRNG used by sweeps, a tiny check-report
-type, the one integer (fraction-free) elimination, the one sparse-map
-accumulate and the per-object memo."""
+type, the one integer (fraction-free) elimination, the integer column
+operations of the Smith and Hermite forms, the one sparse-map accumulate and
+the per-object memo."""
 
 from __future__ import annotations
 
@@ -74,6 +75,27 @@ def bareiss(rows: list[list[int]], n: int) -> int:
     if sign < 0 and carry:
         rows[:] = [[-x for x in row] for row in rows]
     return sign * prev
+
+
+def col_swap(mats, i: int, j: int) -> None:
+    """Swap columns i and j of every matrix in mats, in place."""
+    for m in mats:
+        for row in m:
+            row[i], row[j] = row[j], row[i]
+
+
+def col_axpy(mats, dst: int, src: int, q: int) -> None:
+    """Column dst += q * column src in every matrix in mats, in place."""
+    for m in mats:
+        for row in m:
+            row[dst] += q * row[src]
+
+
+def col_negate(mats, j: int) -> None:
+    """Negate column j of every matrix in mats, in place."""
+    for m in mats:
+        for row in m:
+            row[j] = -row[j]
 
 
 def accumulate(out: dict, key, add) -> None:

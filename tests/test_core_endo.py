@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from corealg.core_endo import CoreEndo, tensor_beta_compare
+from corealg.core_endo import CoreEndo
+from corealg.graph import Graph, bouquet
 from corealg.scalar import ONE, Radical
 from corealg.star_algebra import StarElement, matrix_unit, unit, vertex_projection
-from corealg.uhf_cuntz import TensorElement
-from corealg.util import SplitMix64
+from corealg.uhf_cuntz import TensorElement, rank_rescale, tensor_prepend
+from corealg.util import CheckReport, SplitMix64, accumulate
 
 
 def test_beta_of_vertex_projection(o2):
@@ -65,21 +66,21 @@ def test_w_coefficients(o3):
     terms = dict(W.items())
     assert len(terms) == 3
     for (mu, nu), c in terms.items():
-        assert len(mu) == 1 and nu.is_empty()
+        assert len(mu) == 1 and not nu.edges
         assert c == Radical.inv_sqrt(3)
 
 
 def test_covariance_small_sweep(o2, two_cycle):
     for g in (o2, two_cycle):
         endo = CoreEndo(g)
+        W = endo.build_W()
         cases = [unit(g)]
         for mu in g.paths(1):
             for nu in g.paths(1):
                 if mu.src == nu.src:
                     cases.append(matrix_unit(g, mu, nu))
         for x in cases:
-            report = endo.covariance_check(x)
-            assert report.passed, report.lines()
+            assert endo.beta(x).equal(W * x * W.adjoint()), x.text()
 
 
 def test_homomorphism_on_random_elements(o2):
@@ -116,6 +117,96 @@ def test_matrix_unit_images_on_cycle(two_cycle):
     assert len(family) == 1  # one path of each length from each start
 
 
+# -- the tensor model of beta on the n-loop bouquet ---------------------------------
+
+
+def averaging_unitary(n: int) -> list[list[Radical]]:
+    """Columns: the normalized all-ones vector, completed orthonormally."""
+    avg = TensorElement(n, 1, {((i,), (j,)): Radical.from_rational(Fraction(1, n))
+                               for i in range(1, n + 1) for j in range(1, n + 1)})
+    _, u, report = rank_rescale(n, 1, avg)
+    if not report.passed:
+        raise RuntimeError("exact diagonalization failed:\n" + "\n".join(report.lines()))
+    return u
+
+
+def first_slot_conjugate(u: list[list[Radical]], a: TensorElement) -> TensorElement:
+    """(u (x) 1) a (u^adj (x) 1) acting on the leading tensor slot."""
+    if a.k < 1:
+        raise ValueError("need depth at least 1")
+    n = a.n
+    out: dict = {}
+    for (mu, nu), c in a.entries.items():
+        for r in range(1, n + 1):
+            left = u[r - 1][mu[0] - 1]
+            if not left:
+                continue
+            for s in range(1, n + 1):
+                right = u[s - 1][nu[0] - 1]
+                if not right:
+                    continue
+                accumulate(out, ((r,) + mu[1:], (s,) + nu[1:]), left * c * right)
+    return TensorElement(n, a.k, out)
+
+
+def to_core_element(g: Graph, loops: dict[int, str], a: TensorElement) -> StarElement:
+    """The dictionary e_{mu nu} (x) 1 -> t_mu t_nu^* into the bouquet algebra."""
+    if a.k == 0:
+        c = a.entries.get(((), ()), Radical())
+        return unit(g) * c if c else StarElement.zero(g)
+    out: dict = {}
+    for (mu, nu), c in a.entries.items():
+        pm = g.path([loops[i] for i in mu])
+        pn = g.path([loops[i] for i in nu])
+        accumulate(out, (pm, pn), c)
+    return StarElement(g, out)
+
+
+def tensor_beta_compare(n: int, x) -> CheckReport:
+    """Check the bouquet-of-n-loops form of beta on a tensor element.
+
+    The dictionary e_{mu nu} (x) 1 -> s_mu s_nu^* carries x into the balanced
+    subalgebra; there beta(x) must match p (x) x with p the rank-one averaging
+    projection (1/n) sum_{ij} e_ij.  A unitary u with first column the
+    normalized all-ones vector conjugates e_11 to p, so the same check runs
+    once more through Ad(u (x) 1) of e_11 (x) x.
+    """
+    report = CheckReport("tensor form of beta on the %d-loop bouquet" % n)
+    if x.n != n:
+        raise ValueError("tensor element is over M_%d, expected M_%d" % (x.n, n))
+    g = bouquet(n)
+    loops = {i: "e%d" % i for i in range(1, n + 1)}
+    endo = CoreEndo(g)
+
+    p_entries = {((i,), (j,)): Radical.from_rational(Fraction(1, n))
+                 for i in range(1, n + 1) for j in range(1, n + 1)}
+    p = TensorElement(n, 1, p_entries)
+
+    report.count()
+    if not (p * p).equal(p):
+        report.fail("averaging projection is not idempotent")
+    report.count()
+    if not p.trace() == 1:
+        report.fail("averaging projection has trace %s, expected 1" % (p.trace(),))
+
+    lhs = endo.beta(to_core_element(g, loops, x))
+    rhs = to_core_element(g, loops, tensor_prepend(p, x))
+    report.count()
+    if not lhs.equal(rhs):
+        report.fail("beta(x) != p (x) x for x=\n%s" % x.text())
+
+    u = averaging_unitary(n)
+    e11 = TensorElement(n, 1, {((1,), (1,)): ONE})
+    report.count()
+    if not first_slot_conjugate(u, e11).equal(p):
+        report.fail("u e_11 u* != p")
+    conj = first_slot_conjugate(u, tensor_prepend(e11, x))
+    report.count()
+    if not conj.equal(tensor_prepend(p, x)):
+        report.fail("Ad(u (x) 1)(e_11 (x) x) != p (x) x for x=\n%s" % x.text())
+    return report
+
+
 def test_tensor_beta_compare():
     x = TensorElement(2, 1, {((1,), (2,)): ONE})
     report = tensor_beta_compare(2, x)
@@ -125,3 +216,10 @@ def test_tensor_beta_compare():
     assert report.passed, report.lines()
     with pytest.raises(ValueError):
         tensor_beta_compare(2, y)
+
+
+def test_averaging_unitary_pinned():
+    u = averaging_unitary(2)
+    h = Radical.inv_sqrt(2)
+    assert u[0][0] == h and u[0][1] == h
+    assert u[1][0] == h and u[1][1] == -h

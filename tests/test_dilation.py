@@ -1,23 +1,25 @@
 """Integer dilation matrices: Hermite boxes, transversals, and the isometry
 relations on finitely supported vectors."""
 
+from itertools import product
+
 import pytest
 
 from corealg.dilation import (
     LatticeSystem,
-    coset_reps,
     delta,
     dilation_beta,
     dilate,
     codilate,
     hermite_normal_form,
     lattice_rep_check,
-    matrix_unit_check,
     mono_apply,
     sigma_i,
     translate,
     transversal_check,
+    vec_equal,
 )
+from corealg.util import CheckReport
 
 MATRICES = ([[2]], [[2, 0], [0, 2]], [[1, 1], [-1, 1]], [[2, 0], [0, 3]])
 
@@ -57,7 +59,7 @@ def test_hermite_rejects_singular():
 @pytest.mark.parametrize("b", MATRICES)
 def test_coset_reps_are_transversal(b):
     sys = LatticeSystem(b)
-    reps = coset_reps(b)
+    reps = sys.Sigma
     assert len(reps) == _det(b)
     report = transversal_check(sys, reps)
     assert report.passed, report.lines()
@@ -126,6 +128,31 @@ def test_defining_relations(b):
     report = lattice_rep_check(sys, radius=3)
     assert report.passed, report.lines()
     assert report.checks > 0
+
+
+def matrix_unit_check(sys: LatticeSystem, i: int, radius: int) -> CheckReport:
+    """T_mn = (u_m v^i)(u_n v^i)* over Sigma_i multiply like matrix units."""
+    pts = sigma_i(sys, i)
+    report = CheckReport("matrix units at level %d" % i)
+    box = list(product(range(-radius, radius + 1), repeat=sys.d))
+    for m in pts:
+        for n in pts:
+            for mp in pts:
+                for np_ in pts:
+                    report.count()
+                    ok = True
+                    for k in box:
+                        dk = delta(k)
+                        step = mono_apply(sys, (mp, i, np_), dk)
+                        lhs = mono_apply(sys, (m, i, n), step)
+                        rhs = mono_apply(sys, (m, i, np_), dk) if n == mp else {}
+                        if not vec_equal(lhs, rhs):
+                            ok = False
+                            break
+                    if not ok:
+                        report.fail("units at (%s,%s),(%s,%s) fail at k=%s"
+                                    % (m, n, mp, np_, k))
+    return report
 
 
 def test_matrix_units_over_sigma():

@@ -60,9 +60,9 @@ def test_prefix_and_drop_first(o2):
     g = o2
     p = g.path(["e1", "e2", "e1"])
     assert g.prefix(p, 2).edges == ("e1", "e2")
-    assert g.prefix(p, 0).is_empty()
+    assert not g.prefix(p, 0).edges
     assert g.drop_first(p).edges == ("e2", "e1")
-    assert g.drop_first(g.path(["e1"])).is_empty()
+    assert not g.drop_first(g.path(["e1"])).edges
     with pytest.raises(ValueError):
         g.prefix(p, 4)
 
@@ -77,14 +77,6 @@ def test_paths_enumeration_deterministic(o2):
 def test_paths_counts_on_cycle(two_cycle):
     assert len(two_cycle.paths(0)) == 2
     assert len(two_cycle.paths(5)) == 2  # unique path of each length per start
-
-
-def test_path_count_matches_enumeration(o2, two_cycle, single_edge):
-    uneven = load_graph("V a; V b\nE x a a; E y a b; E z b a; E w b b; E u b b\n")
-    for g in (o2, two_cycle, single_edge, uneven):
-        for n in range(5):
-            assert g.path_count(n) == len(g.paths(n))
-    assert bouquet(2).path_count(40) == 2**40
 
 
 def test_path_text_round_trip(o2):

