@@ -29,6 +29,7 @@ from .hilbert_module import (
     build_U,
     canonical_frame,
     gram_psd_check,
+    iso_generators_check,
     reconstruct_check,
     u_isometry_report,
 )
@@ -160,13 +161,12 @@ def parse_points(text: str) -> list[tuple[int, ...]]:
 
 def cmd_graph_info(args, report: RunReport) -> None:
     g = _load_graph(args.file)
-    info = g.classify_vertices()
     report.say("vertices: %d" % len(g.vertices))
     report.say("edges: %d" % len(g.edge_names))
     for v in g.vertices:
         report.say("vertex %s: out %d, in %d" % (v, len(g.out_edges(v)), len(g.in_edges(v))))
-    singular = [v for v, item in info.items() if item.singular]
-    regular = [v for v in info if v not in singular]
+    singular = [v for v in g.vertices if not g.in_edges(v)]
+    regular = [v for v in g.vertices if g.in_edges(v)]
     report.say("regular: %s" % (",".join(sorted(regular)) if regular else "-"))
     report.say("singular: %s" % (",".join(sorted(singular)) if singular else "-"))
     report.say("beta_admissible: %s" % str(g.beta_admissible).lower())
@@ -399,7 +399,7 @@ def cmd_uhf_demo(args, report: RunReport) -> None:
     a = uc.TensorElement.unit_entry(n, (1,) * args.depth, (min(2, n),) * args.depth)
     report.add(uc.pi_T_report(sys_, family, a))
     report.add(uc.prefix_rep_sweep(sys_, a, args.depth + 1))
-    report.add(uc.iso_generators_check(sys_))
+    report.add(iso_generators_check(sys_))
 
     rsys, _, rrep = uc.rank_rescale(n, 1, p)
     report.add(rrep)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .util import CheckReport, accumulate, bareiss, col_axpy, col_negate, col_swap
+from .util import CheckReport, add_maps, bareiss, col_axpy, col_negate, col_swap
 
 Vector = tuple[int, ...]
 
@@ -170,13 +170,6 @@ def delta(k: Vector) -> dict:
     return {tuple(k): 1}
 
 
-def vec_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, c in b.items():
-        accumulate(out, k, c)
-    return out
-
-
 def vec_equal(a: dict, b: dict) -> bool:
     return {k: c for k, c in a.items() if c} == {k: c for k, c in b.items() if c}
 
@@ -244,7 +237,7 @@ def lattice_rep_check(sys: LatticeSystem, radius: int) -> CheckReport:
         total: dict = {}
         for m in sys.Sigma:
             term = translate(m, dilate(sys, codilate(sys, translate(tuple(-x for x in m), dk))))
-            total = vec_add(total, term)
+            total = add_maps(total, term)
         report.count()
         if not vec_equal(total, dk):
             report.fail("sum over the transversal of (u_m v)(u_m v)* misses delta_k at k=%s"

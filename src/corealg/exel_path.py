@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .graph import Graph, Path
 from .scalar import Radical
-from .util import CheckReport, accumulate
+from .util import CheckReport, accumulate, add_maps
 
 
 _ZERO = Fraction(0)
@@ -114,10 +114,7 @@ class DepthFunction:
         if not isinstance(other, DepthFunction):
             return NotImplemented
         a, b = self._common(other)
-        out = dict(a.values)
-        for p, x in b.values.items():
-            accumulate(out, p, x)
-        return DepthFunction._wrap(self.graph, a.depth, out)
+        return DepthFunction._wrap(self.graph, a.depth, add_maps(a.values, b.values))
 
     def __neg__(self):
         return DepthFunction._wrap(self.graph, self.depth,

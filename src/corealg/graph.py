@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from dataclasses import dataclass
 
 from .util import Memo
 
@@ -42,14 +41,6 @@ class Path(namedtuple("Path", ("edges", "src", "rng"))):
 
     def __repr__(self):
         return "Path(%s)" % self.text()
-
-
-@dataclass(frozen=True)
-class VertexInfo:
-    name: str
-    out_degree: int     # |s^-1(v)|, edges emitted at v
-    in_degree: int      # |r^-1(v)|, edges received at v
-    singular: bool      # receives nothing, so no relation is imposed there
 
 
 class Graph:
@@ -94,12 +85,6 @@ class Graph:
     def in_edges(self, v: str) -> tuple[str, ...]:
         """Edges with range v (sorted by name)."""
         return self._in[v]
-
-    def classify_vertices(self) -> dict[str, VertexInfo]:
-        return {
-            v: VertexInfo(v, len(self._out[v]), len(self._in[v]), not self._in[v])
-            for v in self.vertices
-        }
 
     @property
     def beta_admissible(self) -> bool:

@@ -31,9 +31,10 @@ from .exel_path import DepthFunction, alpha_shift, transfer_L
 from .graph import Graph, Path
 from .scalar import ONE, Radical, scalar
 from .star_algebra import StarElement, matrix_unit, path_isometry, unit
-from .uhf_cuntz import TensorElement, UhfSystem, uhf_L, uhf_alpha
+from .uhf_cuntz import TensorElement, UhfSystem, canonical_cuntz_family, uhf_L, uhf_alpha
+from .uhf_cuntz import _pi_T, _word_isometries, verify_cuntz_family
 from .uhf_cuntz import words as tensor_words
-from .util import CheckReport, Memo, accumulate
+from .util import CheckReport, Memo, accumulate, add_maps
 
 
 class TruncationDepthError(ValueError):
@@ -220,10 +221,6 @@ class ModuleElement:
         self.source = source
 
     @classmethod
-    def zero(cls, system, degree: int = 1) -> "ModuleElement":
-        return cls(system, degree)
-
-    @classmethod
     def basis_word(cls, system, word: tuple) -> "ModuleElement":
         return cls(system, len(word), {tuple(word): system.unit()})
 
@@ -240,10 +237,7 @@ class ModuleElement:
     def __add__(self, other):
         if other.degree != self.degree or other.system is not self.system:
             raise ValueError("degree or system mismatch")
-        out = dict(self.coords)
-        for w, c in other.coords.items():
-            accumulate(out, w, c)
-        return ModuleElement(self.system, self.degree, out)
+        return ModuleElement(self.system, self.degree, add_maps(self.coords, other.coords))
 
     def __sub__(self, other):
         return self + other.scale(Radical.from_rational(-1))
@@ -338,7 +332,7 @@ def reconstruct_check(m: ModuleElement) -> CheckReport:
         for j in sys.indices:
             h = recon.coords.get((j,), sys.zero())
             rep = rep + sys.frame_rep(j) * sys.alpha(h)
-        diff = rep + a * Radical.from_rational(-1)
+        diff = rep - a
         gap = sys.L(diff.adjoint() * diff)
         report.count()
         if not gap.is_zero():
@@ -471,31 +465,6 @@ class CompactOp:
             if d is not None:
                 accumulate(out, w, c * d)
         return ModuleElement(sys, self.degree, out)
-
-    def add(self, other: "CompactOp") -> "CompactOp":
-        sys = self.system
-        out = dict(self.entries)
-        for key, c in other.entries.items():
-            accumulate(out, key, c)
-        return CompactOp(sys, self.degree, out)
-
-    def adjoint(self) -> "CompactOp":
-        sys = self.system
-        return CompactOp(sys, self.degree,
-                         {(v, w): c.adjoint() for (w, v), c in self.entries.items()})
-
-    def canonical_entries(self) -> dict:
-        """Left-multiply by the Gram matrix; equal results mean equal operators."""
-        sys = self.system
-        columns: dict[tuple, dict] = {}
-        for (w, v), c in self.entries.items():
-            columns.setdefault(v, {})[w] = c
-        return {(u, v): d for v, col in columns.items()
-                for u, d in _act(sys, sys.unit(), col).items()}
-
-    def equal(self, other: "CompactOp") -> bool:
-        return (other.degree == self.degree
-                and _same(self.canonical_entries(), other.canonical_entries()))
 
     def __repr__(self):
         return "CompactOp(degree=%d, %d entries)" % (self.degree, len(self.entries))
@@ -685,6 +654,33 @@ def frame_rep_psi(system, family: dict, pi):
         if not cov.equal(pb):
             report.fail("covariance sum differs from pi(b) at b=\n%s" % system.a_text(b))
     return psi, report
+
+
+def iso_generators_check(sys: UhfSystem) -> CheckReport:
+    """Frame representation onto the n*N-isometry algebra: every generator is
+    the image of a basis element, with degree-1 homogeneity."""
+    report = CheckReport("generator correspondence (n=%d, N=%d)" % (sys.n, sys.N))
+    fsys = UhfFrameSystem(sys)
+    g, family = canonical_cuntz_family(sys)
+    verify_cuntz_family(family)
+    word_isometry = _word_isometries(family)
+
+    def pi(b: TensorElement) -> StarElement:
+        return _pi_T(sys, family, b, word_isometry)
+
+    psi, rep = frame_rep_psi(fsys, family, pi)
+    report.merge(rep)
+    for (i, j) in sys.indices():
+        image = psi(ModuleElement.basis_word(fsys, ((i, j),)))
+        expected = family[(i, j)]
+        report.count()
+        if not image.equal(expected):
+            report.fail("psi(E_%d%d) differs from the generator s%d_%d" % (i, j, i, j))
+        degrees = list(image.degree_decompose())
+        report.count()
+        if degrees != [1]:
+            report.fail("psi(E_%d%d) not homogeneous of degree 1: %s" % (i, j, degrees))
+    return report
 
 
 # -- numeric positivity ------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 from .util import accumulate
 
@@ -130,7 +130,10 @@ class Radical:
 
     # -- ring operations ---------------------------------------------------
 
-    def _combine(self, o: "Radical", negate: bool) -> "Radical":
+    def __add__(self, other):
+        o = scalar(other)
+        if o is None:
+            return NotImplemented
         den, oden = self._den, o._den
         if den == oden:
             out, scale = dict(self._num), 1
@@ -143,22 +146,13 @@ class Radical:
         for k, c in o._num.items():
             if scale != 1:
                 c *= scale
-            s = out.get(k)
-            if s is None:
-                out[k] = -c if negate else c
+            # c is nonzero, so only a key already in out can cancel
+            s = out.get(k, 0) + c
+            if s:
+                out[k] = s
             else:
-                t = s - c if negate else s + c
-                if t:
-                    out[k] = t
-                else:
-                    del out[k]
+                del out[k]
         return Radical._wrap(out, den)
-
-    def __add__(self, other):
-        o = scalar(other)
-        if o is None:
-            return NotImplemented
-        return self._combine(o, False)
 
     __radd__ = __add__
 
@@ -169,13 +163,13 @@ class Radical:
         o = scalar(other)
         if o is None:
             return NotImplemented
-        return self._combine(o, True)
+        return self + (-o)
 
     def __rsub__(self, other):
         o = scalar(other)
         if o is None:
             return NotImplemented
-        return o._combine(self, True)
+        return o + (-self)
 
     def __mul__(self, other):
         o = scalar(other)
@@ -216,19 +210,14 @@ class Radical:
         return self._hash
 
     def __bool__(self):
+        """The one zero test: a Radical is true when it is nonzero."""
         return bool(self._num)
-
-    def is_zero(self) -> bool:
-        return not self._num
 
     def is_rational(self) -> bool:
         return all(k == 1 for k in self._num)
 
     def rational_part(self) -> Fraction:
         return Fraction(self._num.get(1, 0), self._den)
-
-    def terms(self) -> Iterable[tuple[int, Fraction]]:
-        return sorted((k, Fraction(c, self._den)) for k, c in self._num.items())
 
     def term_count(self) -> int:
         """Number of nonzero terms, one per radicand."""

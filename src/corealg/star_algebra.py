@@ -15,7 +15,7 @@ import numpy as np
 
 from .graph import Graph, Path
 from .scalar import ONE, Radical, parse_radical, scalar
-from .util import accumulate
+from .util import accumulate, add_maps
 
 
 class SingularVertexError(ValueError):
@@ -87,10 +87,7 @@ class StarElement:
             return NotImplemented
         if other.graph is not self.graph:
             raise ValueError("elements live over different graphs")
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            accumulate(out, key, c)
-        return StarElement._wrap(self.graph, out)
+        return StarElement._wrap(self.graph, add_maps(self._terms, other._terms))
 
     def __sub__(self, other):
         if not isinstance(other, StarElement):

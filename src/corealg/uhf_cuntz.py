@@ -12,10 +12,12 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 from .graph import Graph
 from .scalar import ONE, Radical, scalar
 from .star_algebra import StarElement, edge_isometry, unit
-from .util import CheckReport, accumulate
+from .util import CheckReport, accumulate, add_maps
 
 Word = tuple[int, ...]
 
@@ -95,10 +97,7 @@ class TensorElement:
         if not isinstance(other, TensorElement):
             return NotImplemented
         a, b = self._common(other)
-        out = dict(a.entries)
-        for key, c in b.entries.items():
-            accumulate(out, key, c)
-        return TensorElement._wrap(self.n, a.k, out)
+        return TensorElement._wrap(self.n, a.k, add_maps(a.entries, b.entries))
 
     def __neg__(self):
         return TensorElement._wrap(self.n, self.k, {key: -c for key, c in self.entries.items()})
@@ -150,7 +149,6 @@ class TensorElement:
         return total
 
     def to_numeric(self):
-        import numpy as np
         idx = {w: i for i, w in enumerate(words(self.n, self.k))}
         mat = np.zeros((len(idx), len(idx)))
         for (mu, nu), c in self.entries.items():
@@ -390,35 +388,6 @@ def pi_T_report(sys: UhfSystem, family: dict, a: TensorElement) -> CheckReport:
             if not lhs.equal(rhs):
                 report.fail("compression relation fails at ij=%s kl=%s for a=\n%s"
                             % ((i, j), (k, l), a.text()))
-    return report
-
-
-def iso_generators_check(sys: UhfSystem) -> CheckReport:
-    """Frame representation onto the n*N-isometry algebra: every generator is
-    the image of a basis element, with degree-1 homogeneity."""
-    from . import hilbert_module
-
-    report = CheckReport("generator correspondence (n=%d, N=%d)" % (sys.n, sys.N))
-    fsys = hilbert_module.UhfFrameSystem(sys)
-    g, family = canonical_cuntz_family(sys)
-    verify_cuntz_family(family)
-    word_isometry = _word_isometries(family)
-
-    def pi(b: TensorElement) -> StarElement:
-        return _pi_T(sys, family, b, word_isometry)
-
-    psi, rep = hilbert_module.frame_rep_psi(fsys, family, pi)
-    report.merge(rep)
-    for (i, j) in sys.indices():
-        image = psi(hilbert_module.ModuleElement.basis_word(fsys, ((i, j),)))
-        expected = family[(i, j)]
-        report.count()
-        if not image.equal(expected):
-            report.fail("psi(E_%d%d) differs from the generator s%d_%d" % (i, j, i, j))
-        degrees = list(image.degree_decompose())
-        report.count()
-        if degrees != [1]:
-            report.fail("psi(E_%d%d) not homogeneous of degree 1: %s" % (i, j, degrees))
     return report
 
 

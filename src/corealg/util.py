@@ -1,7 +1,7 @@
 """Shared plumbing: the deterministic PRNG used by sweeps, a tiny check-report
 type, the one integer (fraction-free) elimination, the integer column
 operations of the Smith and Hermite forms, the one sparse-map accumulate and
-the per-object memo."""
+sum, and the per-object memo."""
 
 from __future__ import annotations
 
@@ -113,6 +113,14 @@ def accumulate(out: dict, key, add) -> None:
         out[key] = t
     else:
         del out[key]
+
+
+def add_maps(a: dict, b: dict) -> dict:
+    """The sum of two sparse maps: a copy of a with b accumulated into it."""
+    out = dict(a)
+    for key, add in b.items():
+        accumulate(out, key, add)
+    return out
 
 
 class Memo:

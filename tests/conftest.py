@@ -1,6 +1,13 @@
+from fractions import Fraction
+
 import pytest
 
 from corealg.graph import Graph, bouquet, cycle
+
+
+def terms(x):
+    """The (radicand, coefficient) pairs of a Radical, sorted by radicand."""
+    return sorted((k, Fraction(c, x._den)) for k, c in x._num.items())
 
 
 @pytest.fixture

@@ -25,6 +25,7 @@ from corealg.hilbert_module import (
     canonical_frame,
     frame_rep_psi,
     gram_psd_check,
+    iso_generators_check,
     u_element,
     u_isometry_report,
 )
@@ -54,7 +55,6 @@ from corealg.uhf_cuntz import (
     TensorElement,
     UhfSystem,
     canonical_cuntz_family,
-    iso_generators_check,
     pi_T,
     pi_T_report,
     prefix_rep_sweep,

@@ -53,6 +53,14 @@ def test_graph_info(capsys, o2_file):
     assert "v" in out and "regular" in out
 
 
+def test_graph_info_splits_regular_and_singular(capsys, tmp_path):
+    p = tmp_path / "edge.graph"
+    p.write_text("V a\nV b\nE x a b\n")     # a receives nothing, b receives x
+    code, out, _ = run(capsys, "graph", "info", str(p))
+    assert code == 0
+    assert "\nregular: b\nsingular: a\n" in out
+
+
 def test_core_mul_and_norm(capsys, o2_file, elem_file):
     code, out, _ = run(capsys, "core", "mul", o2_file, elem_file, elem_file)
     assert code == 0 and out.endswith("checks: 0  passed: 0  failed: 0\nresult: computed\n")

@@ -16,15 +16,13 @@ def test_incidence_and_degrees(two_cycle):
     assert g.src("x1") == "v1" and g.rng("x1") == "v2"
     assert g.out_edges("v1") == ("x1",)
     assert g.in_edges("v1") == ("x2",)
-    info = g.classify_vertices()
-    assert info["v1"].out_degree == 1 and info["v1"].in_degree == 1
-    assert not info["v1"].singular
+    assert g.all_regular                # every vertex receives an edge
 
 
 def test_singular_vertex_detection(single_edge):
-    info = single_edge.classify_vertices()
-    assert info["a"].singular           # a receives nothing
-    assert not info["b"].singular
+    assert not single_edge.in_edges("a")    # a is singular: it receives nothing
+    assert single_edge.in_edges("b") == ("x",)
+    assert single_edge.out_edges("a") == ("x",) and not single_edge.out_edges("b")
     assert not single_edge.all_regular
     assert not single_edge.path_space_admissible
     assert not single_edge.beta_admissible  # b emits nothing

@@ -15,6 +15,7 @@ from sympy.matrices.normalforms import (  # noqa: E402
     smith_normal_form as sympy_smith,
 )
 
+from conftest import terms  # noqa: E402
 from corealg.dilation import LatticeSystem, hermite_normal_form  # noqa: E402
 from corealg.ktheory import int_det, smith_normal_form  # noqa: E402
 from corealg.scalar import RADICAND_LIMIT, Radical, parse_radical  # noqa: E402
@@ -113,7 +114,7 @@ def rat(q):
 
 
 def as_sympy(x: Radical):
-    return sympy.Add(*[rat(c) * sympy.sqrt(k) for k, c in x.terms()])
+    return sympy.Add(*[rat(c) * sympy.sqrt(k) for k, c in terms(x)])
 
 
 def same(x: Radical, expr) -> bool:
@@ -121,7 +122,7 @@ def same(x: Radical, expr) -> bool:
 
 
 def product_radicands(x: Radical, y: Radical):
-    return [j * k // math.gcd(j, k) ** 2 for j, _ in x.terms() for k, _ in y.terms()]
+    return [j * k // math.gcd(j, k) ** 2 for j, _ in terms(x) for k, _ in terms(y)]
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,53 +1,71 @@
-"""Every function, class and public method of the library is reached from
-the library itself, the benchmark harness or the acceptance items.
+"""Static guards on the shape of the library.
 
-A name counts as reached when some place in src/corealg outside the
-definition's own body, in perfbench/*.py or in tests/test_acceptance.py
-reads it, as a name or as an attribute.  Code that only unit tests call
-belongs in those tests."""
+Every function, class and public method of the library is reached from
+the library itself, the benchmark harness or the acceptance items.  A
+function or class counts as reached when some place in src/corealg outside
+the definition's own body, in perfbench/*.py or in tests/test_acceptance.py
+reads its name, as a name or as an attribute; a method counts only through
+an attribute read, so a local variable or parameter that shares its name
+does not keep it.  Code that only unit tests call belongs in those tests.
+
+No module imports inside a function: every dependency of a module shows
+at its top, so an import cycle cannot hide in a function body."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+LIBRARY = sorted((ROOT / "src" / "corealg").glob("*.py"))
 
 
 def _reads(tree):
+    """(name, line, read as an attribute) for every name read in tree."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, True
 
 
 def _definitions(tree):
-    """Top-level functions and classes, and the non-dunder methods of classes."""
+    """(node, is a method): top-level functions and classes, and the
+    non-dunder methods of classes."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node
+            yield node, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not (
                         item.name.startswith("__") and item.name.endswith("__")):
-                    yield item
+                    yield item, True
 
 
 def test_every_library_definition_is_reached():
-    library = {path: ast.parse(path.read_text()) for path in
-               sorted((ROOT / "src" / "corealg").glob("*.py"))}
+    library = {path: ast.parse(path.read_text()) for path in LIBRARY}
     callers = sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
-    outside = {name for path in callers for name, _ in _reads(ast.parse(path.read_text()))}
-    reads: dict[str, list] = {}
-    for path, tree in library.items():
-        for name, line in _reads(tree):
-            reads.setdefault(name, []).append((path, line))
+    reads: dict[tuple, list] = {}   # (name, read as an attribute) -> [(path, line)]
+    for path in LIBRARY + callers:
+        tree = library.get(path) or ast.parse(path.read_text())
+        for name, line, attr in _reads(tree):
+            reads.setdefault((name, attr), []).append((path, line))
 
     unreached = []
     for path, tree in library.items():
-        for node in _definitions(tree):
-            if node.name in outside or any(
-                    where != path or not node.lineno <= line <= node.end_lineno
-                    for where, line in reads.get(node.name, ())):
-                continue
-            unreached.append("%s:%d %s" % (path.name, node.lineno, node.name))
+        for node, method in _definitions(tree):
+            places = reads.get((node.name, True), [])
+            if not method:
+                places = places + reads.get((node.name, False), [])
+            if not any(where != path or not node.lineno <= line <= node.end_lineno
+                       for where, line in places):
+                unreached.append("%s:%d %s" % (path.name, node.lineno, node.name))
     assert not unreached, "reached only from unit tests, or not at all: " + ", ".join(unreached)
+
+
+def test_no_import_inside_a_function():
+    nested = []
+    for path in LIBRARY:
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                nested.extend("%s:%d" % (path.name, node.lineno) for node in ast.walk(fn)
+                              if isinstance(node, (ast.Import, ast.ImportFrom)))
+    assert not nested, "import inside a function: " + ", ".join(sorted(set(nested)))

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import terms
 from corealg.scalar import (
     ONE, RADICAND_LIMIT, ZERO, Radical, _squarefree_split, parse_radical)
 
@@ -80,7 +81,7 @@ def test_denominators_mix_and_cancel():
     assert x.text() == "1/6*sqrt(2)+1/4*sqrt(3)"
     assert (x * 12).text() == "2*sqrt(2)+3*sqrt(3)"
     assert x * 12 == Radical({2: 2, 3: 3})
-    assert (x - Radical.sqrt(3) * Fraction(1, 4)).terms() == [(2, Fraction(1, 6))]
+    assert terms(x - Radical.sqrt(3) * Fraction(1, 4)) == [(2, Fraction(1, 6))]
     y = Radical.sqrt(2) * Fraction(1, 3) - Radical.sqrt(3) * Fraction(1, 4)
     assert (x + y).text() == "1/2*sqrt(2)"
     assert x * Fraction(6, 5) + Radical.sqrt(3) * Fraction(-3, 10) == Radical.sqrt(2) * Fraction(1, 5)
@@ -120,7 +121,7 @@ def test_product_radicands_match_factoring():
     for j in squarefree:
         for k in squarefree:
             s, m = _squarefree_split(j * k)
-            assert (Radical.sqrt(j) * Radical.sqrt(k)).terms() == [(m, Fraction(s))]
+            assert terms(Radical.sqrt(j) * Radical.sqrt(k)) == [(m, Fraction(s))]
 
 
 def test_product_of_large_radicands_needs_no_factoring():
@@ -137,7 +138,7 @@ def test_product_of_large_radicands_needs_no_factoring():
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
-    assert product.terms() == [(j * k, Fraction(1))]
+    assert terms(product) == [(j * k, Fraction(1))]
     assert a * a == ONE * j
     primorial_47 = math.prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47))
     with pytest.raises(OverflowError):
@@ -185,7 +186,7 @@ def _within(seconds, fn, *args):
 
 def test_sqrt_of_large_radicands_needs_no_full_trial_division():
     prime = 9223372036854775783          # the largest prime below 2**63
-    assert _within(2.0, Radical.sqrt, prime).terms() == [(prime, Fraction(1))]
+    assert terms(_within(2.0, Radical.sqrt, prime)) == [(prime, Fraction(1))]
     assert _within(2.0, Radical.sqrt, 3037000493 ** 2) == ONE * 3037000493
     assert _within(2.0, parse_radical, "sqrt(%d)" % prime) == Radical.sqrt(prime)
     with pytest.raises(OverflowError):
@@ -250,12 +251,12 @@ def test_floats_are_refused():
         Radical.inv_sqrt_rational(0.5)
     with pytest.raises(TypeError):
         Radical.from_rational("1/2")
-    assert Radical({1: 1, 2: Fraction(1, 2)}).terms() == [(1, Fraction(1)), (2, Fraction(1, 2))]
+    assert terms(Radical({1: 1, 2: Fraction(1, 2)})) == [(1, Fraction(1)), (2, Fraction(1, 2))]
     assert Radical.from_rational(True) == ONE
 
 
 def _checked_copy(x: Radical) -> Radical:
-    return Radical(dict(x.terms()))
+    return Radical(dict(terms(x)))
 
 
 rationals = st.builds(Radical.from_rational, coefficients)
@@ -269,7 +270,7 @@ def test_unchecked_results_are_canonical(ab):
     a, b = ab
     for r in (a + b, a - b, a * b, -a, a + 1, 2 - a, a * Fraction(1, 3), a - a, a * ZERO,
               a * 12, (a + b) * Fraction(1, 10**6)):
-        assert all(type(c) is Fraction and c for _, c in r.terms())
+        assert all(type(c) is Fraction and c for _, c in terms(r))
         assert _checked_copy(r) == r
         assert hash(_checked_copy(r)) == hash(r)
 

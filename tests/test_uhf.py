@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corealg import uhf_cuntz
-from corealg.hilbert_module import UhfFrameSystem, canonical_frame
+from corealg.hilbert_module import UhfFrameSystem, canonical_frame, iso_generators_check
 from corealg.scalar import ONE, Radical
 from corealg.star_algebra import StarElement, matrix_unit, unit
 from corealg.uhf_cuntz import (
@@ -16,7 +16,6 @@ from corealg.uhf_cuntz import (
     TensorElement,
     UhfSystem,
     canonical_cuntz_family,
-    iso_generators_check,
     orthonormal_columns,
     pi_T,
     pi_T_report,
