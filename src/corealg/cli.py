@@ -392,8 +392,7 @@ def cmd_uhf_demo(args, report: RunReport) -> None:
         proj.fail("p has trace %s, expected %d" % (p.trace().text(), cap))
     report.add(proj)
 
-    g, family = uc.canonical_cuntz_family(sys_)
-    uc.verify_cuntz_family(family)
+    _, family = uc.canonical_cuntz_family(sys_)
     report.say("isometry family: %d generators on one vertex" % len(family))
 
     a = uc.TensorElement.unit_entry(n, (1,) * args.depth, (min(2, n),) * args.depth)

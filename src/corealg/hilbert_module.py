@@ -21,6 +21,7 @@ tensor elements of uhf_cuntz.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from itertools import product
 from types import MappingProxyType
 
@@ -31,8 +32,7 @@ from .exel_path import DepthFunction, alpha_shift, transfer_L
 from .graph import Graph, Path
 from .scalar import ONE, Radical, scalar
 from .star_algebra import StarElement, matrix_unit, path_isometry, unit
-from .uhf_cuntz import TensorElement, UhfSystem, canonical_cuntz_family, uhf_L, uhf_alpha
-from .uhf_cuntz import _pi_T, _word_isometries, verify_cuntz_family
+from .uhf_cuntz import TensorElement, UhfSystem, canonical_cuntz_family, pi_T, uhf_L, uhf_alpha
 from .uhf_cuntz import words as tensor_words
 from .util import CheckReport, Memo, accumulate, add_maps
 
@@ -238,9 +238,6 @@ class ModuleElement:
         if other.degree != self.degree or other.system is not self.system:
             raise ValueError("degree or system mismatch")
         return ModuleElement(self.system, self.degree, add_maps(self.coords, other.coords))
-
-    def __sub__(self, other):
-        return self + other.scale(Radical.from_rational(-1))
 
     def scale(self, c: Radical) -> "ModuleElement":
         return ModuleElement(self.system, self.degree,
@@ -579,7 +576,7 @@ def beta_crosscheck(g: Graph, mu: Path, nu: Path) -> CheckReport:
 # -- frame-induced representation -----------------------------------------------------
 
 
-def frame_rep_psi(system, family: dict, pi):
+def frame_rep_psi(system, family: Mapping, pi):
     """psi(m) = sum_i S_i pi(<F_i, m>) for degree-1 m, with the covariance
     package verified on the generators 1 and the degree-1 basis, and on the
     elements F_i and q(b) for the first two basis elements b.
@@ -661,14 +658,8 @@ def iso_generators_check(sys: UhfSystem) -> CheckReport:
     the image of a basis element, with degree-1 homogeneity."""
     report = CheckReport("generator correspondence (n=%d, N=%d)" % (sys.n, sys.N))
     fsys = UhfFrameSystem(sys)
-    g, family = canonical_cuntz_family(sys)
-    verify_cuntz_family(family)
-    word_isometry = _word_isometries(family)
-
-    def pi(b: TensorElement) -> StarElement:
-        return _pi_T(sys, family, b, word_isometry)
-
-    psi, rep = frame_rep_psi(fsys, family, pi)
+    _, family = canonical_cuntz_family(sys)
+    psi, rep = frame_rep_psi(fsys, family, lambda b: pi_T(sys, family, b))
     report.merge(rep)
     for (i, j) in sys.indices():
         image = psi(ModuleElement.basis_word(fsys, ((i, j),)))

@@ -267,9 +267,7 @@ def _stage_beta_matrix(g: Graph, endo: CoreEndo, verts: list[str], level: int,
 class GraphKTheory:
     k0: GroupPresentation
     k1: GroupPresentation
-    connecting: list
     beta_star: list
-    stage_matrix: list
     report: CheckReport
 
 
@@ -312,7 +310,7 @@ def graph_k_theory(g: Graph) -> GraphKTheory:
             report.fail("inclusion moves the class of vertex %s" % verts[j])
     if not report.passed:
         raise StabilizationError("\n".join(report.lines()))
-    return GraphKTheory(k0, GroupPresentation(ker_rank), c, t, m, report)
+    return GraphKTheory(k0, GroupPresentation(ker_rank), t, report)
 
 
 # -- the six-term sequence ------------------------------------------------------------
@@ -322,7 +320,6 @@ def graph_k_theory(g: Graph) -> GraphKTheory:
 class PaschkeResult:
     k0: GroupPresentation | None
     k1: GroupPresentation | None
-    af_assumed: bool
     diagram: str
 
 
@@ -351,4 +348,4 @@ def paschke_sequence(beta_star, k1_of_core_is_zero: bool) -> PaschkeResult:
     note = ("     = %s          = 0 (assumed)" % corner1) if k1_of_core_is_zero else \
         "     (corners not determined without the core K_1 input)"
     diagram = "\n".join([top, mid_l, mid_r, bot, note])
-    return PaschkeResult(k0, k1, k1_of_core_is_zero, diagram)
+    return PaschkeResult(k0, k1, diagram)

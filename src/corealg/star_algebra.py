@@ -296,12 +296,11 @@ class StarElement:
 
 def vertex_projection(g: Graph, v: str) -> StarElement:
     p = g.empty_path(v)
-    return StarElement(g, {(p, p): ONE})
+    return matrix_unit(g, p, p)
 
 
 def edge_isometry(g: Graph, e: str) -> StarElement:
-    mu = g.path([e])
-    return StarElement(g, {(mu, g.empty_path(mu.src)): ONE})
+    return path_isometry(g, g.path([e]))
 
 
 def path_isometry(g: Graph, mu: Path) -> StarElement:

@@ -9,6 +9,7 @@ the element, only its storage depth.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import product
 
@@ -270,112 +271,101 @@ class CuntzFamilyError(ValueError):
     pass
 
 
-def canonical_cuntz_family(sys: UhfSystem) -> tuple[Graph, dict]:
+class CuntzFamily(Mapping):
+    """Isometries S_(i, j), one for each index pair of a system, whose ranges
+    are orthogonal and sum to the identity.  The constructor checks all of
+    this; the family is read-only afterwards, so pi_T trusts it.  The word
+    isometries T_(mu, lam) it forms are kept."""
+
+    def __init__(self, sys: UhfSystem, members: Mapping):
+        members = dict(members)
+        if not members:
+            raise CuntzFamilyError("empty family")
+        g = next(iter(members.values())).graph
+        if any(S.graph is not g for S in members.values()):
+            raise CuntzFamilyError("family members live over different graphs")
+        if set(members) != set(sys.indices()):
+            raise ValueError("family must be indexed by the (i, j) pairs of the system")
+        one = unit(g)
+        zero = StarElement.zero(g)
+        for a, S in members.items():
+            for b, T in members.items():
+                if not (S.adjoint() * T).equal(one if a == b else zero):
+                    raise CuntzFamilyError("S_%s* S_%s is not %s"
+                                           % (a, b, "1" if a == b else "0"))
+        total = StarElement.zero(g)
+        for S in members.values():
+            total = total + S * S.adjoint()
+        if not total.equal(one):
+            raise CuntzFamilyError("sum of range projections differs from 1")
+        self.n, self.N, self.graph = sys.n, sys.N, g
+        self._members = members
+        self._words: dict[tuple[Word, Word], StarElement] = {}
+
+    def __getitem__(self, index):
+        return self._members[index]
+
+    def __iter__(self):
+        return iter(self._members)
+
+    def __len__(self):
+        return len(self._members)
+
+    def word_isometry(self, mu: Word, lam: Word) -> StarElement:
+        """T_{mu lam} = S_(mu_1, lam_1) ... S_(mu_k, lam_k), formed once."""
+        key = (mu, lam)
+        got = self._words.get(key)
+        if got is None:
+            got = self._members[(mu[0], lam[0])]
+            for t in range(1, len(mu)):
+                got = got * self._members[(mu[t], lam[t])]
+            self._words[key] = got
+        return got
+
+
+def canonical_cuntz_family(sys: UhfSystem) -> tuple[Graph, CuntzFamily]:
     """The n*N loops on one vertex, indexed by the pairs (i, j)."""
     names = [("s%d_%d" % (i, j), "v", "v") for i, j in sys.indices()]
     g = Graph(["v"], names)
-    family = {(i, j): edge_isometry(g, "s%d_%d" % (i, j)) for i, j in sys.indices()}
-    return g, family
+    members = {(i, j): edge_isometry(g, "s%d_%d" % (i, j)) for i, j in sys.indices()}
+    return g, CuntzFamily(sys, members)
 
 
-def verify_cuntz_family(family: dict) -> None:
-    """Isometries with orthogonal ranges summing to the identity.
-
-    A family that passes is recorded in its graph's memo under its content
-    (each index with its terms), so verifying it again costs one lookup; a
-    different or corrupted family over the same graph gets the full check,
-    and a failure is never remembered."""
-    if not family:
-        raise CuntzFamilyError("empty family")
-    g = next(iter(family.values())).graph
-    if any(S.graph is not g for S in family.values()):
-        raise CuntzFamilyError("family members live over different graphs")
-    key = frozenset((index, frozenset(S.items())) for index, S in family.items())
-    g.memo.get(("cuntz family", key), lambda: _check_cuntz_family(g, family))
-
-
-def _check_cuntz_family(g: Graph, family: dict) -> bool:
-    one = unit(g)
-    zero = StarElement.zero(g)
-    for a, S in family.items():
-        for b, T in family.items():
-            prod = S.adjoint() * T
-            want = one if a == b else zero
-            if not prod.equal(want):
-                raise CuntzFamilyError("S_%s* S_%s is not %s"
-                                       % (a, b, "1" if a == b else "0"))
-    total = StarElement.zero(g)
-    for S in family.values():
-        total = total + S * S.adjoint()
-    if not total.equal(one):
-        raise CuntzFamilyError("sum of range projections differs from 1")
-    return True
-
-
-def _word_isometries(family: dict):
-    """T_{mu lam} = T_(mu_1, lam_1) ... T_(mu_k, lam_k), each product made
-    once per returned function and kept in its cache."""
-    cache: dict[tuple[Word, Word], StarElement] = {}
-
-    def word_isometry(mu: Word, lam: Word) -> StarElement:
-        key = (mu, lam)
-        got = cache.get(key)
-        if got is None:
-            got = family[(mu[0], lam[0])]
-            for t in range(1, len(mu)):
-                got = got * family[(mu[t], lam[t])]
-            cache[key] = got
-        return got
-
-    return word_isometry
-
-
-def _require_indexed(sys: UhfSystem, family: dict) -> None:
-    if set(family) != set(sys.indices()):
-        raise ValueError("family must be indexed by the (i, j) pairs of the system")
-
-
-def pi_T(sys: UhfSystem, family: dict, a: TensorElement) -> StarElement:
+def pi_T(sys: UhfSystem, family: CuntzFamily, a: TensorElement) -> StarElement:
     """Send e_{mu nu} (x) 1 to sum_lambda T_{mu lambda} T_{nu lambda}^* with
-    lambda running over {1..N}^depth.  The family is verified, which costs
-    one memo lookup for a family already seen (see verify_cuntz_family)."""
-    _require_indexed(sys, family)
-    verify_cuntz_family(family)
-    return _pi_T(sys, family, a, _word_isometries(family))
-
-
-def _pi_T(sys: UhfSystem, family: dict, a: TensorElement, word_isometry) -> StarElement:
-    g = next(iter(family.values())).graph
+    lambda running over {1..N}^depth.  The family was checked when it was
+    built; only its system is compared with sys."""
+    if not isinstance(family, CuntzFamily):
+        raise TypeError("pi_T needs a CuntzFamily, got %s" % type(family).__name__)
+    if (family.n, family.N) != (sys.n, sys.N):
+        raise ValueError("family must be indexed by the (i, j) pairs of the system")
+    g = family.graph
     if a.k == 0:
         c = a.entries.get(((), ()), Radical())
         return unit(g) * c if c else StarElement.zero(g)
     out = StarElement.zero(g)
     lams = words(sys.N, a.k)
+    word = family.word_isometry
     for (mu, nu), c in a.entries.items():
         for lam in lams:
-            out = out + word_isometry(mu, lam) * word_isometry(nu, lam).adjoint() * c
+            out = out + word(mu, lam) * word(nu, lam).adjoint() * c
     return out
 
 
-def pi_T_report(sys: UhfSystem, family: dict, a: TensorElement) -> CheckReport:
+def pi_T_report(sys: UhfSystem, family: CuntzFamily, a: TensorElement) -> CheckReport:
     """Unitality plus the compression relation
     T_ij* pi(a) T_kl = pi(<E_ij, a E_kl>) for every pair of indices.
 
-    The family is verified (once per family, see verify_cuntz_family), the
-    images share one cache of word isometries, and the factor T_ij* pi(a) is
-    formed once per (i, j) and reused for every (k, l).  The product
-    e_ji a e_kl is e_jl (x) the (i, k) block of a, each matrix unit and each
-    block formed once; L is applied to it as defined, so the relation also
-    checks pi_T against L."""
+    The images share the family's word isometries, and the factor
+    T_ij* pi(a) is formed once per (i, j) and reused for every (k, l).  The
+    product e_ji a e_kl is e_jl (x) the (i, k) block of a, each matrix unit
+    and each block formed once; L is applied to it as defined, so the
+    relation also checks pi_T against L."""
     report = CheckReport("pi_T relations at depth %d" % a.k)
-    verify_cuntz_family(family)
-    _require_indexed(sys, family)
-    g = next(iter(family.values())).graph
-    word_isometry = _word_isometries(family)
     report.count()
-    if not _pi_T(sys, family, TensorElement.identity(sys.n, 1), word_isometry).equal(unit(g)):
+    if not pi_T(sys, family, TensorElement.identity(sys.n, 1)).equal(unit(family.graph)):
         report.fail("pi_T(1) differs from 1")
-    image = _pi_T(sys, family, a, word_isometry)
+    image = pi_T(sys, family, a)
     units = {jl: sys.matrix_unit(*jl) for jl in product(range(1, sys.N + 1), repeat=2)}
     blocks = {ik: a.block(*ik) for ik in product(range(1, sys.n + 1), repeat=2)}
     for (i, j) in sys.indices():
@@ -383,7 +373,7 @@ def pi_T_report(sys: UhfSystem, family: dict, a: TensorElement) -> CheckReport:
         for (k, l) in sys.indices():
             lhs = left * family[(k, l)]
             inner = uhf_L(sys, tensor_prepend(units[(j, l)], blocks[(i, k)])) * sys.N
-            rhs = _pi_T(sys, family, inner, word_isometry)
+            rhs = pi_T(sys, family, inner)
             report.count()
             if not lhs.equal(rhs):
                 report.fail("compression relation fails at ij=%s kl=%s for a=\n%s"

@@ -175,8 +175,9 @@ def test_paschke_pinned():
 def test_paschke_without_af_flag():
     r = paschke_sequence([[6]], False)
     assert r.k0 is None and r.k1 is None
-    assert not r.af_assumed
-    assert "?" in r.diagram
+    assert r.diagram.splitlines()[0].endswith("K_0(crossed) = ?")
+    assert r.diagram.splitlines()[-1].strip() == (
+        "(corners not determined without the core K_1 input)")
 
 
 def test_paschke_agrees_with_bouquet():

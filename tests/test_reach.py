@@ -7,6 +7,9 @@ the definition's own body, in perfbench/*.py or in tests/test_acceptance.py
 reads its name, as a name or as an attribute; a method counts only through
 an attribute read, so a local variable or parameter that shares its name
 does not keep it.  Code that only unit tests call belongs in those tests.
+Likewise every field of a dataclass is read as an attribute in one of
+those places, its own class's methods included (`GroupPresentation.text`
+reads `torsion`): a result field that nothing reads goes.
 
 No module imports inside a function: every dependency of a module shows
 at its top, so an import cycle cannot hide in a function body."""
@@ -40,15 +43,33 @@ def _definitions(tree):
                     yield item, True
 
 
-def test_every_library_definition_is_reached():
+def _dataclass_fields(tree):
+    """(class node, field name) for the annotated fields of every
+    top-level class decorated with dataclass, called or not."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                for d in node.decorator_list):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield node, item.target.id
+
+
+def _library_and_reads():
+    """The parsed library, and (name, read as an attribute) -> [(path, line)]
+    over the library and its callers."""
     library = {path: ast.parse(path.read_text()) for path in LIBRARY}
     callers = sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
-    reads: dict[tuple, list] = {}   # (name, read as an attribute) -> [(path, line)]
+    reads: dict[tuple, list] = {}
     for path in LIBRARY + callers:
         tree = library.get(path) or ast.parse(path.read_text())
         for name, line, attr in _reads(tree):
             reads.setdefault((name, attr), []).append((path, line))
+    return library, reads
 
+
+def test_every_library_definition_is_reached():
+    library, reads = _library_and_reads()
     unreached = []
     for path, tree in library.items():
         for node, method in _definitions(tree):
@@ -59,6 +80,16 @@ def test_every_library_definition_is_reached():
                        for where, line in places):
                 unreached.append("%s:%d %s" % (path.name, node.lineno, node.name))
     assert not unreached, "reached only from unit tests, or not at all: " + ", ".join(unreached)
+
+
+def test_every_dataclass_field_is_read():
+    library, reads = _library_and_reads()
+    unread = ["%s:%d %s.%s" % (path.name, cls.lineno, cls.name, name)
+              for path, tree in library.items()
+              for cls, name in _dataclass_fields(tree)
+              if (name, True) not in reads]
+    assert not unread, "dataclass fields read only from unit tests, or not at all: " + (
+        ", ".join(unread))
 
 
 def test_no_import_inside_a_function():

@@ -12,6 +12,7 @@ from corealg.hilbert_module import UhfFrameSystem, canonical_frame, iso_generato
 from corealg.scalar import ONE, Radical
 from corealg.star_algebra import StarElement, matrix_unit, unit
 from corealg.uhf_cuntz import (
+    CuntzFamily,
     CuntzFamilyError,
     TensorElement,
     UhfSystem,
@@ -24,7 +25,6 @@ from corealg.uhf_cuntz import (
     tensor_prepend,
     uhf_L,
     uhf_alpha,
-    verify_cuntz_family,
     words,
 )
 from corealg.util import CheckReport, accumulate
@@ -158,17 +158,26 @@ def test_transfer_module_identity():
 
 def test_canonical_family_verifies():
     for n, N in ((2, 1), (2, 2), (3, 2)):
-        g, family = canonical_cuntz_family(UhfSystem(n, N))
+        sys = UhfSystem(n, N)
+        g, family = canonical_cuntz_family(sys)
         assert len(g.edge_names) == n * N
-        verify_cuntz_family(family)
+        assert isinstance(family, CuntzFamily) and family.graph is g
+        assert sorted(family) == sorted(sys.indices()) and len(family) == n * N
+        assert dict(CuntzFamily(sys, dict(family))) == dict(family)
 
 
 def test_corrupted_family_rejected():
-    g, family = canonical_cuntz_family(UhfSystem(2, 1))
+    sys = UhfSystem(2, 1)
+    g, family = canonical_cuntz_family(sys)
     bad = dict(family)
     bad[(1, 1)] = bad[(2, 1)]
-    with pytest.raises(CuntzFamilyError):
-        verify_cuntz_family(bad)
+    with pytest.raises(CuntzFamilyError, match=r"S_\(1, 1\)\* S_\(2, 1\) is not 0"):
+        CuntzFamily(sys, bad)
+    # orthonormal isometries whose ranges miss part of the identity
+    short = dict(family)
+    short[(2, 1)] = matrix_unit(g, g.path(["s2_1", "s1_1"]), g.empty_path("v"))
+    with pytest.raises(CuntzFamilyError, match="sum of range projections differs from 1"):
+        CuntzFamily(sys, short)
 
 
 def test_pi_T_pinned_single_isometries():
@@ -214,47 +223,87 @@ def _count_products(monkeypatch) -> list:
 def test_empty_family_raises():
     sys = UhfSystem(2, 1)
     with pytest.raises(CuntzFamilyError, match="empty family"):
-        verify_cuntz_family({})
-    with pytest.raises(CuntzFamilyError, match="empty family"):
+        CuntzFamily(sys, {})
+    with pytest.raises(TypeError, match="CuntzFamily"):
         pi_T_report(sys, {}, e(2, [1], [2]))
 
 
-def test_verified_family_is_remembered_by_content(monkeypatch):
+def test_rejections_fire_on_every_attempt(monkeypatch):
+    # the constructor keeps no verdict: each attempt runs its checks again
+    sys = UhfSystem(2, 1)
+    _, family = canonical_cuntz_family(sys)
+    _, other = canonical_cuntz_family(sys)
+    corrupted = dict(family)
+    corrupted[(1, 1)] = family[(2, 1)]
+    mixed = dict(family)
+    mixed[(2, 1)] = other[(2, 1)]
+    rejections = [(sys, {}, CuntzFamilyError, "empty family"),
+                  (sys, mixed, CuntzFamilyError, "different graphs"),
+                  (UhfSystem(2, 2), family, ValueError, "indexed by the"),
+                  (sys, corrupted, CuntzFamilyError, "is not 0")]
     products = _count_products(monkeypatch)
-    g, family = canonical_cuntz_family(UhfSystem(2, 1))
-    verify_cuntz_family(family)
-    first = len(products)
-    assert first > 0
-    verify_cuntz_family(dict(family))
-    assert len(products) == first
-    bad = dict(family)
-    bad[(1, 1)] = bad[(2, 1)]
-    for _ in range(3):
-        with pytest.raises(CuntzFamilyError):
-            verify_cuntz_family(bad)
-        assert len(products) > first
-        first = len(products)
+    for members_sys, members, error, message in rejections:
+        for _ in range(3):
+            before = len(products)
+            with pytest.raises(error, match=message):
+                CuntzFamily(members_sys, members)
+            # only the corrupted family gets as far as the products
+            assert (len(products) > before) == (members is corrupted)
+    assert dict(CuntzFamily(sys, family)) == dict(family)
+
+
+def test_family_is_read_only():
+    _, family = canonical_cuntz_family(UhfSystem(2, 1))
+    with pytest.raises(TypeError):
+        family[(1, 1)] = family[(2, 1)]
+    with pytest.raises(TypeError):
+        del family[(1, 1)]
+    assert not hasattr(family, "update")
+
+
+def test_pi_T_takes_only_a_family_of_its_system():
+    sys = UhfSystem(2, 1)
+    _, family = canonical_cuntz_family(sys)
+    a = e(2, [1], [2])
+    for call in (pi_T, pi_T_report):
+        with pytest.raises(TypeError, match="needs a CuntzFamily, got dict"):
+            call(sys, dict(family), a)
+    with pytest.raises(ValueError, match="indexed by the"):
+        pi_T(UhfSystem(2, 2), family, e(2, [1], [1]))
 
 
 def test_family_over_two_graphs_rejected():
-    _, family = canonical_cuntz_family(UhfSystem(2, 1))
-    _, other = canonical_cuntz_family(UhfSystem(2, 1))
+    sys = UhfSystem(2, 1)
+    _, family = canonical_cuntz_family(sys)
+    _, other = canonical_cuntz_family(sys)
     mixed = dict(family)
     mixed[(2, 1)] = other[(2, 1)]
     with pytest.raises(CuntzFamilyError, match="different graphs"):
-        verify_cuntz_family(mixed)
+        CuntzFamily(sys, mixed)
 
 
 def test_pi_T_report_product_count(monkeypatch):
-    # each word product of one report on (3,2), the family's verification
-    # included: 152 with T_ij* pi(a) T_kl, e_ji a e_kl and the word
-    # isometries formed anew for every (k, l) and every image, 122 now
+    # the word products of one report on (3,2): T_ij* pi(a) once per (i, j)
+    # and each word isometry once; the family's 42 check products ran when
+    # it was built
     sys = UhfSystem(3, 2)
     _, family = canonical_cuntz_family(sys)
     a = TensorElement(3, 2, {((1, 2), (2, 1)): 1, ((3, 1), (1, 1)): Fraction(-1, 2)})
     products = _count_products(monkeypatch)
     assert pi_T_report(sys, family, a).passed
-    assert len(products) == 122
+    assert len(products) == 80
+
+
+def test_second_report_reuses_word_isometries(monkeypatch):
+    # the family keeps its word isometries: a second report on it forms
+    # none of the 16 the first one formed
+    sys = UhfSystem(3, 2)
+    _, family = canonical_cuntz_family(sys)
+    a = TensorElement(3, 2, {((1, 2), (2, 1)): 1, ((3, 1), (1, 1)): Fraction(-1, 2)})
+    assert pi_T_report(sys, family, a).passed
+    products = _count_products(monkeypatch)
+    assert pi_T_report(sys, family, a).passed
+    assert len(products) == 64
 
 
 # -- pi_T_report and prefix_rep_sweep against the loops they replace ---------------
@@ -263,7 +312,6 @@ def test_pi_T_report_product_count(monkeypatch):
 def _loop_pi_T_report(sys, family, a):
     """The compression check with every product formed inside the (k, l) loop."""
     report = CheckReport("pi_T relations at depth %d" % a.k)
-    verify_cuntz_family(family)
     g = next(iter(family.values())).graph
     report.count()
     if not pi_T(sys, family, TensorElement.identity(sys.n, 1)).equal(unit(g)):
@@ -480,14 +528,14 @@ def test_iso_generators():
 
 
 def test_iso_generators_verify_the_family_once(monkeypatch):
-    # every pi_T image verifies its family; after the first, that is a lookup
-    runs = []
-    check = uhf_cuntz._check_cuntz_family
+    # the family is checked when it is built, and it is built once
+    built = []
+    init = CuntzFamily.__init__
 
-    def counted(g, family):
-        runs.append(g)
-        return check(g, family)
+    def counted(self, sys, members):
+        built.append(sys)
+        init(self, sys, members)
 
-    monkeypatch.setattr(uhf_cuntz, "_check_cuntz_family", counted)
+    monkeypatch.setattr(CuntzFamily, "__init__", counted)
     assert iso_generators_check(UhfSystem(3, 2)).passed
-    assert len(runs) == 1
+    assert len(built) == 1
