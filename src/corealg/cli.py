@@ -198,6 +198,7 @@ def cmd_core_beta(args, report: RunReport) -> None:
 
 
 def cmd_core_iexpand(args, report: RunReport) -> None:
+    _require_at_least(args, "level", 0)
     g = _load_graph(args.graph)
     a = _load_element(g, args.a)
     parts = _checked(a.i_expand, args.level)
@@ -205,9 +206,8 @@ def cmd_core_iexpand(args, report: RunReport) -> None:
         report.say("component %d:" % i)
         report.data.extend(part.text().rstrip("\n").split("\n"))
     sec = CheckReport("expansion recombines")
-    sec.count()
-    if not sum(parts, StarElement.zero(g)).equal(a):
-        sec.fail("sum of components differs from the input")
+    sec.check(sum(parts, StarElement.zero(g)).equal(a),
+              lambda: "sum of components differs from the input")
     report.add(sec)
 
 
@@ -241,15 +241,10 @@ def _check_shift_pair(sweep: CheckReport, endo: CoreEndo, verdicts, y, by) -> No
     """Count the pair's three checks: multiplicativity, then x's two verdicts,
     so a failing verdict is reported once for every pair x is in."""
     x, bx, adjoint_ok, covariant = verdicts
-    sweep.count()
-    if not endo.beta(x * y).equal(bx * by):
-        sweep.fail("multiplicativity fails for x=\n%sy=\n%s" % (x.text(), y.text()))
-    sweep.count()
-    if not adjoint_ok:
-        sweep.fail("adjoint fails for x=\n%s" % x.text())
-    sweep.count()
-    if not covariant:
-        sweep.fail("covariance fails for x=\n%s" % x.text())
+    sweep.check(endo.beta(x * y).equal(bx * by),
+                lambda: "multiplicativity fails for x=\n%sy=\n%s" % (x.text(), y.text()))
+    sweep.check(adjoint_ok, lambda: "adjoint fails for x=\n%s" % x.text())
+    sweep.check(covariant, lambda: "covariance fails for x=\n%s" % x.text())
 
 
 def cmd_core_verify_beta(args, report: RunReport) -> None:
@@ -261,9 +256,7 @@ def cmd_core_verify_beta(args, report: RunReport) -> None:
     rng = SplitMix64(args.seed)
 
     gauge = CheckReport("W is a covariance isometry")
-    gauge.count()
-    if not (w.adjoint() * w).equal(unit(g)):
-        gauge.fail("W*W differs from the unit")
+    gauge.check((w.adjoint() * w).equal(unit(g)), lambda: "W*W differs from the unit")
     report.add(gauge)
 
     units = []
@@ -306,16 +299,13 @@ def cmd_exel_verify_transfer(args, report: RunReport) -> None:
 
     basic = CheckReport("unit and section identities")
     one = DepthFunction.constant(g, 1)
-    basic.count()
-    if not transfer_L(one).equal(one):
-        basic.fail("L(1) differs from 1")
+    basic.check(transfer_L(one).equal(one), lambda: "L(1) differs from 1")
     levels = [[DepthFunction.indicator(g, p) for p in g.paths(k)]
               for k in range(1, args.depth + 1)]
     for fs in levels:
         for f in fs:
-            basic.count()
-            if not transfer_L(alpha_shift(f)).equal(f):
-                basic.fail("L(alpha(f)) differs from f at f=\n%s" % f.text())
+            basic.check(transfer_L(alpha_shift(f)).equal(f),
+                        lambda: "L(alpha(f)) differs from f at f=\n%s" % f.text())
     report.add(basic)
 
     sweep = CheckReport("transfer identity sweep, %d exhaustive pairs, %d random"
@@ -384,12 +374,9 @@ def cmd_uhf_demo(args, report: RunReport) -> None:
 
     proj = CheckReport("corner projection")
     p = sys_.p_tensor()
-    proj.count()
-    if not (p * p).equal(p):
-        proj.fail("p is not idempotent")
-    proj.count()
-    if p.trace() != ONE * cap:
-        proj.fail("p has trace %s, expected %d" % (p.trace().text(), cap))
+    proj.check((p * p).equal(p), lambda: "p is not idempotent")
+    proj.check(p.trace() == ONE * cap,
+               lambda: "p has trace %s, expected %d" % (p.trace().text(), cap))
     report.add(proj)
 
     _, family = uc.canonical_cuntz_family(sys_)
@@ -407,10 +394,8 @@ def cmd_uhf_demo(args, report: RunReport) -> None:
     res = kt.paschke_sequence([[n * cap]], True)
     gr = kt.graph_k_theory(bouquet(n * cap))
     agree = CheckReport("six-term corner against the bouquet model")
-    agree.count()
-    if res.k0 != gr.k0 or res.k1 != gr.k1:
-        agree.fail("corner mismatch: %s/%s vs %s/%s"
-                   % (res.k0.text(), res.k1.text(), gr.k0.text(), gr.k1.text()))
+    agree.check(res.k0 == gr.k0 and res.k1 == gr.k1, lambda: "corner mismatch: %s/%s vs %s/%s"
+                % (res.k0.text(), res.k1.text(), gr.k0.text(), gr.k1.text()))
     report.add(agree)
     report.say("K_0 = %s, K_1 = %s" % (res.k0.text(), res.k1.text()))
 
@@ -459,8 +444,7 @@ def cmd_ktheory_graph(args, report: RunReport) -> None:
         res = _checked(kt.graph_k_theory, g)
     except kt.StabilizationError as exc:
         failed = CheckReport("stabilization")
-        failed.count()
-        failed.fail(str(exc))
+        failed.check(False, lambda: str(exc))
         report.add(failed)
         return
     report.add(res.report)
@@ -469,10 +453,9 @@ def cmd_ktheory_graph(args, report: RunReport) -> None:
     classic = [[a[j][i] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
     k0c, kerc = kt.coker_ker(classic)
     agree = CheckReport("agreement with the transposed-matrix model")
-    agree.count()
-    if (k0c, kerc) != (res.k0, res.k1.free_rank):
-        agree.fail("stagewise %s/%s vs classic %s/Z^%d"
-                   % (res.k0.text(), res.k1.text(), k0c.text(), kerc))
+    agree.check((k0c, kerc) == (res.k0, res.k1.free_rank),
+                lambda: "stagewise %s/%s vs classic %s/Z^%d"
+                % (res.k0.text(), res.k1.text(), k0c.text(), kerc))
     report.add(agree)
     report.say("K_0 = %s" % res.k0.text())
     report.say("K_1 = %s" % res.k1.text())
@@ -490,10 +473,9 @@ def cmd_ktheory_paschke(args, report: RunReport) -> None:
     k0, ker_rank = (res.k0, res.k1.free_rank) if res.k0 is not None else kt.coker_ker(m)
     det = kt.int_det(m)
     agree = CheckReport("Smith form against the determinant of b* - 1")
-    agree.count()
     # |K_0| and the kernel rank; a finite K_0 with det = 0 is a mismatch too
-    if (k0.order(), ker_rank) != ((abs(det), 0) if det else (None, k0.free_rank)):
-        agree.fail("det = %d but coker = %s, ker = Z^%d" % (det, k0.text(), ker_rank))
+    agree.check((k0.order(), ker_rank) == ((abs(det), 0) if det else (None, k0.free_rank)),
+                lambda: "det = %d but coker = %s, ker = Z^%d" % (det, k0.text(), ker_rank))
     report.add(agree)
 
 

@@ -58,17 +58,14 @@ class CoreEndo:
                 family[(mu, nu)] = self.beta(matrix_unit(g, mu, nu))
         report = CheckReport("matrix unit images (level %d, vertex %s)" % (i, v))
         for (mu, nu), x in family.items():
-            report.count()
-            if not x.adjoint().equal(family[(nu, mu)]):
-                report.fail("adjoint mismatch at (%s, %s)" % (mu.text(), nu.text()))
+            report.check(x.adjoint().equal(family[(nu, mu)]),
+                         lambda: "adjoint mismatch at (%s, %s)" % (mu.text(), nu.text()))
             for (kappa, lam), y in family.items():
                 prod = x * y
                 expected = family[(mu, lam)] if nu == kappa else StarElement.zero(g)
-                report.count()
-                if not prod.equal(expected):
-                    report.fail("product rule fails at (%s,%s)(%s,%s):\n%s"
-                                % (mu.text(), nu.text(), kappa.text(), lam.text(),
-                                   prod.text()))
+                report.check(prod.equal(expected),
+                             lambda: "product rule fails at (%s,%s)(%s,%s):\n%s"
+                             % (mu.text(), nu.text(), kappa.text(), lam.text(), prod.text()))
         return family, report
 
     def build_W(self) -> StarElement:

@@ -130,18 +130,17 @@ class LatticeSystem:
 def transversal_check(sys: LatticeSystem, pts: list[Vector], power: int = 1) -> CheckReport:
     """pts is a transversal of Z^d / B^power Z^d: distinct residues, full count."""
     report = CheckReport("transversal of Z^d / B^%d Z^d" % power)
-    report.count()
     expected = sys.det_abs ** power
-    if len(pts) != expected:
-        report.fail("size %d, expected %d" % (len(pts), expected))
+    report.check(len(pts) == expected, lambda: "size %d, expected %d" % (len(pts), expected))
     seen: dict[tuple, Vector] = {}
     for p in pts:
         key = sys.digits(p, power)
-        report.count()
-        if key in seen:
+
+        def congruent():
             a = ",".join(str(x) for x in seen[key])
             b = ",".join(str(x) for x in p)
-            report.fail("points %s and %s are congruent mod B^%d" % (a, b, power))
+            return "points %s and %s are congruent mod B^%d" % (a, b, power)
+        report.check(key not in seen, congruent)
         seen[key] = p
     return report
 
@@ -214,34 +213,27 @@ def lattice_rep_check(sys: LatticeSystem, radius: int) -> CheckReport:
     shifts = list(sys.Sigma) + [sys.apply(m) for m in sys.Sigma]
     for k in _box(sys.d, radius):
         dk = delta(k)
-        report.count()
-        if not vec_equal(codilate(sys, dilate(sys, dk)), dk):
-            report.fail("v*v differs from 1 at k=%s" % (k,))
-        report.count()
+        report.check(vec_equal(codilate(sys, dilate(sys, dk)), dk),
+                     lambda: "v*v differs from 1 at k=%s" % (k,))
         proj = dilate(sys, codilate(sys, dk))
         expect = dk if sys.member(k) else {}
-        if not vec_equal(proj, expect):
-            report.fail("vv* is not the lattice-membership projection at k=%s" % (k,))
+        report.check(vec_equal(proj, expect),
+                     lambda: "vv* is not the lattice-membership projection at k=%s" % (k,))
         for m in shifts:
-            report.count()
             lhs = dilate(sys, translate(m, dk))
             rhs = translate(sys.apply(m), dilate(sys, dk))
-            if not vec_equal(lhs, rhs):
-                report.fail("v u_m != u_Bm v at k=%s, m=%s" % (k, m))
-            report.count()
+            report.check(vec_equal(lhs, rhs), lambda: "v u_m != u_Bm v at k=%s, m=%s" % (k, m))
             mid = codilate(sys, translate(m, dilate(sys, dk)))
             pre = sys.solve(m)
             want = translate(pre, dk) if pre is not None else {}
-            if not vec_equal(mid, want):
-                report.fail("v* u_m v case formula fails at k=%s, m=%s" % (k, m))
+            report.check(vec_equal(mid, want),
+                         lambda: "v* u_m v case formula fails at k=%s, m=%s" % (k, m))
         total: dict = {}
         for m in sys.Sigma:
             term = translate(m, dilate(sys, codilate(sys, translate(tuple(-x for x in m), dk))))
             total = add_maps(total, term)
-        report.count()
-        if not vec_equal(total, dk):
-            report.fail("sum over the transversal of (u_m v)(u_m v)* misses delta_k at k=%s"
-                        % (k,))
+        report.check(vec_equal(total, dk), lambda: "sum over the transversal of "
+                     "(u_m v)(u_m v)* misses delta_k at k=%s" % (k,))
     return report
 
 
@@ -261,7 +253,5 @@ def dilation_beta(sys: LatticeSystem, term: tuple, radius: int = 4) -> tuple[tup
         dk = delta(k)
         lhs = dilate(sys, mono_apply(sys, (m, i, n), codilate(sys, dk)))
         rhs = mono_apply(sys, new, dk)
-        report.count()
-        if not vec_equal(lhs, rhs):
-            report.fail("conjugated operator differs at k=%s" % (k,))
+        report.check(vec_equal(lhs, rhs), lambda: "conjugated operator differs at k=%s" % (k,))
     return new, report

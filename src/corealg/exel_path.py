@@ -198,8 +198,7 @@ def transfer_identity_check(a: DepthFunction, b: DepthFunction) -> CheckReport:
     report = CheckReport("transfer identity")
     lhs = transfer_L(alpha_shift(a) * b)
     rhs = a * transfer_L(b)
-    report.count()
-    if not lhs.equal(rhs):
-        report.fail("L(alpha(a)b) != aL(b) for a=\n%sb=\n%slhs=\n%srhs=\n%s"
-                    % (a.text(), b.text(), lhs.text(), rhs.text()))
+    report.check(lhs.equal(rhs),
+                 lambda: "L(alpha(a)b) != aL(b) for a=\n%sb=\n%slhs=\n%srhs=\n%s"
+                 % (a.text(), b.text(), lhs.text(), rhs.text()))
     return report

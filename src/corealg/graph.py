@@ -193,7 +193,7 @@ class Graph:
 
 def load_graph(text: str) -> Graph:
     """Parse the line format: `V <name>` / `E <name> <src> <rng>`, comments
-    with `#`, `;` accepted as a statement separator."""
+    with `#`, `;` accepted as a statement separator; at least one vertex."""
     vertices: list[str] = []
     edges: list[tuple[str, str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -218,6 +218,8 @@ def load_graph(text: str) -> Graph:
                 edges.append((name, src, rng))
             else:
                 raise GraphFormatError("line %d: cannot parse %r" % (lineno, stmt.strip()))
+    if not vertices:
+        raise GraphFormatError("no vertex is declared")
     return Graph(vertices, edges)
 
 

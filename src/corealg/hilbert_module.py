@@ -239,10 +239,6 @@ class ModuleElement:
             raise ValueError("degree or system mismatch")
         return ModuleElement(self.system, self.degree, add_maps(self.coords, other.coords))
 
-    def scale(self, c: Radical) -> "ModuleElement":
-        return ModuleElement(self.system, self.degree,
-                             {w: x * c for w, x in self.coords.items()})
-
     def right_mul(self, b) -> "ModuleElement":
         return ModuleElement(self.system, self.degree,
                              {w: c * b for w, c in self.coords.items()})
@@ -306,9 +302,8 @@ def canonical_frame(system) -> CheckReport:
         for j in system.indices:
             got = system.act1(i, system.unit(), j)
             expected = system.L(system.frame_rep(i).adjoint() * system.frame_rep(j))
-            report.count()
-            if not got.equal(expected):
-                report.fail("gram(%s, %s) = %s" % (i, j, system.a_text(got)))
+            report.check(got.equal(expected),
+                         lambda: "gram(%s, %s) = %s" % (i, j, system.a_text(got)))
     for i in system.indices:
         report.merge(reconstruct_check(ModuleElement.basis_word(system, (i,))))
     return report
@@ -320,9 +315,7 @@ def reconstruct_check(m: ModuleElement) -> CheckReport:
     sys = m.system
     report = CheckReport("frame reconstruction")
     recon = ModuleElement(sys, m.degree, m.canonical_coords())
-    report.count()
-    if not recon.equal(m):
-        report.fail("sum F_w <F_w, m> differs from m for m=\n%s" % m.text())
+    report.check(recon.equal(m), lambda: "sum F_w <F_w, m> differs from m for m=\n%s" % m.text())
     if m.source is not None:
         a = m.source
         rep = sys.zero()
@@ -331,10 +324,8 @@ def reconstruct_check(m: ModuleElement) -> CheckReport:
             rep = rep + sys.frame_rep(j) * sys.alpha(h)
         diff = rep - a
         gap = sys.L(diff.adjoint() * diff)
-        report.count()
-        if not gap.is_zero():
-            report.fail("representative differs from a by a non-null vector: %s"
-                        % sys.a_text(gap))
+        report.check(gap.is_zero(), lambda: "representative differs from a by a non-null "
+                     "vector: %s" % sys.a_text(gap))
     return report
 
 
@@ -385,15 +376,12 @@ def build_U(system, depth: int) -> tuple[ModuleElement, CheckReport]:
     for a in system.basis(depth):
         ua = u.right_mul(a)
         back = U_star_map(system, ua)
-        report.count()
-        if not (len(back.coords) <= 1 and
-                back.coords.get((), system.zero()).equal(a)):
-            report.fail("U*U differs from the identity at a=\n%s" % system.a_text(a))
+        report.check(len(back.coords) <= 1 and back.coords.get((), system.zero()).equal(a),
+                     lambda: "U*U differs from the identity at a=\n%s" % system.a_text(a))
         qa = ModuleElement.from_algebra(system, a)
         la = U_star_map(system, qa).coords.get((), system.zero())
-        report.count()
-        if not la.equal(system.L(a)):
-            report.fail("U*(q(a)) differs from L(a) at a=\n%s" % system.a_text(a))
+        report.check(la.equal(system.L(a)),
+                     lambda: "U*(q(a)) differs from L(a) at a=\n%s" % system.a_text(a))
     return u, report
 
 
@@ -404,23 +392,20 @@ def u_isometry_report(system, degree: int) -> CheckReport:
     basis_words = list(product(system.indices, repeat=degree))
     for w in basis_words:
         m = ModuleElement.basis_word(system, w)
-        report.count()
-        if not U_star_map(system, U_map(system, m)).equal(m):
-            report.fail("U*U fails on the basis word %r" % (w,))
+        report.check(U_star_map(system, U_map(system, m)).equal(m),
+                     lambda: "U*U fails on the basis word %r" % (w,))
     for a in system.basis(1):
         for w in basis_words:
             m = ModuleElement.basis_word(system, w)
             lhs = U_map(system, left_act(system, a, m))
             rhs = tensor(ModuleElement.from_algebra(system, system.alpha(a)), m)
-            report.count()
-            if not lhs.equal(rhs):
-                report.fail("U(a.m) differs from q(alpha(a)) (x) m at %r" % (w,))
+            report.check(lhs.equal(rhs),
+                         lambda: "U(a.m) differs from q(alpha(a)) (x) m at %r" % (w,))
             qa = ModuleElement.from_algebra(system, a)
             lhs2 = U_star_map(system, tensor(qa, m))
             rhs2 = left_act(system, system.L(a), m)
-            report.count()
-            if not lhs2.equal(rhs2):
-                report.fail("U*(q(a) (x) m) differs from L(a).m at %r" % (w,))
+            report.check(lhs2.equal(rhs2),
+                         lambda: "U*(q(a) (x) m) differs from L(a).m at %r" % (w,))
     return report
 
 
@@ -560,16 +545,14 @@ def beta_crosscheck(g: Graph, mu: Path, nu: Path) -> CheckReport:
     else:
         word = StarElement.zero(g)
 
-    report.count()
-    if not compact_to_star(theta).equal(word):
-        report.fail("dictionary image of the rank-one operator differs from the word")
+    report.check(compact_to_star(theta).equal(word),
+                 lambda: "dictionary image of the rank-one operator differs from the word")
 
     endo = CoreEndo(g)
     lhs = compact_to_star(conj_beta(theta))
     rhs = endo.beta(word)
-    report.count()
-    if not lhs.equal(rhs):
-        report.fail("conjugation route:\n%sdirect route:\n%s" % (lhs.text(), rhs.text()))
+    report.check(lhs.equal(rhs),
+                 lambda: "conjugation route:\n%sdirect route:\n%s" % (lhs.text(), rhs.text()))
     return report
 
 
@@ -612,44 +595,34 @@ def frame_rep_psi(system, family: Mapping, pi):
             for b, pb in images:
                 lhs = left * pb * family[j]
                 rhs = pi(system.act1(i, b, j))
-                report.count()
-                if not lhs.equal(rhs):
-                    report.fail("S_%s* pi(b) S_%s differs from pi(<F,bF>) at b=\n%s"
-                                % (i, j, system.a_text(b)))
+                report.check(lhs.equal(rhs), lambda: "S_%s* pi(b) S_%s differs from pi(<F,bF>) "
+                             "at b=\n%s" % (i, j, system.a_text(b)))
     total = StarElement.zero(g_t)
     for i in indices:
         total = total + family[i] * family[i].adjoint()
-    report.count()
-    if not total.equal(one):
-        report.fail("range projections of the family do not sum to 1")
+    report.check(total.equal(one), lambda: "range projections of the family do not sum to 1")
 
     for i, pf in zip(indices, psi_elements):
-        report.count()
-        if not pf.equal(family[i]):
-            report.fail("psi(F_%s) differs from S_%s" % (i, i))
+        report.check(pf.equal(family[i]), lambda: "psi(F_%s) differs from S_%s" % (i, i))
 
     for m, pm in zip(elements, psi_elements):
         for b, pb in images:
-            report.count()
-            if not psi(m.right_mul(b)).equal(pm * pb):
-                report.fail("psi(m.b) != psi(m)pi(b) at b=\n%s" % system.a_text(b))
-            report.count()
-            if not psi(left_act(system, b, m)).equal(pb * pm):
-                report.fail("psi(b.m) != pi(b)psi(m) at b=\n%s" % system.a_text(b))
+            report.check(psi(m.right_mul(b)).equal(pm * pb),
+                         lambda: "psi(m.b) != psi(m)pi(b) at b=\n%s" % system.a_text(b))
+            report.check(psi(left_act(system, b, m)).equal(pb * pm),
+                         lambda: "psi(b.m) != pi(b)psi(m) at b=\n%s" % system.a_text(b))
         pm_adj = pm.adjoint()
         for n, pn in zip(elements, psi_elements):
-            report.count()
-            if not (pm_adj * pn).equal(pi(m.inner(n))):
-                report.fail("psi(m)*psi(n) differs from pi(<m, n>)")
+            report.check((pm_adj * pn).equal(pi(m.inner(n))),
+                         lambda: "psi(m)*psi(n) differs from pi(<m, n>)")
 
     frame_adj = [pf.adjoint() for pf in psi_elements[:len(frame)]]
     for b, pb in images:
         cov = StarElement.zero(g_t)
         for f, pf_adj in zip(frame, frame_adj):
             cov = cov + psi(left_act(system, b, f)) * pf_adj
-        report.count()
-        if not cov.equal(pb):
-            report.fail("covariance sum differs from pi(b) at b=\n%s" % system.a_text(b))
+        report.check(cov.equal(pb),
+                     lambda: "covariance sum differs from pi(b) at b=\n%s" % system.a_text(b))
     return psi, report
 
 
@@ -664,13 +637,11 @@ def iso_generators_check(sys: UhfSystem) -> CheckReport:
     for (i, j) in sys.indices():
         image = psi(ModuleElement.basis_word(fsys, ((i, j),)))
         expected = family[(i, j)]
-        report.count()
-        if not image.equal(expected):
-            report.fail("psi(E_%d%d) differs from the generator s%d_%d" % (i, j, i, j))
+        report.check(image.equal(expected),
+                     lambda: "psi(E_%d%d) differs from the generator s%d_%d" % (i, j, i, j))
         degrees = list(image.degree_decompose())
-        report.count()
-        if degrees != [1]:
-            report.fail("psi(E_%d%d) not homogeneous of degree 1: %s" % (i, j, degrees))
+        report.check(degrees == [1],
+                     lambda: "psi(E_%d%d) not homogeneous of degree 1: %s" % (i, j, degrees))
     return report
 
 
@@ -685,7 +656,5 @@ def gram_psd_check(system, elements: list, tol: float = 1e-9) -> CheckReport:
     for block in system.psd_blocks(entries):
         sym = 0.5 * (block + block.T)
         lo = float(np.linalg.eigvalsh(sym).min()) if block.size else 0.0
-        report.count()
-        if lo < -tol:
-            report.fail("least eigenvalue %.3e below -%g" % (lo, tol))
+        report.check(lo >= -tol, lambda: "least eigenvalue %.3e below -%g" % (lo, tol))
     return report

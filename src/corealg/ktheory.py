@@ -242,23 +242,19 @@ def _stage_beta_matrix(g: Graph, endo: CoreEndo, verts: list[str], level: int,
     for v in verts:
         mu = _source_path(g, v, level)
         q = endo.beta(matrix_unit(g, mu, mu))
-        report.count()
-        if not (q * q).equal(q) or not q.adjoint().equal(q):
-            report.fail("shift of the minimal projection at %s is not a projection" % v)
+        report.check((q * q).equal(q) and q.adjoint().equal(q),
+                     lambda: "shift of the minimal projection at %s is not a projection" % v)
         traces: dict[str, Fraction] = {}
         for (kap, lam), coeff in q.items():
             if kap != lam:
                 continue
             if not coeff.is_rational():
-                report.count()
-                report.fail("irrational diagonal coefficient at %s" % v)
+                report.check(False, lambda: "irrational diagonal coefficient at %s" % v)
                 continue
             traces[kap.src] = traces.get(kap.src, Fraction(0)) + coeff.rational_part()
         for w, tr in traces.items():
-            report.count()
-            if tr.denominator != 1:
-                report.fail("block trace %s at (%s, %s) is not an integer" % (tr, w, v))
-            else:
+            if report.check(tr.denominator == 1,
+                            lambda: "block trace %s at (%s, %s) is not an integer" % (tr, w, v)):
                 t[pos[w]][pos[v]] += int(tr)
     return t
 
@@ -286,9 +282,8 @@ def graph_k_theory(g: Graph) -> GraphKTheory:
     report = CheckReport("stationary K-theory of %d vertices" % len(g.vertices))
     verts, a = vertex_matrix(g)
     c = _connecting_matrix(g, verts)
-    report.count()
-    if c != [[a[j][i] for j in range(len(verts))] for i in range(len(verts))]:
-        report.fail("symbolic expansion disagrees with the transposed vertex matrix")
+    report.check(c == [[a[j][i] for j in range(len(verts))] for i in range(len(verts))],
+                 lambda: "symbolic expansion disagrees with the transposed vertex matrix")
 
     n = len(verts)
     stages = []
@@ -297,17 +292,14 @@ def graph_k_theory(g: Graph) -> GraphKTheory:
         m = [[c[i][j] - t[i][j] for j in range(n)] for i in range(n)]
         stages.append((coker_ker(m), m, t))
     (pres1, m1, _), (pres, m, t) = stages
-    report.count()
-    if pres1 != pres or m1 != m:
-        report.fail("stages disagree: %s vs %s" % (pres1, pres))
+    report.check(pres1 == pres and m1 == m, lambda: "stages disagree: %s vs %s" % (pres1, pres))
     k0, ker_rank = pres
     # the inclusion acts on each stage cokernel as multiplication by the
     # connecting matrix; stable means that action is the identity
     for j in range(n):
         target = [c[i][j] - (1 if i == j else 0) for i in range(n)]
-        report.count()
-        if lattice_solve(m, target) is None:
-            report.fail("inclusion moves the class of vertex %s" % verts[j])
+        report.check(lattice_solve(m, target) is not None,
+                     lambda: "inclusion moves the class of vertex %s" % verts[j])
     if not report.passed:
         raise StabilizationError("\n".join(report.lines()))
     return GraphKTheory(k0, GroupPresentation(ker_rank), t, report)

@@ -255,12 +255,12 @@ def prefix_rep_sweep(sys: UhfSystem, a: TensorElement, m: int) -> CheckReport:
                 u = mu + ix[k:]
                 if u[0] == i:
                     accumulate(rhs, u[1:], c * scale)
-        report.count()
-        if lhs != rhs:
+
+        def mismatch():
             bad = sorted(set(lhs) | set(rhs))[0]
-            report.fail("x=%r first mismatch at y=%r: lhs=%s rhs=%s"
-                        % (x, bad, lhs.get(bad, Radical()).text(),
-                           rhs.get(bad, Radical()).text()))
+            return "x=%r first mismatch at y=%r: lhs=%s rhs=%s" % (
+                x, bad, lhs.get(bad, Radical()).text(), rhs.get(bad, Radical()).text())
+        report.check(lhs == rhs, mismatch)
     return report
 
 
@@ -362,9 +362,8 @@ def pi_T_report(sys: UhfSystem, family: CuntzFamily, a: TensorElement) -> CheckR
     and each block formed once; L is applied to it as defined, so the
     relation also checks pi_T against L."""
     report = CheckReport("pi_T relations at depth %d" % a.k)
-    report.count()
-    if not pi_T(sys, family, TensorElement.identity(sys.n, 1)).equal(unit(family.graph)):
-        report.fail("pi_T(1) differs from 1")
+    report.check(pi_T(sys, family, TensorElement.identity(sys.n, 1)).equal(unit(family.graph)),
+                 lambda: "pi_T(1) differs from 1")
     image = pi_T(sys, family, a)
     units = {jl: sys.matrix_unit(*jl) for jl in product(range(1, sys.N + 1), repeat=2)}
     blocks = {ik: a.block(*ik) for ik in product(range(1, sys.n + 1), repeat=2)}
@@ -374,10 +373,9 @@ def pi_T_report(sys: UhfSystem, family: CuntzFamily, a: TensorElement) -> CheckR
             lhs = left * family[(k, l)]
             inner = uhf_L(sys, tensor_prepend(units[(j, l)], blocks[(i, k)])) * sys.N
             rhs = pi_T(sys, family, inner)
-            report.count()
-            if not lhs.equal(rhs):
-                report.fail("compression relation fails at ij=%s kl=%s for a=\n%s"
-                            % ((i, j), (k, l), a.text()))
+            report.check(lhs.equal(rhs),
+                         lambda: "compression relation fails at ij=%s kl=%s for a=\n%s"
+                         % ((i, j), (k, l), a.text()))
     return report
 
 
@@ -452,13 +450,11 @@ def rank_rescale(m: int, k: int, p: TensorElement):
             inner = Radical()
             for r in range(dim):
                 inner = inner + u[r][a] * u[r][b]
-            report.count()
-            if inner != (ONE if a == b else Radical()):
-                report.fail("u*u differs from 1 at (%d, %d)" % (a, b))
+            report.check(inner == (ONE if a == b else Radical()),
+                         lambda: "u*u differs from 1 at (%d, %d)" % (a, b))
             conj = Radical()
             for i in range(N):
                 conj = conj + u[a][i] * u[b][i]
-            report.count()
-            if conj != Radical.from_rational(mat[a][b]):
-                report.fail("u (1_N + 0) u* differs from p at (%d, %d)" % (a, b))
+            report.check(conj == Radical.from_rational(mat[a][b]),
+                         lambda: "u (1_N + 0) u* differs from p at (%d, %d)" % (a, b))
     return UhfSystem(dim, N), u, report

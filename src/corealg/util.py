@@ -164,12 +164,13 @@ class CheckReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def count(self) -> None:
+    def check(self, ok: bool, witness) -> bool:
+        """Count one check and return ok; when ok is false, record witness(),
+        a zero-argument callable, so a passing check formats nothing."""
         self.checks += 1
-
-    def fail(self, witness: str) -> None:
-        """Record a witness for a check already counted with count()."""
-        self.failures.append(witness)
+        if not ok:
+            self.failures.append(witness())
+        return ok
 
     def merge(self, other: "CheckReport") -> None:
         self.checks += other.checks

@@ -356,7 +356,7 @@ def test_a12_numeric_norms():
     gsys = GraphFrameSystem(bouquet(2))
     elems = [ModuleElement.basis_word(gsys, (e,)) for e in ("e1", "e2")]
     elems += [u_element(gsys),
-              elems[0] + elems[1].scale(Radical.sqrt(3))]
+              elems[0] + elems[1].right_mul(Radical.sqrt(3))]
     assert gram_psd_check(gsys, elems, tol=PSD_TOL).passed
 
     usys = UhfFrameSystem(UhfSystem(2, 2))

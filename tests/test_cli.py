@@ -325,13 +325,22 @@ SINK_TEXT = "V a\nV b\nE x a b\n"    # a receives nothing, b emits nothing
     (("ktheory", "paschke", "--matrix", "2,0;0,0"), 0, ""),
     (("ktheory", "paschke", "--matrix", "2,0;0,0", "--af"), 0, ""),
     (("ktheory", "paschke", "--matrix", "1,2,3;4,5,6", "--af"), 2, "must be square"),
+    (("core", "iexpand", "{o2}", "{no_terms}", "--level", "-1"), 2, "--level"),
+    (("graph", "info", "{no_vertex}"), 2, "no vertex is declared"),
+    (("core", "verify-beta", "{no_vertex}"), 2, "no vertex is declared"),
+    (("exel", "verify-transfer", "{no_vertex}"), 2, "no vertex is declared"),
 ])
 def test_edge_inputs_end_cleanly(capsys, tmp_path, o2_file, args, code, message):
     sink = tmp_path / "sink.graph"
     sink.write_text(SINK_TEXT)
     sink_elem = tmp_path / "sink.elem"
     sink_elem.write_text("TERM 1 x x\n")
-    argv = [a.format(sink=sink, sink_elem=sink_elem, o2=o2_file) for a in args]
+    no_terms = tmp_path / "no_terms.elem"
+    no_terms.write_text("")
+    no_vertex = tmp_path / "no_vertex.graph"
+    no_vertex.write_text("# no V line\n")
+    argv = [a.format(sink=sink, sink_elem=sink_elem, o2=o2_file, no_terms=no_terms,
+                     no_vertex=no_vertex) for a in args]
     got, out, err = run(capsys, *argv)
     assert got == code and "Traceback" not in err, (out, err)
     assert message in err

@@ -182,28 +182,20 @@ def tensor_beta_compare(n: int, x) -> CheckReport:
                  for i in range(1, n + 1) for j in range(1, n + 1)}
     p = TensorElement(n, 1, p_entries)
 
-    report.count()
-    if not (p * p).equal(p):
-        report.fail("averaging projection is not idempotent")
-    report.count()
-    if not p.trace() == 1:
-        report.fail("averaging projection has trace %s, expected 1" % (p.trace(),))
+    report.check((p * p).equal(p), lambda: "averaging projection is not idempotent")
+    report.check(p.trace() == 1,
+                 lambda: "averaging projection has trace %s, expected 1" % (p.trace(),))
 
     lhs = endo.beta(to_core_element(g, loops, x))
     rhs = to_core_element(g, loops, tensor_prepend(p, x))
-    report.count()
-    if not lhs.equal(rhs):
-        report.fail("beta(x) != p (x) x for x=\n%s" % x.text())
+    report.check(lhs.equal(rhs), lambda: "beta(x) != p (x) x for x=\n%s" % x.text())
 
     u = averaging_unitary(n)
     e11 = TensorElement(n, 1, {((1,), (1,)): ONE})
-    report.count()
-    if not first_slot_conjugate(u, e11).equal(p):
-        report.fail("u e_11 u* != p")
+    report.check(first_slot_conjugate(u, e11).equal(p), lambda: "u e_11 u* != p")
     conj = first_slot_conjugate(u, tensor_prepend(e11, x))
-    report.count()
-    if not conj.equal(tensor_prepend(p, x)):
-        report.fail("Ad(u (x) 1)(e_11 (x) x) != p (x) x for x=\n%s" % x.text())
+    report.check(conj.equal(tensor_prepend(p, x)),
+                 lambda: "Ad(u (x) 1)(e_11 (x) x) != p (x) x for x=\n%s" % x.text())
     return report
 
 

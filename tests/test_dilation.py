@@ -139,7 +139,6 @@ def matrix_unit_check(sys: LatticeSystem, i: int, radius: int) -> CheckReport:
         for n in pts:
             for mp in pts:
                 for np_ in pts:
-                    report.count()
                     ok = True
                     for k in box:
                         dk = delta(k)
@@ -149,9 +148,8 @@ def matrix_unit_check(sys: LatticeSystem, i: int, radius: int) -> CheckReport:
                         if not vec_equal(lhs, rhs):
                             ok = False
                             break
-                    if not ok:
-                        report.fail("units at (%s,%s),(%s,%s) fail at k=%s"
-                                    % (m, n, mp, np_, k))
+                    report.check(ok, lambda: "units at (%s,%s),(%s,%s) fail at k=%s"
+                                 % (m, n, mp, np_, k))
     return report
 
 

@@ -104,6 +104,8 @@ def test_load_graph_errors():
         load_graph("V v\nE e v v\nE e v v\n")
     with pytest.raises(GraphFormatError, match="undeclared"):
         load_graph("V v\nE e v w\n")
+    with pytest.raises(GraphFormatError, match="no vertex"):
+        load_graph("# nothing declared\n")
 
 
 def test_constructors():

@@ -154,7 +154,7 @@ def test_inner_products_and_pairing(gsys):
     assert m.inner(n).is_zero()
     assert not m.inner(m).is_zero()
     assert not gsys.act1("e1", gsys.unit(), "e1").is_zero()
-    assert not (m + m.scale(Radical.from_rational(-1))).coords
+    assert not (m + m.right_mul(Radical.from_rational(-1))).coords
 
 
 def test_right_action_compatibility(gsys):
@@ -180,7 +180,7 @@ def test_canonical_coordinates_decide_equality(gsys):
     z = ModuleElement(gsys, 1)
     assert not m.equal(z)
     assert m.equal(m + z)
-    assert not (m + m.scale(Radical.from_rational(-1))).canonical_coords()
+    assert not (m + m.right_mul(Radical.from_rational(-1))).canonical_coords()
 
 
 # -- the isometry U -------------------------------------------------------------------
@@ -390,7 +390,7 @@ def _operators(system, degree: int, step: int = 1):
         ops.append(add(t, s))
         ops.append(adjoint(t))
         ops.append(compose(t, adjoint(s)))
-        ops.append(CompactOp.from_theta(ModuleElement.basis_word(system, w).scale(coeff),
+        ops.append(CompactOp.from_theta(ModuleElement.basis_word(system, w).right_mul(coeff),
                                         ModuleElement.basis_word(system, v)))
     return ops
 

@@ -12,7 +12,12 @@ those places, its own class's methods included (`GroupPresentation.text`
 reads `torsion`): a result field that nothing reads goes.
 
 No module imports inside a function: every dependency of a module shows
-at its top, so an import cycle cannot hide in a function body."""
+at its top, so an import cycle cannot hide in a function body.
+
+A check is recorded only through `CheckReport.check(ok, witness)`: no
+`.fail(...)` or zero-argument `.count()` call is left in the library, the
+benchmark harness or the tests.  Passing runs never reach a failure
+branch, so a missed call would only raise on the first real failure."""
 
 import ast
 from pathlib import Path
@@ -90,6 +95,17 @@ def test_every_dataclass_field_is_read():
               if (name, True) not in reads]
     assert not unread, "dataclass fields read only from unit tests, or not at all: " + (
         ", ".join(unread))
+
+
+def test_checks_are_recorded_only_through_check():
+    paths = (LIBRARY + sorted((ROOT / "perfbench").glob("*.py"))
+             + sorted((ROOT / "tests").glob("*.py")))
+    stale = ["%s:%d .%s()" % (path.relative_to(ROOT), node.lineno, node.func.attr)
+             for path in paths for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and (node.func.attr == "fail" or node.func.attr == "count"
+                  and not node.args and not node.keywords)]
+    assert not stale, "record a check with check(ok, witness): " + ", ".join(stale)
 
 
 def test_no_import_inside_a_function():

@@ -313,19 +313,17 @@ def _loop_pi_T_report(sys, family, a):
     """The compression check with every product formed inside the (k, l) loop."""
     report = CheckReport("pi_T relations at depth %d" % a.k)
     g = next(iter(family.values())).graph
-    report.count()
-    if not pi_T(sys, family, TensorElement.identity(sys.n, 1)).equal(unit(g)):
-        report.fail("pi_T(1) differs from 1")
+    report.check(pi_T(sys, family, TensorElement.identity(sys.n, 1)).equal(unit(g)),
+                 lambda: "pi_T(1) differs from 1")
     image = pi_T(sys, family, a)
     for (i, j) in sys.indices():
         for (k, l) in sys.indices():
             lhs = family[(i, j)].adjoint() * image * family[(k, l)]
             inner = uhf_cuntz.uhf_L(sys, sys.matrix_unit(j, i) * a * sys.matrix_unit(k, l)) * sys.N
             rhs = pi_T(sys, family, inner)
-            report.count()
-            if not lhs.equal(rhs):
-                report.fail("compression relation fails at ij=%s kl=%s for a=\n%s"
-                            % ((i, j), (k, l), a.text()))
+            report.check(lhs.equal(rhs),
+                         lambda: "compression relation fails at ij=%s kl=%s for a=\n%s"
+                         % ((i, j), (k, l), a.text()))
     return report
 
 
@@ -352,12 +350,12 @@ def _loop_prefix_rep_sweep(sys, a, m):
             for u, c in _apply_tensor(a, {(i,) + x: ONE}).items():
                 if u[0] == i:
                     accumulate(rhs, u[1:], c * scale)
-        report.count()
-        if lhs != rhs:
+
+        def mismatch():
             bad = sorted(set(lhs) | set(rhs))[0]
-            report.fail("x=%r first mismatch at y=%r: lhs=%s rhs=%s"
-                        % (x, bad, lhs.get(bad, Radical()).text(),
-                           rhs.get(bad, Radical()).text()))
+            return "x=%r first mismatch at y=%r: lhs=%s rhs=%s" % (
+                x, bad, lhs.get(bad, Radical()).text(), rhs.get(bad, Radical()).text())
+        report.check(lhs == rhs, mismatch)
     return report
 
 

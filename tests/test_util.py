@@ -1,10 +1,12 @@
 """The shared sparse-map accumulate, over every coefficient type that uses
-it, the one integer elimination, and the layers that build no Fraction."""
+it, the one integer elimination, the one way a check is recorded, and the
+layers that build no Fraction."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corealg.core_endo import CoreEndo
 from corealg.dilation import LatticeSystem, lattice_rep_check
@@ -14,7 +16,7 @@ from corealg.ktheory import smith_normal_form
 from corealg.scalar import ONE, Radical
 from corealg.star_algebra import parse_element
 from corealg.uhf_cuntz import TensorElement
-from corealg.util import accumulate, bareiss
+from corealg.util import CheckReport, accumulate, bareiss
 
 
 @pytest.mark.parametrize("one", [
@@ -49,6 +51,24 @@ def test_bareiss_pinned():
     assert [row[2:] for row in rows] == [[3, -1], [0, 2]]
     assert bareiss([[1, 2], [2, 4]], 2) == 0
     assert bareiss([], 0) == 1
+
+
+def _unreachable():
+    raise AssertionError("a passing check formatted its witness")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.booleans(), max_size=12))
+def test_check_counts_every_call_and_records_only_failures(oks):
+    report = CheckReport("sweep")
+    for n, ok in enumerate(oks):
+        witness = _unreachable if ok else (lambda: "case %d" % n)
+        assert report.check(ok, witness) is ok
+        assert report.checks == n + 1 and len(report.failures) <= report.checks
+    assert report.failures == ["case %d" % n for n, ok in enumerate(oks) if not ok]
+    assert report.passed == all(oks)
+    assert report.lines()[0].endswith("(%d checks, %d failures)"
+                                      % (len(oks), oks.count(False)))
 
 
 def count_fractions(monkeypatch) -> list:
