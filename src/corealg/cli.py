@@ -411,7 +411,7 @@ def cmd_dilation_verify(args, report: RunReport) -> None:
     report.say("dimension: %d, |det| = %d" % (system.d, system.det_abs))
     report.say("transversal: %s" % "; ".join(",".join(str(x) for x in p)
                                              for p in system.Sigma))
-    if args.sigma:
+    if args.sigma is not None:
         pts = parse_points(args.sigma)
         if any(len(p) != system.d for p in pts):
             raise CliError("sigma points must have dimension %d" % system.d)

@@ -25,18 +25,24 @@ class CoreEndo:
             raise ValueError("vertex %r emits no edge; beta is undefined" % bad)
         self.graph = graph
         self._out_count = {v: len(graph.out_edges(v)) for v in graph.vertices}
+        # (|s^-1(r(mu))|, |s^-1(r(nu))|) -> the shift weight, filled by beta
+        self._weights: dict[tuple[int, int], Radical] = {}
 
     def beta(self, x: StarElement) -> StarElement:
         if x.graph is not self.graph:
             raise ValueError("element lives over a different graph")
         if not x.is_core():
             raise ValueError("beta needs a balanced element (|mu| = |nu| termwise)")
-        g = self.graph
+        g, count, weights = self.graph, self._out_count, self._weights
         # distinct words stay distinct after prepending, and every weight is
         # nonzero, so each image term is set once and none cancels
         out: dict[tuple[Path, Path], Radical] = {}
         for (mu, nu), c in x.items():
-            scale = c * Radical.inv_sqrt(self._out_count[mu.rng] * self._out_count[nu.rng])
+            degrees = (count[mu.rng], count[nu.rng])
+            w = weights.get(degrees)
+            if w is None:
+                w = weights[degrees] = Radical.inv_sqrt(degrees[0] * degrees[1])
+            scale = c * w
             nus = [g.prepend_edge(f, nu) for f in g.out_edges(nu.rng)]
             for e in g.out_edges(mu.rng):
                 emu = g.prepend_edge(e, mu)

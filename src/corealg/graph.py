@@ -28,7 +28,9 @@ class Path(namedtuple("Path", ("edges", "src", "rng"))):
     A named tuple: hash, equality and field reads run in C, no field can be
     assigned, and a pickled copy carries only its fields, so it rehashes in
     its own process.  A Path equals the plain tuple (edges, src, rng),
-    iterates over those three fields and orders like that tuple.
+    iterates over those three fields and orders like that tuple.  The Graph
+    builders that extend or cut a checked path call tuple.__new__(Path, ...)
+    and so skip the named tuple's Python-level __new__.
     """
 
     __slots__ = ()
@@ -130,30 +132,32 @@ class Graph:
             return mu
         if not mu.edges:
             return nu
-        return Path(mu.edges + nu.edges, nu.src, mu.rng)
+        return tuple.__new__(Path, (mu.edges + nu.edges, nu.src, mu.rng))
 
     def append_edge(self, mu: Path, e: str) -> Path:
         """Extend at the source end: mu.e with r(e) = s(mu)."""
         if self._rng[e] != mu.src:
             raise ValueError("edge %r does not extend %s at the source" % (e, mu.text()))
-        return Path(mu.edges + (e,), self._src[e], mu.rng if mu.edges else self._rng[e])
+        return tuple.__new__(Path, (mu.edges + (e,), self._src[e],
+                                    mu.rng if mu.edges else self._rng[e]))
 
     def prepend_edge(self, e: str, mu: Path) -> Path:
         """Extend at the range end: e.mu with s(e) = r(mu)."""
         if self._src[e] != mu.rng:
             raise ValueError("edge %r does not extend %s at the range" % (e, mu.text()))
-        return Path((e,) + mu.edges, mu.src if mu.edges else self._src[e], self._rng[e])
+        return tuple.__new__(Path, ((e,) + mu.edges, mu.src if mu.edges else self._src[e],
+                                    self._rng[e]))
 
     def prefix(self, p: Path, k: int) -> Path:
         """First k edges counted from the range end; k = 0 gives @r(p)."""
         if k < 0 or k > len(p):
             raise ValueError("no length-%d prefix of %s" % (k, p.text()))
         if k == 0:
-            return Path((), p.rng, p.rng)
+            return tuple.__new__(Path, ((), p.rng, p.rng))
         if k == len(p):
             return p
         edges = p.edges[:k]
-        return Path(edges, self._src[edges[-1]], p.rng)
+        return tuple.__new__(Path, (edges, self._src[edges[-1]], p.rng))
 
     def drop_first(self, p: Path, k: int = 1) -> Path:
         """Remove the first k edges counted from the range end; k = 1 gives
@@ -162,8 +166,8 @@ class Graph:
             raise ValueError("cannot drop %d edges of %s" % (k, p.text()))
         edges = p.edges[k:]
         if not edges:
-            return Path((), p.src, p.src)
-        return Path(edges, p.src, self._rng[edges[0]])
+            return tuple.__new__(Path, ((), p.src, p.src))
+        return tuple.__new__(Path, (edges, p.src, self._rng[edges[0]]))
 
     def paths(self, n: int) -> list[Path]:
         """All composable paths of length n, in a fixed deterministic order."""

@@ -131,19 +131,31 @@ class Radical:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
-        o = scalar(other)
+        o = other if type(other) is Radical else scalar(other)
         if o is None:
             return NotImplemented
+        st, ot = self._num, o._num
         den, oden = self._den, o._den
+        if len(st) == 1 == len(ot):
+            j, = st
+            k, = ot
+            if j == k:
+                # a/den + b/oden on one radicand: one integer sum over den*oden
+                n = st[j] * oden + ot[k] * den
+                if not n:
+                    return ZERO
+                den *= oden
+                g = math.gcd(n, den)
+                return Radical._raw({j: n // g}, den // g)
         if den == oden:
-            out, scale = dict(self._num), 1
+            out, scale = dict(st), 1
         else:
             # over lcm(den, oden): self's numerators times oden/g, o's times den/g
             g = math.gcd(den, oden)
             scale, lift = den // g, oden // g
-            out = {k: c * lift for k, c in self._num.items()}
+            out = {k: c * lift for k, c in st.items()}
             den *= lift
-        for k, c in o._num.items():
+        for k, c in ot.items():
             if scale != 1:
                 c *= scale
             # c is nonzero, so only a key already in out can cancel
@@ -172,21 +184,30 @@ class Radical:
         return o + (-self)
 
     def __mul__(self, other):
-        o = scalar(other)
+        o = other if type(other) is Radical else scalar(other)
         if o is None:
             return NotImplemented
         st, ot = self._num, o._num
         den = self._den * o._den
-        if len(st) == 1 == len(ot) and 1 in st and 1 in ot:
-            # both rational and nonzero, so the product is too
-            n = st[1] * ot[1]
+        # j and k are squarefree, so sqrt(j)*sqrt(k) = s*sqrt(m) with
+        # s = gcd(j, k) and m = (j/s)(k/s) squarefree: no factoring needed
+        if len(st) == 1 == len(ot):
+            # two nonzero terms, so the product is one nonzero term
+            j, = st
+            k, = ot
+            if j == k:
+                m, n = 1, st[j] * ot[k] * j
+            else:
+                s = math.gcd(j, k)
+                m = (j // s) * (k // s)
+                if m > RADICAND_LIMIT:
+                    raise OverflowError("radicand %d exceeds the machine-word bound" % m)
+                n = st[j] * ot[k] * s
             g = math.gcd(n, den)
-            return Radical._raw({1: n // g}, den // g)
+            return Radical._raw({m: n // g}, den // g)
         out: dict[int, int] = {}
         for j, a in st.items():
             for k, b in ot.items():
-                # j and k are squarefree, so j*k = s*s*m with s = gcd(j, k)
-                # and m = (j/s)(k/s) squarefree: no factoring needed
                 s = math.gcd(j, k)
                 m = (j // s) * (k // s)
                 if m > RADICAND_LIMIT:
@@ -197,7 +218,7 @@ class Radical:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        o = scalar(other)
+        o = other if type(other) is Radical else scalar(other)
         if o is None:
             return NotImplemented
         return self._den == o._den and self._num == o._num

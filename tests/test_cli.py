@@ -329,6 +329,7 @@ SINK_TEXT = "V a\nV b\nE x a b\n"    # a receives nothing, b emits nothing
     (("graph", "info", "{no_vertex}"), 2, "no vertex is declared"),
     (("core", "verify-beta", "{no_vertex}"), 2, "no vertex is declared"),
     (("exel", "verify-transfer", "{no_vertex}"), 2, "no vertex is declared"),
+    (("dilation", "verify", "--matrix", "2", "--sigma", ""), 1, "size 0, expected 2"),
 ])
 def test_edge_inputs_end_cleanly(capsys, tmp_path, o2_file, args, code, message):
     sink = tmp_path / "sink.graph"
@@ -343,9 +344,11 @@ def test_edge_inputs_end_cleanly(capsys, tmp_path, o2_file, args, code, message)
                      no_vertex=no_vertex) for a in args]
     got, out, err = run(capsys, *argv)
     assert got == code and "Traceback" not in err, (out, err)
-    assert message in err
+    assert message in (out if code == 1 else err)     # a failed check reports on stdout
     if code == 0:
         assert "result: PASS" in out and "checks: 0 " not in out    # something was checked
+    elif code == 1:
+        assert out.endswith("result: FAIL\n") and err == ""
     else:
         assert err.startswith("error: ") and out == ""
 

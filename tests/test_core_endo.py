@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import corealg.scalar
 from corealg.core_endo import CoreEndo
 from corealg.graph import Graph, bouquet
 from corealg.scalar import ONE, Radical
@@ -99,6 +100,39 @@ def test_homomorphism_on_random_elements(o2):
         assert endo.beta(x * y).equal(endo.beta(x) * endo.beta(y))
         assert endo.beta(x.adjoint()).equal(endo.beta(x).adjoint())
         assert endo.beta(x + y).equal(endo.beta(x) + endo.beta(y))
+
+
+def test_beta_takes_each_weight_once_and_sums_nothing(monkeypatch):
+    # each image coefficient is one unit coefficient times one shift weight,
+    # so beta forms 1/sqrt(n_mu n_nu) once per out-degree pair of its endomorphism
+    # and never sums two scalars
+    graphs = [bouquet(2), Graph(["a", "b"], [("x", "a", "a"), ("y", "a", "b"), ("z", "b", "a")])]
+    inv_sqrt = Radical.inv_sqrt
+    roots: list[int] = []
+
+    def counted_inv_sqrt(cls, n):
+        roots.append(n)
+        return inv_sqrt(n)
+
+    def no_accumulate(*args):
+        raise AssertionError("beta summed two scalars")
+
+    for g in graphs:
+        endo = CoreEndo(g)
+        out_degree = {v: len(g.out_edges(v)) for v in g.vertices}
+        units = [matrix_unit(g, mu, nu) for n in range(4) for mu in g.paths(n)
+                 for nu in g.paths(n) if mu.src == nu.src]
+        pairs = {(out_degree[mu.rng], out_degree[nu.rng])
+                 for x in units for (mu, nu), _ in x.items()}
+        roots.clear()
+        with monkeypatch.context() as m:
+            m.setattr(Radical, "inv_sqrt", classmethod(counted_inv_sqrt))
+            m.setattr(corealg.scalar, "accumulate", no_accumulate)
+            images = [endo.beta(x) for x in units]
+        assert sorted(roots) == sorted(a * b for a, b in pairs)
+        W = endo.build_W()
+        for x, img in zip(units, images):
+            assert img.equal(W * x * W.adjoint()), x.text()
 
 
 def test_matrix_unit_images(o2):

@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 import corealg
 from corealg.graph import GraphFormatError, Path, bouquet, cycle, load_graph
 
+G3_TEXT = "V a\nV b\nE x a a\nE y a b\nE z b a\n"    # out-degrees 2 and 1
+
 
 def test_incidence_and_degrees(two_cycle):
     g = two_cycle
@@ -145,6 +147,54 @@ def test_paths_built_every_way_are_equal_and_hash_alike():
                g.drop_first(x, 1), Path((), "a", "a")]
     assert len(set(empties)) == 1 and all(p == empties[0] for p in empties)
     assert g.empty_path("b") != empties[0]
+
+
+def _assert_exact(g, p, edges, vertex):
+    """p is an exact Path with these edges, equal to one built by Path(...);
+    `vertex` is where the path sits when it has no edge."""
+    src = g.src(edges[-1]) if edges else vertex
+    rng = g.rng(edges[0]) if edges else vertex
+    assert type(p) is Path
+    assert p == Path(edges, src, rng) and hash(p) == hash(Path(edges, src, rng))
+    assert len(p) == len(edges)
+    assert p.text() == (".".join(edges) if edges else "@" + src)
+
+
+@pytest.mark.parametrize("g", [cycle(2), bouquet(2), load_graph(G3_TEXT)],
+                         ids=["two_cycle", "o2", "g3"])
+def test_every_path_builder_returns_an_exact_path(g):
+    words = [p for n in range(4) for p in g.paths(n)]
+    for mu in words:
+        _assert_exact(g, mu, mu.edges, mu.src)
+        _assert_exact(g, g.parse_path(mu.text()), mu.edges, mu.src)
+        for e in g.edge_names:
+            if g.rng(e) == mu.src:
+                _assert_exact(g, g.append_edge(mu, e), mu.edges + (e,), None)
+            else:
+                with pytest.raises(ValueError):
+                    g.append_edge(mu, e)
+            if g.src(e) == mu.rng:
+                _assert_exact(g, g.prepend_edge(e, mu), (e,) + mu.edges, None)
+            else:
+                with pytest.raises(ValueError):
+                    g.prepend_edge(e, mu)
+        for nu in words:
+            if mu.src == nu.rng:
+                _assert_exact(g, g.concat(mu, nu), mu.edges + nu.edges, mu.src)
+            else:
+                with pytest.raises(ValueError):
+                    g.concat(mu, nu)
+        for k in range(len(mu) + 1):
+            _assert_exact(g, g.prefix(mu, k), mu.edges[:k], mu.rng)
+            if mu.edges:
+                _assert_exact(g, g.drop_first(mu, k), mu.edges[k:], mu.src)
+        with pytest.raises(ValueError):
+            g.prefix(mu, len(mu) + 1)
+        with pytest.raises(ValueError):
+            g.drop_first(mu, len(mu) + 1)
+    for v in g.vertices:
+        with pytest.raises(ValueError):
+            g.drop_first(g.empty_path(v))
 
 
 def test_paths_stay_immutable():

@@ -147,6 +147,39 @@ def test_radical_arithmetic_matches_sympy(xa, yb):
     assert parse_radical(text) == x and same(parse_radical(text), a)
 
 
+@st.composite
+def one_terms(draw):
+    """A one-term Radical c*sqrt(k) with k from `radicands`, and its sympy value."""
+    k, c = draw(radicands), draw(coefficients.filter(bool))
+    return Radical({k: c}), rat(c) * sympy.sqrt(k)
+
+
+def canonical(x: Radical) -> bool:
+    return x._den > 0 and math.gcd(x._den, *x._num.values()) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(one_terms(), one_terms(), coefficients)
+def test_one_term_arithmetic_matches_sympy(xa, yb, c):
+    (x, a), (y, b) = xa, yb
+    assert x.term_count() == 1 == y.term_count()
+    [(j, cx)], [(k, _)] = terms(x), terms(y)
+    try:
+        xy = x * y
+    except OverflowError:
+        assert j * k // math.gcd(j, k) ** 2 > RADICAND_LIMIT
+    else:
+        assert j * k // math.gcd(j, k) ** 2 <= RADICAND_LIMIT
+        assert xy.term_count() == 1 and canonical(xy) and same(xy, sympy.expand(a * b))
+        assert xy == y * x
+    # the same radicand as x, with any coefficient: the sum can cancel
+    z = Radical({j: c})
+    for total in (x + z, z + x):
+        assert canonical(total) and total == Radical({j: cx + c})
+        assert same(total, a + rat(c) * sympy.sqrt(j))
+    assert not x + (-x) and (x + (-x)).term_count() == 0
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 10**6), coefficients.filter(lambda q: q > 0))
 def test_radical_roots_match_sympy(n, q):
