@@ -197,10 +197,35 @@ def cmd_core_beta(args, report: RunReport) -> None:
     report.data.extend(image.text().rstrip("\n").split("\n"))
 
 
+# the most words times levels core iexpand forms: a word at level L holds 2L
+# edges, and on O_2 the words double at every level
+EXPAND_LIMIT = 100_000
+
+
+def _expansion_words(g: Graph, a: StarElement, level: int, cap: int) -> int:
+    """The words a.i_expand(level) forms before merging, or cap when there
+    are more: a term at level j with source v forms g.path_count(v, level - j)
+    of them."""
+    words = 0
+    for (mu, _), _ in a.items():
+        if words >= cap:
+            break
+        if len(mu) <= level:
+            words += g.path_count(mu.src, level - len(mu), cap - words)
+    return words
+
+
 def cmd_core_iexpand(args, report: RunReport) -> None:
     _require_at_least(args, "level", 0)
     g = _load_graph(args.graph)
     a = _load_element(g, args.a)
+    levels = args.level + 1
+    cap = EXPAND_LIMIT // levels + 1
+    words = _expansion_words(g, a, args.level, cap)
+    if max(words, 1) * levels > EXPAND_LIMIT:
+        raise CliError("--level %d plans %s%d words in %d levels, above the limit of %d"
+                       " words times levels" % (args.level, "at least " if words == cap else "",
+                                                words, levels, EXPAND_LIMIT))
     parts = _checked(a.i_expand, args.level)
     for i, part in enumerate(parts):
         report.say("component %d:" % i)

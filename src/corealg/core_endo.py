@@ -31,22 +31,21 @@ class CoreEndo:
     def beta(self, x: StarElement) -> StarElement:
         if x.graph is not self.graph:
             raise ValueError("element lives over a different graph")
-        if not x.is_core():
-            raise ValueError("beta needs a balanced element (|mu| = |nu| termwise)")
-        g, count, weights = self.graph, self._out_count, self._weights
+        g, weights = self.graph, self._weights
         # distinct words stay distinct after prepending, and every weight is
         # nonzero, so each image term is set once and none cancels
         out: dict[tuple[Path, Path], Radical] = {}
         for (mu, nu), c in x.items():
-            degrees = (count[mu.rng], count[nu.rng])
+            if len(mu.edges) != len(nu.edges):
+                raise ValueError("beta needs a balanced element (|mu| = |nu| termwise)")
+            emus, fnus = g.range_extensions(mu), g.range_extensions(nu)
+            degrees = (len(emus), len(fnus))
             w = weights.get(degrees)
             if w is None:
                 w = weights[degrees] = Radical.inv_sqrt(degrees[0] * degrees[1])
             scale = c * w
-            nus = [g.prepend_edge(f, nu) for f in g.out_edges(nu.rng)]
-            for e in g.out_edges(mu.rng):
-                emu = g.prepend_edge(e, mu)
-                for fnu in nus:
+            for emu in emus:
+                for fnu in fnus:
                     out[(emu, fnu)] = scale
         return StarElement._wrap(g, out)
 

@@ -101,7 +101,7 @@ class DepthFunction:
         g = self.graph
         out = self.values
         for _ in range(depth - self.depth):
-            out = {g.append_edge(q, e): x for q, x in out.items() for e in g.in_edges(q.src)}
+            out = {qe: x for q, x in out.items() for qe in g.source_extensions(q)}
         return DepthFunction._wrap(g, depth, out)
 
     def _common(self, other: "DepthFunction") -> tuple["DepthFunction", "DepthFunction"]:
@@ -174,7 +174,7 @@ def alpha_shift(f: DepthFunction) -> DepthFunction:
     """Precompose with the shift that drops the first edge; depth rises by 1.
     alpha(f) lives on the one-edge extensions e.q of the support at its range."""
     g = f.graph
-    out = {g.prepend_edge(e, q): x for q, x in f.values.items() for e in g.out_edges(q.rng)}
+    out = {eq: x for q, x in f.values.items() for eq in g.range_extensions(q)}
     return DepthFunction._wrap(g, f.depth + 1, out)
 
 

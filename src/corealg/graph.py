@@ -50,6 +50,8 @@ class Graph:
 
     A graph does not change after construction; `memo` holds objects other
     layers derive from it, which then live exactly as long as the graph.
+    The one-edge extensions of each path are kept in two plain dicts, filled
+    on first read: two racing fills build equal tuples, so they need no lock.
     """
 
     def __init__(self, vertices: list[str], edges: list[tuple[str, str, str]]):
@@ -71,6 +73,8 @@ class Graph:
             self._out[self._src[e]] += (e,)
             self._in[self._rng[e]] += (e,)
         self.memo = Memo()
+        self._range_ext: dict[Path, tuple[Path, ...]] = {}
+        self._source_ext: dict[Path, tuple[Path, ...]] = {}
 
     # -- incidence -----------------------------------------------------------
 
@@ -148,6 +152,24 @@ class Graph:
         return tuple.__new__(Path, ((e,) + mu.edges, mu.src if mu.edges else self._src[e],
                                     self._rng[e]))
 
+    def range_extensions(self, p: Path) -> tuple[Path, ...]:
+        """The paths e.p for e in out_edges(r(p)), in that order; built once
+        per path by prepend_edge and then shared."""
+        ext = self._range_ext.get(p)
+        if ext is None:
+            ext = self._range_ext[p] = tuple(self.prepend_edge(e, p)
+                                             for e in self._out[p.rng])
+        return ext
+
+    def source_extensions(self, p: Path) -> tuple[Path, ...]:
+        """The paths p.e for e in in_edges(s(p)), in that order; built once
+        per path by append_edge and then shared."""
+        ext = self._source_ext.get(p)
+        if ext is None:
+            ext = self._source_ext[p] = tuple(self.append_edge(p, e)
+                                              for e in self._in[p.src])
+        return ext
+
     def prefix(self, p: Path, k: int) -> Path:
         """First k edges counted from the range end; k = 0 gives @r(p)."""
         if k < 0 or k > len(p):
@@ -178,6 +200,24 @@ class Graph:
             level = [self.append_edge(p, e)
                      for p in level for e in self._in[p.src]]
         return level
+
+    def path_count(self, v: str, n: int, cap: int) -> int:
+        """The paths with range v and length at most n, or cap when there
+        are more: the words StarElement.i_expand forms from one word with
+        source v over n levels.  They are counted per source vertex, level
+        by level, without building a path; a level that forms no path ends
+        the count, so it runs at most cap + 1 levels."""
+        ends, count = {v: 1}, 1
+        for _ in range(n):
+            if count >= cap or not ends:
+                break
+            step: dict[str, int] = {}
+            for u, c in ends.items():
+                for e in self._in[u]:
+                    step[self._src[e]] = step.get(self._src[e], 0) + c
+            ends = step
+            count += sum(step.values())
+        return min(cap, count)
 
     def parse_path(self, text: str) -> Path:
         if text.startswith("@"):

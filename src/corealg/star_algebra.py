@@ -74,9 +74,6 @@ class StarElement:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_core(self) -> bool:
-        return all(len(mu) == len(nu) for mu, nu in self._terms)
-
     def max_level(self) -> int:
         return max((max(len(mu), len(nu)) for mu, nu in self._terms), default=0)
 
@@ -134,7 +131,8 @@ class StarElement:
         then visits only the groups that can hold a prefix-compatible kappa.
         In the group of nu's first edge each kappa gets one prefix test, in
         the direction the lengths allow, and the remainder is cut (with
-        Graph.drop_first) only on a match.
+        Graph.drop_first) only on a match; a kappa as long as nu matches only
+        when it equals nu, and then the word is (mu, lam), with nothing cut.
 
         The result skips the constructor's checks.  That is sound because
         every word built pairs paths with one source (mu kappa' and lam end
@@ -172,7 +170,11 @@ class StarElement:
             for kappa, lam, b in by_edge.get(ne[0], ()):
                 ke = kappa.edges
                 k = len(ke)
-                if k >= n:
+                if k == n:
+                    if ke != ne:
+                        continue
+                    word = (mu, lam)
+                elif k > n:
                     if ke[:n] != ne:
                         continue
                     word = (g.concat(mu, g.drop_first(kappa, n)), lam)

@@ -6,17 +6,23 @@ import re
 import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
 import corealg
+import corealg.cli
+import corealg.star_algebra
 from corealg.cli import main
 from corealg.core_endo import CoreEndo
-from corealg.star_algebra import StarElement
+from corealg.graph import load_graph
+from corealg.star_algebra import StarElement, parse_element
 
 O2_TEXT = "V v\nE e1 v v\nE e2 v v\n"
 G3_TEXT = "V a\nV b\nE x a a\nE y a b\nE z b a\n"
 ELEM_TEXT = "TERM 1 e1 e2\nTERM -1/3 e2.e1 e2.e1\n"
+SINK_TEXT = "V a\nV b\nE x a b\n"    # a receives nothing, b emits nothing
+LOOP_TEXT = "V v\nE e1 v v\n"
 
 
 @pytest.fixture
@@ -77,6 +83,70 @@ def test_core_beta_and_iexpand(capsys, o2_file, tmp_path):
     code, out, _ = run(capsys, "core", "iexpand", o2_file, str(core), "--level", "2")
     assert code == 0
     assert "result: PASS" in out
+
+
+@pytest.mark.parametrize("graph_text, level, message", [
+    # on O_2 the words double at every level: the level-1 word e1 e1 makes
+    # 2^99 - 1 of them up to level 99, and 2^12 - 1 up to level 12
+    (O2_TEXT, 99, "--level 99 plans at least 1001 words in 100 levels"),
+    (O2_TEXT, 13, "--level 13 plans at least 7143 words in 14 levels"),
+    # on a loop the words do not grow, but a word at level L holds 2L edges
+    (LOOP_TEXT, 316, "--level 316 plans at least 316 words in 317 levels"),
+    (LOOP_TEXT, 10 ** 9, "--level 1000000000 plans at least 1 words in 1000000001 levels"),
+], ids=["o2-level99", "o2-level13", "loop-level316", "loop-level1e9"])
+def test_iexpand_refuses_a_large_plan_at_once(capsys, tmp_path, graph_text, level, message):
+    graph, elem = tmp_path / "g.graph", tmp_path / "a.elem"
+    graph.write_text(graph_text)
+    elem.write_text("TERM 1 e1 e1\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "core", "iexpand", str(graph), str(elem), "--level", str(level))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: %s, above the limit of 100000 words times levels\n" % message
+    assert corealg.cli.EXPAND_LIMIT == 100_000
+
+
+@pytest.mark.parametrize("graph_text, level, words", [
+    (O2_TEXT, 12, 2 ** 12 - 1), (LOOP_TEXT, 315, 315)], ids=["o2-level12", "loop-level315"])
+def test_iexpand_runs_a_plan_at_the_limit(capsys, tmp_path, graph_text, level, words):
+    graph, elem = tmp_path / "g.graph", tmp_path / "a.elem"
+    graph.write_text(graph_text)
+    elem.write_text("TERM 1 e1 e1\n")
+    g = load_graph(graph_text)
+    assert corealg.cli._expansion_words(g, parse_element(g, "TERM 1 e1 e1\n"), level,
+                                        10 ** 9) == words
+    assert words * (level + 1) <= corealg.cli.EXPAND_LIMIT
+    code, out, _ = run(capsys, "core", "iexpand", str(graph), str(elem), "--level", str(level))
+    assert code == 0 and out.endswith("result: PASS\n")
+
+
+@pytest.mark.parametrize("graph_text, elem_text", [
+    (O2_TEXT, "TERM 1 e1 e1\nTERM 1/2 e2 e1\n"),
+    (O2_TEXT, ELEM_TEXT),
+    (O2_TEXT, "TERM 1 e1 e1\n"),
+    (O2_TEXT, ""),
+    (G3_TEXT, "TERM 1 x y\nTERM 2 @a @a\nTERM 1 z.y z.y\n"),
+    (SINK_TEXT, "TERM 1 x x\nTERM 1 @b @b\nTERM 1 @a @a\n"),
+], ids=["core", "elem", "e1", "no_terms", "g3", "sink"])
+def test_iexpand_plan_counts_the_words_it_forms(monkeypatch, graph_text, elem_text):
+    # the plan is the number of words i_expand puts into its levels before
+    # merging: for each term alone, the term and one word per accumulate call
+    g = load_graph(graph_text)
+    a = parse_element(g, elem_text)
+    pushed = []
+    accumulate = corealg.star_algebra.accumulate
+    monkeypatch.setattr(corealg.star_algebra, "accumulate",
+                        lambda *args: pushed.append(1) or accumulate(*args))
+    for level in range(5):
+        if any(len(mu) > level for (mu, _), _ in a.items()):
+            continue        # not in C_level: i_expand refuses it
+        words = 0
+        for word, c in a.items():
+            pushed.clear()
+            StarElement(g, {word: c}).i_expand(level)
+            words += 1 + len(pushed)
+        assert corealg.cli._expansion_words(g, a, level, 10 ** 9) == words
+        assert corealg.cli._expansion_words(g, a, level, 3) == min(words, 3)
 
 
 def test_verify_beta_deterministic(capsys, o2_file):
@@ -297,9 +367,6 @@ def test_out_of_range_counts_are_usage_errors(capsys, o2_file, args):
     code, out, err = run(capsys, *(a.format(g=o2_file) for a in args))
     assert code == 2, out
     assert err.startswith("error: --") and out == ""
-
-
-SINK_TEXT = "V a\nV b\nE x a b\n"    # a receives nothing, b emits nothing
 
 
 @pytest.mark.parametrize("args, code, message", [

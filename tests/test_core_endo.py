@@ -1,11 +1,13 @@
 """The balanced-subalgebra endomorphism, its isometry, and the tensor model."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import corealg.scalar
 from corealg.core_endo import CoreEndo
+from corealg.exel_path import DepthFunction, alpha_shift
 from corealg.graph import Graph, bouquet
 from corealg.scalar import ONE, Radical
 from corealg.star_algebra import StarElement, matrix_unit, unit, vertex_projection
@@ -133,6 +135,63 @@ def test_beta_takes_each_weight_once_and_sums_nothing(monkeypatch):
         W = endo.build_W()
         for x, img in zip(units, images):
             assert img.equal(W * x * W.adjoint()), x.text()
+
+
+def test_shifts_build_each_extension_once(monkeypatch):
+    # beta, alpha and lift read each path's one-edge extensions from the
+    # graph's tables: every extension is built once, on the first read of its
+    # path, and a second pass builds none
+    plain = {name: getattr(Graph, name) for name in
+             ("prepend_edge", "append_edge", "range_extensions", "source_extensions")}
+    built: Counter = Counter()
+    read: dict[str, set] = {"range": set(), "source": set()}
+
+    def prepend(self, e, p):
+        built["range", e, p] += 1
+        return plain["prepend_edge"](self, e, p)
+
+    def append(self, p, e):
+        built["source", e, p] += 1
+        return plain["append_edge"](self, p, e)
+
+    def range_extensions(self, p):
+        read["range"].add(p)
+        return plain["range_extensions"](self, p)
+
+    def source_extensions(self, p):
+        read["source"].add(p)
+        return plain["source_extensions"](self, p)
+
+    graphs = [bouquet(2), Graph(["a", "b"], [("x", "a", "a"), ("y", "a", "b"), ("z", "b", "a")])]
+    for g in graphs:
+        endo = CoreEndo(g)
+        W = endo.build_W()
+        units = [matrix_unit(g, mu, nu) for n in range(4) for mu in g.paths(n)
+                 for nu in g.paths(n) if mu.src == nu.src]
+        indicators = [DepthFunction.indicator(g, q) for n in range(3) for q in g.paths(n)]
+        read["range"].clear()
+        read["source"].clear()
+        passes = []
+        with monkeypatch.context() as m:
+            for name, wrapper in (("prepend_edge", prepend), ("append_edge", append),
+                                  ("range_extensions", range_extensions),
+                                  ("source_extensions", source_extensions)):
+                m.setattr(Graph, name, wrapper)
+            for _ in range(2):
+                built.clear()
+                images = [endo.beta(x) for x in units]
+                alphas = [alpha_shift(f) for f in indicators]
+                lifts = [f.lift(f.depth + 2) for f in indicators]
+                passes.append(dict(built))
+        assert passes[0] == {(side, e, p): 1 for side, paths in read.items() for p in paths
+                             for e in (g.out_edges(p.rng) if side == "range"
+                                       else g.in_edges(p.src))}
+        assert read["range"] and read["source"] and passes[1] == {}
+        for x, img in zip(units, images):
+            assert img.equal(W * x * W.adjoint()), x.text()
+        for f, a, lf in zip(indicators, alphas, lifts):
+            assert all(a.value(p) == f.value(g.drop_first(p)) for p in g.paths(f.depth + 1))
+            assert all(lf.value(p) == f.value(g.prefix(p, f.depth)) for p in g.paths(f.depth + 2))
 
 
 def test_matrix_unit_images(o2):

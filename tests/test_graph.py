@@ -3,12 +3,13 @@ import os
 import pickle
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import corealg
-from corealg.graph import GraphFormatError, Path, bouquet, cycle, load_graph
+from corealg.graph import Graph, GraphFormatError, Path, bouquet, cycle, load_graph
 
 G3_TEXT = "V a\nV b\nE x a a\nE y a b\nE z b a\n"    # out-degrees 2 and 1
 
@@ -197,6 +198,52 @@ def test_every_path_builder_returns_an_exact_path(g):
             g.drop_first(g.empty_path(v))
 
 
+# a --x--> b, a loop y at b, b --z--> c: a receives nothing and c emits nothing
+SINK_TEXT = "V a\nV b\nV c\nE x a b\nE y b b\nE z b c\n"
+
+
+@pytest.mark.parametrize("g", [bouquet(2), load_graph(G3_TEXT), load_graph(SINK_TEXT)],
+                         ids=["o2", "g3", "sink"])
+def test_extension_tables_hold_the_builders_paths(g):
+    words = [p for n in range(4) for p in g.paths(n)]
+    for p in words:
+        at_range = g.range_extensions(p)
+        at_source = g.source_extensions(p)
+        assert at_range == tuple(g.prepend_edge(e, p) for e in g.out_edges(p.rng))
+        assert at_source == tuple(g.append_edge(p, e) for e in g.in_edges(p.src))
+        for q in at_range + at_source:
+            _assert_exact(g, q, q.edges, None)
+        assert g.range_extensions(p) is at_range
+        assert g.source_extensions(p) is at_source
+        assert (at_range == ()) == (not g.out_edges(p.rng))        # a sink at the range
+        assert (at_source == ()) == (not g.in_edges(p.src))        # a singular source
+    if "c" in g.vertices:
+        assert g.range_extensions(g.path(["z", "y"])) == ()
+        assert g.source_extensions(g.path(["y", "x"])) == ()
+
+
+def test_path_count_counts_paths_up_to_length_n_and_stops_at_cap():
+    assert bouquet(2).path_count("v", 5, 100) == 63
+    assert bouquet(2).path_count("v", 99, 100) == 100
+    # at b: y^t and y^(t-1).x for each length t >= 1; x stops at the
+    # singular source a, and c receives only z
+    g = load_graph(SINK_TEXT)
+    assert [g.path_count("b", n, 100) for n in (0, 1, 3)] == [1, 3, 7]
+    assert [g.path_count(v, 3, 100) for v in "ac"] == [1, 6]
+    assert sum(g.path_count(v, 3, 100) for v in g.vertices) == len(
+        [p for n in range(4) for p in g.paths(n)])
+    # 100 copies of a --x--> b with a loop at b: the count visits only the
+    # copy of its own vertex
+    vertices = [x % i for i in range(100) for x in ("a%d", "b%d")]
+    edges = [(x % i, s % i, r % i) for i in range(100)
+             for x, s, r in (("x%d", "a%d", "b%d"), ("y%d", "b%d", "b%d"))]
+    start = time.perf_counter()
+    many = Graph(vertices, edges)
+    assert many.path_count("b0", 49_999, 100_001) == 99_999
+    assert many.path_count("b0", 10 ** 9, 100_001) == 100_001
+    assert time.perf_counter() - start < 1.0
+
+
 def test_paths_stay_immutable():
     p = bouquet(2).path(["e1", "e2"])
     hash(p)
@@ -216,7 +263,7 @@ def test_paths_stay_immutable():
 
 _KEYS = """
 import pickle, sys
-from corealg.graph import load_graph
+from corealg.graph import Graph, load_graph
 from corealg.star_algebra import StarElement
 
 def keys(g):
@@ -227,15 +274,27 @@ def keys(g):
 _DUMP = _KEYS + """
 g = load_graph("V a; V b; E x a a; E y a b; E z b a")
 paths, terms = keys(g)
+for p in paths:
+    g.range_extensions(p)
+    g.source_extensions(p)
 sys.stdout.buffer.write(pickle.dumps(
     (hash("x.z"), {p: p.text() for p in paths}, StarElement(g, terms))))
 """
 _LOOKUP = _KEYS + """
 h, by_path, x = pickle.loads(sys.stdin.buffer.read())
 assert hash("x.z") != h, "both processes hash strings alike"
-paths, terms = keys(x.graph)
+g = x.graph
+paths, terms = keys(g)
 assert len(by_path) == len(paths) and all(by_path[p] == p.text() for p in paths)
-assert x.equal(StarElement(x.graph, terms))
+assert x.equal(StarElement(g, terms))
+# the carried tables answer under this process's hashes, building nothing
+builders = Graph.prepend_edge, Graph.append_edge
+Graph.prepend_edge = Graph.append_edge = None
+carried = [(g.range_extensions(p), g.source_extensions(p)) for p in paths]
+Graph.prepend_edge, Graph.append_edge = builders
+for p, (at_range, at_source) in zip(paths, carried):
+    assert at_range == tuple(g.prepend_edge(e, p) for e in g.out_edges(p.rng))
+    assert at_source == tuple(g.append_edge(p, e) for e in g.in_edges(p.src))
 """
 
 

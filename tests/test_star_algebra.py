@@ -85,8 +85,11 @@ def test_scalar_and_degree_bookkeeping(o2):
     assert sorted(parts) == [0, 1]
     assert parts[1].equal(t * Fraction(1, 2))
     assert x.max_level() == 1
-    assert not x.is_core()
-    assert p.is_core()
+    endo = CoreEndo(g)
+    with pytest.raises(ValueError, match="balanced"):
+        endo.beta(x)
+    w = endo.build_W()
+    assert endo.beta(p).equal(w * p * w.adjoint())
 
 
 def test_path_isometry_is_product_of_edges(o2):
@@ -396,10 +399,10 @@ def _shares_first_edge(nu, kappa) -> bool:
 
 def test_product_visits_only_indexed_pairs(o3, monkeypatch):
     """Operation-count guard: inside a word product, Radical.__mul__ runs once
-    per prefix-compatible term pair and Graph.drop_first once per such pair
-    whose nu and kappa are both nonempty, never once per pair of terms as an
-    all-pairs scan would."""
-    counts = dict.fromkeys(("mul", "drop", "compatible", "nonempty", "shared", "pairs"), 0)
+    per prefix-compatible term pair, never once per pair of terms as an
+    all-pairs scan would, and Graph.drop_first once per such pair whose nu
+    and kappa are nonempty and of different lengths (equal ones match whole)."""
+    counts = dict.fromkeys(("mul", "drop", "compatible", "cut", "shared", "pairs"), 0)
     inside = [False]
     plain_mul = Radical.__mul__
     plain_drop = Graph.drop_first
@@ -419,7 +422,8 @@ def test_product_visits_only_indexed_pairs(o3, monkeypatch):
                 compatible = _compatible(o3, nu, kappa)
                 counts["pairs"] += 1
                 counts["compatible"] += compatible
-                counts["nonempty"] += compatible and bool(nu.edges and kappa.edges)
+                counts["cut"] += (compatible and bool(nu.edges and kappa.edges)
+                                  and len(nu) != len(kappa))
                 counts["shared"] += _shares_first_edge(nu, kappa)
         inside[0] = True
         try:
@@ -430,10 +434,19 @@ def test_product_visits_only_indexed_pairs(o3, monkeypatch):
     monkeypatch.setattr(Radical, "__mul__", counting_mul)
     monkeypatch.setattr(Graph, "drop_first", counting_drop)
     monkeypatch.setattr(StarElement, "_product", counting_product)
-    family, report = CoreEndo(o3).matrix_unit_images(1, "v")
+    endo = CoreEndo(o3)
+    family, report = endo.matrix_unit_images(1, "v")
     assert len(family) == 9 and report.passed and report.checks == 90
+    assert counts["drop"] == counts["cut"] == 0     # every word there is at level 2
+    # level-1 images (level-2 words) against level-2 images (level-3 words)
+    words = o3.paths(2)[:3]
+    level2 = [endo.beta(matrix_unit(o3, mu, nu)) for mu in words for nu in words]
+    for x in family.values():
+        for y in level2:
+            x * y
+            y * x
     assert counts["mul"] == counts["compatible"] > 0
-    assert counts["drop"] == counts["nonempty"] > 0
+    assert counts["drop"] == counts["cut"] > 0
     assert 2 * counts["shared"] < counts["pairs"]
 
 
