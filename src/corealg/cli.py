@@ -19,7 +19,13 @@ from . import dilation as dl
 from . import ktheory as kt
 from . import uhf_cuntz as uc
 from .core_endo import CoreEndo
-from .exel_path import DepthFunction, alpha_shift, transfer_L, transfer_identity_check
+from .exel_path import (
+    DepthFunction,
+    alpha_shift,
+    exel_relations_check,
+    transfer_L,
+    transfer_identity_check,
+)
 from .graph import Graph, bouquet, load_graph
 from .hilbert_module import (
     GraphFrameSystem,
@@ -343,6 +349,7 @@ def cmd_exel_verify_transfer(args, report: RunReport) -> None:
         sweep.merge(transfer_identity_check(_random_depth_function(g, rng, args.depth),
                                             _random_depth_function(g, rng, args.depth)))
     report.add(sweep)
+    report.add(exel_relations_check(CoreEndo(g).build_W(), [f for fs in levels for f in fs]))
 
 
 # -- module -----------------------------------------------------------------------

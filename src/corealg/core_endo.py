@@ -53,14 +53,8 @@ class CoreEndo:
         """beta images of the level-i words with source v, with an exhaustive
         verification that they still multiply as matrix units."""
         g = self.graph
-        family = {}
-        for mu in g.paths(i):
-            if mu.src != v:
-                continue
-            for nu in g.paths(i):
-                if nu.src != v:
-                    continue
-                family[(mu, nu)] = self.beta(matrix_unit(g, mu, nu))
+        words = [mu for mu in g.paths(i) if mu.src == v]
+        family = {(mu, nu): self.beta(matrix_unit(g, mu, nu)) for mu in words for nu in words}
         report = CheckReport("matrix unit images (level %d, vertex %s)" % (i, v))
         for (mu, nu), x in family.items():
             report.check(x.adjoint().equal(family[(nu, mu)]),

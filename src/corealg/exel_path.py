@@ -5,7 +5,8 @@ module provides the one-sided shift endomorphism alpha (precompose with the
 shift), the averaging transfer operator L, and the identity L(alpha(a)b) =
 a L(b) that makes (functions, alpha, L) an Exel system.  Values are exact
 scalars, rational or radical; the frame module of hilbert_module uses the
-same functions as its coefficient algebra.
+same functions as its coefficient algebra.  diag embeds the functions in the
+graph algebra, where the shift isometry W implements both alpha and L.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .graph import Graph, Path
-from .scalar import Radical
+from .scalar import Radical, scalar
+from .star_algebra import StarElement, unit
 from .util import CheckReport, accumulate, add_maps
 
 
@@ -201,4 +203,24 @@ def transfer_identity_check(a: DepthFunction, b: DepthFunction) -> CheckReport:
     report.check(lhs.equal(rhs),
                  lambda: "L(alpha(a)b) != aL(b) for a=\n%sb=\n%slhs=\n%srhs=\n%s"
                  % (a.text(), b.text(), lhs.text(), rhs.text()))
+    return report
+
+
+def diag(f: DepthFunction) -> StarElement:
+    """sum_mu f(mu) t_mu t_mu^*: f as a diagonal element of the graph algebra."""
+    return StarElement(f.graph, {(mu, mu): scalar(x) for mu, x in f.values.items()})
+
+
+def exel_relations_check(W: StarElement, functions) -> CheckReport:
+    """The Exel system implemented by the shift isometry W: W^*W = 1, and
+    for each f, W^* diag(f) W = diag(L f) and W diag(f) = diag(alpha f) W."""
+    report = CheckReport("Exel relations through W")
+    W_adj = W.adjoint()
+    report.check((W_adj * W).equal(unit(W.graph)), lambda: "W*W differs from the unit")
+    for f in functions:
+        d = diag(f)
+        report.check((W_adj * d * W).equal(diag(transfer_L(f))),
+                     lambda: "W* diag(f) W differs from diag(L f) at f=\n%s" % f.text())
+        report.check((W * d).equal(diag(alpha_shift(f)) * W),
+                     lambda: "W diag(f) differs from diag(alpha f) W at f=\n%s" % f.text())
     return report

@@ -25,12 +25,10 @@ from collections.abc import Mapping
 from itertools import product
 from types import MappingProxyType
 
-import numpy as np
-
 from .core_endo import CoreEndo
-from .exel_path import DepthFunction, alpha_shift, transfer_L
+from .exel_path import DepthFunction, alpha_shift, diag, transfer_L
 from .graph import Graph, Path
-from .scalar import ONE, Radical, scalar
+from .scalar import ONE, Radical
 from .star_algebra import StarElement, matrix_unit, path_isometry, unit
 from .uhf_cuntz import TensorElement, UhfSystem, canonical_cuntz_family, pi_T, uhf_L, uhf_alpha
 from .uhf_cuntz import words as tensor_words
@@ -101,14 +99,6 @@ class GraphFrameSystem:
     def basis(self, depth: int) -> list:
         return [DepthFunction(self.graph, depth, {mu: ONE}) for mu in self.graph.paths(depth)]
 
-    def psd_blocks(self, entries: list[list[DepthFunction]]):
-        depth = max((entry.depth for row in entries for entry in row), default=0)
-        blocks = []
-        for lam in self.graph.paths(depth):
-            blocks.append(np.array([[float(entry.value(lam)) for entry in row]
-                                    for row in entries]))
-        return blocks
-
 
 def graph_frame_system(g: Graph) -> GraphFrameSystem:
     """The frame system of g, built once per graph object and kept in the
@@ -163,12 +153,6 @@ class UhfFrameSystem:
         return [TensorElement.unit_entry(self.sys.n, mu, nu)
                 for mu in ws for nu in ws]
 
-    def psd_blocks(self, entries):
-        depth = max((entry.k for row in entries for entry in row), default=0)
-        lifted = [[entry.lift(depth) for entry in row] for row in entries]
-        blocks = [[cell.to_numeric() for cell in row] for row in lifted]
-        return [np.block(blocks)]
-
 
 # -- the left action and module elements ---------------------------------------------
 
@@ -195,6 +179,16 @@ def _act(system, b, coords: dict) -> dict:
         for v, d in _left_act_word(system, b, w).items():
             accumulate(out, v, d * c)
     return out
+
+
+def _pair(system, c: dict, d: dict):
+    """sum_w c_w^* d_w in the coefficient algebra."""
+    total = system.zero()
+    for w, x in c.items():
+        y = d.get(w)
+        if y is not None:
+            total = total + x.adjoint() * y
+    return total
 
 
 def _same(a: dict, b: dict) -> bool:
@@ -247,13 +241,7 @@ class ModuleElement:
         """<self, other> = sum_w c_w^* (G d)_w in the coefficient algebra."""
         if other.degree != self.degree:
             raise ValueError("degree mismatch")
-        canon = other.canonical_coords()
-        total = self.system.zero()
-        for w, c in self.coords.items():
-            d = canon.get(w)
-            if d is not None:
-                total = total + c.adjoint() * d
-        return total
+        return _pair(self.system, self.coords, other.canonical_coords())
 
     def canonical_coords(self) -> dict:
         """Gram-projected coordinates; equal vectors mean equal elements."""
@@ -507,7 +495,7 @@ def conj_beta(T: CompactOp) -> CompactOp:
 
 def compact_to_star(T: CompactOp) -> StarElement:
     """The dictionary into the graph algebra: the (w, v) entry contributes
-    t_w pi(entry) t_v^*, with pi sending an indicator to its diagonal word sum."""
+    t_w diag(entry) t_v^*, with diag sending an indicator to its diagonal word sum."""
     sys = T.system
     if sys.kind != "graph":
         raise ValueError("the star dictionary applies to the graph system")
@@ -519,8 +507,7 @@ def compact_to_star(T: CompactOp) -> StarElement:
         except ValueError:
             # a word that is not a path of g has the zero isometry
             continue
-        mid = StarElement(g, {(lam, lam): scalar(c) for lam, c in b.values.items()})
-        out = out + tw * mid * tv.adjoint()
+        out = out + tw * diag(b) * tv.adjoint()
     return out
 
 
@@ -645,16 +632,19 @@ def iso_generators_check(sys: UhfSystem) -> CheckReport:
     return report
 
 
-# -- numeric positivity ------------------------------------------------------------------
+# -- positivity ------------------------------------------------------------------------
 
 
-def gram_psd_check(system, elements: list, tol: float = 1e-9) -> CheckReport:
-    """Assemble the Gram matrix of the elements exactly, then check every
-    numeric evaluation is positive semidefinite within tol."""
+def gram_psd_check(system, elements: list) -> CheckReport:
+    """The Gram matrix of the elements is C^* C, so positive, exactly: the
+    frame is Parseval, so its Gram matrix G is a self-adjoint projection and
+    <m_i, m_j> = c_i^* G c_j = (G c_i)^* (G c_j), with G c the canonical
+    coordinates.  Each entry is checked against that sum."""
     report = CheckReport("Gram positivity")
-    entries = [[mi.inner(mj) for mj in elements] for mi in elements]
-    for block in system.psd_blocks(entries):
-        sym = 0.5 * (block + block.T)
-        lo = float(np.linalg.eigvalsh(sym).min()) if block.size else 0.0
-        report.check(lo >= -tol, lambda: "least eigenvalue %.3e below -%g" % (lo, tol))
+    canon = [m.canonical_coords() for m in elements]
+    for i, (mi, ci) in enumerate(zip(elements, canon)):
+        for j, (mj, cj) in enumerate(zip(elements, canon)):
+            got, square = mi.inner(mj), _pair(system, ci, cj)
+            report.check(got.equal(square), lambda: "<m_%d, m_%d> differs from "
+                         "(G c_%d)^* (G c_%d):\n%s" % (i, j, i, j, system.a_text(got)))
     return report

@@ -13,8 +13,6 @@ from collections.abc import Mapping
 from fractions import Fraction
 from itertools import product
 
-import numpy as np
-
 from .graph import Graph
 from .scalar import ONE, Radical, scalar
 from .star_algebra import StarElement, edge_isometry, unit
@@ -148,13 +146,6 @@ class TensorElement:
             if mu == nu:
                 total = total + c
         return total
-
-    def to_numeric(self):
-        idx = {w: i for i, w in enumerate(words(self.n, self.k))}
-        mat = np.zeros((len(idx), len(idx)))
-        for (mu, nu), c in self.entries.items():
-            mat[idx[mu], idx[nu]] = c.evalf()
-        return mat
 
     def text(self) -> str:
         def wtext(w):

@@ -5,7 +5,6 @@ sum, and the per-object memo."""
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -127,28 +126,24 @@ class Memo:
     """Values that depend only on the object owning the memo, each computed
     at most once and then shared, so callers must treat them as read-only.
 
-    The fill runs under a lock, so concurrent callers wait for the first
-    one's value instead of computing their own; the lock is reentrant
-    because one value's computation may ask the memo for another.  A
-    computation that raises stores nothing, so the next call runs it again.
+    One value's computation may ask the memo for another.  A computation
+    that raises stores nothing, so the next call runs it again.
     """
 
     def __init__(self):
         self._values: dict = {}
-        self._lock = threading.RLock()
 
     def get(self, key, compute):
         try:
             return self._values[key]
         except KeyError:
             pass
-        with self._lock:
-            if key not in self._values:
-                self._values[key] = compute()
-            return self._values[key]
+        value = self._values[key] = compute()
+        return value
 
     def __reduce__(self):
-        # a lock cannot be pickled; a copy of the owner recomputes its values
+        # some values are read-only views (MappingProxyType), which cannot be
+        # pickled; a copy of the owner recomputes its values
         return Memo, ()
 
 

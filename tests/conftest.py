@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from corealg.exel_path import DepthFunction
 from corealg.graph import Graph, bouquet, cycle
+from corealg.util import accumulate
 
 
 def terms(x):
@@ -29,6 +31,25 @@ def two_cycle():
 def single_edge():
     """One edge x from source a to range b; a receives nothing, b emits nothing."""
     return Graph(["a", "b"], [("x", "a", "b")])
+
+
+def weighted_transfer_L(f):
+    """A wrong transfer operator: L(f)(eta) weighs f(e_i.eta), for the i-th
+    of the k edges that extend eta, by 2(i+1)/(k(k+1)) instead of 1/k.  The
+    weights still sum to 1, so L(1) = 1, L(alpha(f)) = f and
+    L(alpha(a) b) = a L(b) all hold."""
+    g = f.graph
+    if f.depth == 0:
+        f = f.lift(1)
+    out = {}
+    for eta in g.paths(f.depth - 1):
+        exts = g.range_extensions(eta)
+        k = len(exts)
+        for i, q in enumerate(exts):
+            x = f.values.get(q)
+            if x:
+                accumulate(out, eta, x * Fraction(2 * (i + 1), k * (k + 1)))
+    return DepthFunction._wrap(g, f.depth - 1, out).lift(max(f.depth - 1, 1))
 
 
 def two_vertex_graphs(max_edges=4):

@@ -6,6 +6,8 @@ line carries the same information).  Everything is exact rational or radical
 arithmetic except A12, whose numeric tolerances are pinned below.
 """
 
+import numpy as np
+
 from conftest import two_vertex_graphs
 
 from corealg.core_endo import CoreEndo
@@ -343,9 +345,33 @@ def test_a11_k_theory_golden_values():
     print("A11 K-theory golden values: PASS")
 
 
+def _gram_eigenvalue_floor(system, elements) -> float:
+    """The least eigenvalue of the numeric Gram matrix of the elements, as
+    an oracle beside the exact check: one block per path at the entries'
+    depth for the graph system, one block matrix of words for the tower."""
+    entries = [[mi.inner(mj) for mj in elements] for mi in elements]
+    cells = [cell for row in entries for cell in row]
+    if system.kind == "graph":
+        depth = max(cell.depth for cell in cells)
+        blocks = [np.array([[float(cell.value(lam)) for cell in row] for row in entries])
+                  for lam in system.graph.paths(depth)]
+    else:
+        depth = max(cell.k for cell in cells)
+        index = {w: i for i, w in enumerate(words(system.sys.n, depth))}
+
+        def numeric(cell):
+            mat = np.zeros((len(index), len(index)))
+            for (mu, nu), c in cell.lift(depth).entries.items():
+                mat[index[mu], index[nu]] = float(c)
+            return mat
+        blocks = [np.block([[numeric(cell) for cell in row] for row in entries])]
+    return min(float(np.linalg.eigvalsh(0.5 * (b + b.T)).min()) for b in blocks)
+
+
 def test_a12_numeric_norms():
     """op_norm(W) = 1 within 1e-9; vertex projections have norm exactly 1.0;
-    Gram matrices of frame elements are positive semidefinite to 1e-9."""
+    Gram matrices of frame elements are C*C exactly, and positive
+    semidefinite to 1e-9 numerically."""
     for label, g in THREE_GRAPHS:
         W = CoreEndo(g).build_W()
         res = op_norm(W)
@@ -357,10 +383,12 @@ def test_a12_numeric_norms():
     elems = [ModuleElement.basis_word(gsys, (e,)) for e in ("e1", "e2")]
     elems += [u_element(gsys),
               elems[0] + elems[1].right_mul(Radical.sqrt(3))]
-    assert gram_psd_check(gsys, elems, tol=PSD_TOL).passed
+    assert gram_psd_check(gsys, elems).passed
+    assert _gram_eigenvalue_floor(gsys, elems) >= -PSD_TOL
 
     usys = UhfFrameSystem(UhfSystem(2, 2))
     uelems = [ModuleElement.basis_word(usys, (idx,)) for idx in usys.indices]
     uelems.append(u_element(usys))
-    assert gram_psd_check(usys, uelems, tol=PSD_TOL).passed
+    assert gram_psd_check(usys, uelems).passed
+    assert _gram_eigenvalue_floor(usys, uelems) >= -PSD_TOL
     print("A12 numeric norms and positivity: PASS")

@@ -12,10 +12,13 @@ import pytest
 
 import corealg
 import corealg.cli
+import corealg.exel_path
 import corealg.star_algebra
+from conftest import weighted_transfer_L
 from corealg.cli import main
 from corealg.core_endo import CoreEndo
 from corealg.graph import load_graph
+from corealg.hilbert_module import GraphFrameSystem
 from corealg.star_algebra import StarElement, parse_element
 
 O2_TEXT = "V v\nE e1 v v\nE e2 v v\n"
@@ -432,8 +435,7 @@ SNAPSHOTS = os.path.join(os.path.dirname(__file__), "snapshots")
     ("core-verify-beta-o2-depth2", ("core", "verify-beta", "{g}", "--depth", "2",
                                     "--trials", "10", "--seed", "3")),
     ("module-crosscheck-o2-level2", ("module", "crosscheck", "{g}", "--level", "2")),
-    # two vertices and irrational frame weights: the depth of inner products
-    # decides how many Gram-positivity blocks verify-frames counts
+    # two vertices and irrational frame weights
     ("module-verify-frames-g3", ("module", "verify-frames", "{g3}")),
     ("module-verify-u-g3-depth3", ("module", "verify-u", "{g3}", "--depth", "3")),
     ("module-crosscheck-g3-level2", ("module", "crosscheck", "{g3}", "--level", "2")),
@@ -456,6 +458,35 @@ def test_json_matches_snapshot(capsys, tmp_path, o2_file, name, args):
     assert kept != out
     with open(os.path.join(SNAPSHOTS, name + ".json"), encoding="utf-8") as fh:
         assert kept == fh.read()
+
+
+def _sections(out: str) -> dict:
+    return {s["name"]: (s["checks"], len(s["failures"])) for s in json.loads(out)["sections"]}
+
+
+@pytest.mark.parametrize("text, checks, failures", [(O2_TEXT, 16, 8), (G3_TEXT, 36, 12)])
+def test_verify_frames_rejects_a_doubled_gram(capsys, tmp_path, monkeypatch, text, checks,
+                                              failures):
+    graph = tmp_path / "g.graph"
+    graph.write_text(text)
+    act1 = GraphFrameSystem.act1
+    monkeypatch.setattr(GraphFrameSystem, "act1", lambda self, e, b, f: act1(self, e, b, f) * 2)
+    code, out, _ = run(capsys, "module", "verify-frames", str(graph), "--json")
+    assert code == 1
+    assert _sections(out)["Gram positivity"] == (checks, failures)
+
+
+@pytest.mark.parametrize("text", [O2_TEXT, G3_TEXT])
+def test_verify_transfer_rejects_a_reweighted_transfer(capsys, tmp_path, monkeypatch, text):
+    graph = tmp_path / "g.graph"
+    graph.write_text(text)
+    monkeypatch.setattr(corealg.exel_path, "transfer_L", weighted_transfer_L)
+    monkeypatch.setattr(corealg.cli, "transfer_L", weighted_transfer_L)
+    code, out, _ = run(capsys, "exel", "verify-transfer", str(graph), "--depth", "3", "--json")
+    assert code == 1
+    # only the relations through W see the weights
+    failing = [name for name, (_, bad) in _sections(out).items() if bad]
+    assert failing == ["Exel relations through W"]
 
 
 def test_planted_failure_matches_snapshot(capsys, o2_file, monkeypatch):

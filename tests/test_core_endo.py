@@ -203,6 +203,17 @@ def test_matrix_unit_images(o2):
         assert report.checks > len(family)
 
 
+def test_matrix_unit_images_lists_the_paths_once(o2, monkeypatch):
+    calls = []
+    paths = Graph.paths
+    monkeypatch.setattr(Graph, "paths", lambda self, n: calls.append(n) or paths(self, n))
+    endo = CoreEndo(o2)
+    for level in (1, 2):
+        family, report = endo.matrix_unit_images(level, "v")
+        assert len(family) == 4 ** level and report.passed
+    assert calls == [1, 2]
+
+
 def test_matrix_unit_images_on_cycle(two_cycle):
     endo = CoreEndo(two_cycle)
     family, report = endo.matrix_unit_images(2, "v1")

@@ -5,8 +5,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from corealg.exel_path import DepthFunction, alpha_shift, transfer_L, transfer_identity_check
+from conftest import weighted_transfer_L
+from corealg import exel_path
+from corealg.core_endo import CoreEndo
+from corealg.exel_path import (
+    DepthFunction,
+    alpha_shift,
+    diag,
+    exel_relations_check,
+    transfer_L,
+    transfer_identity_check,
+)
 from corealg.graph import Graph, Path, bouquet, cycle, load_graph
+from corealg.star_algebra import unit
 from corealg.hilbert_module import GraphFrameSystem
 from corealg.scalar import ONE, Radical
 
@@ -252,3 +263,31 @@ def test_operations_never_list_the_paths(o2, two_cycle, monkeypatch):
             for e in g.edge_names:
                 assert system.restrict_edge(f, e).depth == max(f.depth - 1, 0)
                 system.act1(e, f, e)
+
+
+G3_TEXT = "V a\nV b\nE x a a\nE y a b\nE z b a\n"
+
+
+def test_diag_is_multiplicative(o2, two_cycle):
+    for g in (o2, two_cycle, load_graph(G3_TEXT)):
+        fs = [DepthFunction.constant(g, 1),
+              DepthFunction(g, 1, {p: Fraction(i + 1, 3) for i, p in enumerate(g.paths(1))}),
+              DepthFunction(g, 2, {p: Radical.sqrt(i + 2) for i, p in enumerate(g.paths(2))})]
+        assert diag(fs[0]).equal(unit(g))
+        for f in fs:
+            for h in fs:
+                assert diag(f * h).equal(diag(f) * diag(h)), (f, h)
+
+
+@pytest.mark.parametrize("text", ["V v\nE e1 v v\nE e2 v v\n", G3_TEXT])
+def test_exel_relations_reject_a_reweighted_transfer(monkeypatch, text):
+    g = load_graph(text)
+    W = CoreEndo(g).build_W()
+    fs = [DepthFunction.indicator(g, p) for k in (1, 2, 3) for p in g.paths(k)]
+    report = exel_relations_check(W, fs)
+    assert report.passed and report.checks == 1 + 2 * len(fs)
+    monkeypatch.setattr(exel_path, "transfer_L", weighted_transfer_L)
+    # the mutant keeps the identity L(alpha(a) b) = a L(b) on every pair
+    assert all(transfer_identity_check(a, b).passed for a in fs for b in fs)
+    failed = exel_relations_check(W, fs).failures
+    assert failed and all(w.startswith("W* diag(f) W differs from diag(L f)") for w in failed)

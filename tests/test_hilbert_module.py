@@ -2,8 +2,7 @@
 conjugation that turns compact operators into the balanced endomorphism."""
 
 import gc
-import sys
-import threading
+import pickle
 import weakref
 from fractions import Fraction
 from itertools import product
@@ -41,7 +40,7 @@ from corealg.hilbert_module import (
 from corealg.scalar import ONE, Radical
 from corealg.star_algebra import matrix_unit
 from corealg.uhf_cuntz import TensorElement, UhfSystem
-from corealg.util import accumulate, add_maps
+from corealg.util import Memo, accumulate, add_maps
 
 G3_TEXT = "V a; V b\nE x a a; E y a b; E z b a\n"   # out-degrees 2 and 1
 
@@ -526,32 +525,44 @@ def test_dropped_graph_is_collected():
     assert ref() is None
 
 
-def test_memo_fill_under_threads(monkeypatch):
-    expected = _module_image(GraphFrameSystem(bouquet(2)), ("e1",), ("e2",))
+def test_memo_computes_once_and_pickles_empty(monkeypatch):
+    memo, runs = Memo(), []
+
+    def inner():
+        runs.append("inner")
+        return 2
+
+    def outer():
+        # one value's computation fills another key of the same memo
+        runs.append("outer")
+        return memo.get("inner", inner) + 1
+
+    def broken():
+        runs.append("broken")
+        raise ArithmeticError("no value")
+
+    assert [memo.get("outer", outer) for _ in range(3)] == [3, 3, 3]
+    assert memo.get("inner", inner) == 2 and runs == ["outer", "inner"]
+    for _ in range(2):
+        with pytest.raises(ArithmeticError):
+            memo.get("broken", broken)
+    assert runs[2:] == ["broken", "broken"]
+    assert memo.get("broken", lambda: 5) == 5
+
     system = GraphFrameSystem(bouquet(2))
     alpha_calls = _count_calls(monkeypatch, system, "alpha")
-    runs = _count_calls(monkeypatch, hilbert_module, "_check_restriction")
-    results, barrier = [], threading.Barrier(8)
+    checks = _count_calls(monkeypatch, hilbert_module, "_check_restriction")
+    images = {_module_image(system, ("e1",), ("e2",)) for _ in range(3)}
+    assert u_element(system) is u_element(system)
+    assert len(images) == 1 and len(alpha_calls) == 1 and checks == [system]
 
-    def work():
-        barrier.wait(timeout=10)
-        results.append((u_element(system), _module_image(system, ("e1",), ("e2",))))
-
-    threads = [threading.Thread(target=work) for _ in range(8)]
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
-    assert len(results) == 8
-    assert len({id(u) for u, _ in results}) == 1
-    assert all(text == expected for _, text in results)
-    assert len(alpha_calls) == 1 and runs == [system]
+    # the owner's values include read-only views, which pickle cannot copy
+    owner = GraphFrameSystem(bouquet(2))
+    image = _module_image(owner, ("e1",), ("e2",))
+    assert owner.memo._values
+    copy = pickle.loads(pickle.dumps(owner))
+    assert copy.memo._values == {}
+    assert _module_image(copy, ("e1",), ("e2",)) == image
 
 
 def test_compact_to_star_uhf_rejected(usys):
@@ -646,8 +657,24 @@ def test_gram_psd(gsys, usys):
              ModuleElement.basis_word(gsys, ("e2",)),
              u_element(gsys)]
     report = gram_psd_check(gsys, elems)
-    assert report.passed, report.lines()
+    assert report.passed and report.checks == 9, report.lines()
     uelems = [ModuleElement.basis_word(usys, ((1, 1),)),
               ModuleElement.basis_word(usys, ((2, 1),))]
     report = gram_psd_check(usys, uelems)
-    assert report.passed, report.lines()
+    assert report.passed and report.checks == 4, report.lines()
+
+
+@pytest.mark.parametrize("text, checks, failures", [
+    ("V v\nE e1 v v\nE e2 v v\n", 16, 8),
+    (G3_TEXT, 36, 12),
+])
+def test_gram_positivity_rejects_a_doubled_gram(text, checks, failures):
+    # the element set of module verify-frames; with every <F_e, b F_f>
+    # doubled the Gram matrix is 2P, which a numeric eigenvalue test passes,
+    # but <m, n> = 2 c* P d differs from (2P c)* (2P d) = 4 c* P d
+    g = load_graph(text)
+    for system, bad in ((GraphFrameSystem(g), 0), (_DoubledGramSystem(g), failures)):
+        elements = [ModuleElement.basis_word(system, (i,)) for i in system.indices]
+        elements += [ModuleElement.from_algebra(system, a) for a in system.basis(1)]
+        report = gram_psd_check(system, elements)
+        assert (report.checks, len(report.failures)) == (checks, bad)

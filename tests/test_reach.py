@@ -14,6 +14,9 @@ reads `torsion`): a result field that nothing reads goes.
 No module imports inside a function: every dependency of a module shows
 at its top, so an import cycle cannot hide in a function body.
 
+numpy is imported only by star_algebra, whose op_norm computes a float
+norm; every check is exact, so no other module needs it.
+
 A check is recorded only through `CheckReport.check(ok, witness)`: no
 `.fail(...)` or zero-argument `.count()` call is left in the library, the
 benchmark harness or the tests.  Passing runs never reach a failure
@@ -116,3 +119,15 @@ def test_no_import_inside_a_function():
                 nested.extend("%s:%d" % (path.name, node.lineno) for node in ast.walk(fn)
                               if isinstance(node, (ast.Import, ast.ImportFrom)))
     assert not nested, "import inside a function: " + ", ".join(sorted(set(nested)))
+
+
+def test_only_star_algebra_imports_numpy():
+    def modules(node):
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names]
+        return [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+
+    importers = sorted(path.name for path in LIBRARY
+                       for node in ast.walk(ast.parse(path.read_text()))
+                       if any(m.split(".")[0] == "numpy" for m in modules(node)))
+    assert importers == ["star_algebra.py"], "numpy imported by: " + ", ".join(importers)

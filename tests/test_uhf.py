@@ -86,13 +86,6 @@ def test_words_and_identity():
     assert (ident * a).equal(a) and (a * ident).equal(a)
 
 
-def test_to_numeric_matches_entries():
-    a = e(2, [1], [2]) + e(2, [2], [1])
-    m = a.to_numeric()
-    assert m.shape == (2, 2)
-    assert m[0, 1] == 1.0 and m[1, 0] == 1.0 and m[0, 0] == 0.0
-
-
 # -- the (alpha, L) pair -------------------------------------------------------
 
 
