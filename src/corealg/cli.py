@@ -424,7 +424,9 @@ def cmd_uhf_demo(args, report: RunReport) -> None:
     report.say("rank data reproduces n=%d, N=%d" % (rsys.n, rsys.N))
 
     res = kt.paschke_sequence([[n * cap]], True)
-    gr = kt.graph_k_theory(bouquet(n * cap))
+    gr = _graph_k_theory(bouquet(n * cap), report)
+    if gr is None:
+        return
     agree = CheckReport("six-term corner against the bouquet model")
     agree.check(res.k0 == gr.k0 and res.k1 == gr.k1, lambda: "corner mismatch: %s/%s vs %s/%s"
                 % (res.k0.text(), res.k1.text(), gr.k0.text(), gr.k1.text()))
@@ -470,16 +472,25 @@ def cmd_dilation_verify(args, report: RunReport) -> None:
 # -- ktheory ----------------------------------------------------------------------
 
 
-def cmd_ktheory_graph(args, report: RunReport) -> None:
-    g = _load_graph(args.file)
+def _graph_k_theory(g: Graph, report: RunReport):
+    """graph_k_theory(g) with its stage checks added as a section; when the
+    stages do not settle, a failed "stabilization" section and None."""
     try:
         res = _checked(kt.graph_k_theory, g)
     except kt.StabilizationError as exc:
         failed = CheckReport("stabilization")
         failed.check(False, lambda: str(exc))
         report.add(failed)
-        return
+        return None
     report.add(res.report)
+    return res
+
+
+def cmd_ktheory_graph(args, report: RunReport) -> None:
+    g = _load_graph(args.file)
+    res = _graph_k_theory(g, report)
+    if res is None:
+        return
     verts, a = kt.vertex_matrix(g)
     n = len(verts)
     classic = [[a[j][i] - (1 if i == j else 0) for j in range(n)] for i in range(n)]

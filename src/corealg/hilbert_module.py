@@ -45,7 +45,9 @@ class TruncationDepthError(ValueError):
 class GraphFrameSystem:
     """Frame indexed by edges; F_e is the scaled cylinder indicator with
     scaling the square root of the out-degree at s(e).  The coefficient
-    algebra is exel_path's DepthFunction with Radical values."""
+    algebra is exel_path's DepthFunction with Radical values.  Distinct
+    cylinders are disjoint, so act1(e, b, f) is zero unless e == f: the
+    partners of f are (f,)."""
 
     kind = "graph"
 
@@ -54,6 +56,7 @@ class GraphFrameSystem:
             raise ValueError("graph must have no sinks and no singular vertices")
         self.graph = graph
         self.indices = graph.edge_names
+        self.partners = {f: (f,) for f in self.indices}
         self._count = {v: len(graph.out_edges(v)) for v in graph.vertices}
         self._unit = DepthFunction.constant(graph, ONE)
         self._zero = DepthFunction(graph, 0)
@@ -107,20 +110,26 @@ def graph_frame_system(g: Graph) -> GraphFrameSystem:
 
 
 class UhfFrameSystem:
-    """Frame indexed by the pairs (i, j); the basis is orthonormal."""
+    """Frame indexed by the pairs (i, j); the basis is orthonormal.
+    act1((i, j), b, (k, l)) is zero unless j == l: the partners of (k, l)
+    are the (i, l), in index order."""
 
     kind = "uhf"
 
     def __init__(self, sys: UhfSystem):
         self.sys = sys
         self.indices = tuple(sys.indices())
+        self.partners = {kl: tuple(ij for ij in self.indices if ij[1] == kl[1])
+                         for kl in self.indices}
+        self._unit = TensorElement.identity(sys.n, 0)
+        self._zero = TensorElement(sys.n, 0)
         self.memo = Memo()
 
     def unit(self) -> TensorElement:
-        return TensorElement.identity(self.sys.n, 0)
+        return self._unit
 
     def zero(self) -> TensorElement:
-        return TensorElement(self.sys.n, 0)
+        return self._zero
 
     def a_text(self, a) -> str:
         return a.text()
@@ -158,11 +167,13 @@ class UhfFrameSystem:
 
 
 def _left_act_word(system, b, w: tuple) -> dict:
-    """Coordinates of b . F_w, by frame reconstruction one letter at a time."""
+    """Coordinates of b . F_w, by frame reconstruction one letter at a time.
+    Only the partners i of w[0] can have act1(i, b, w[0]) nonzero; they are
+    visited in index order, so the sums build as over all indices."""
     if not w:
         return {(): b}
     out: dict[tuple, object] = {}
-    for i in system.indices:
+    for i in system.partners[w[0]]:
         b1 = system.act1(i, b, w[0])
         if b1.is_zero():
             continue
@@ -377,21 +388,22 @@ def u_isometry_report(system, degree: int) -> CheckReport:
     """U_i* U_i = 1 on the degree-i coordinate basis, plus the two module
     identities tying U_i to alpha and L on degree-1 generators."""
     report = CheckReport("U_%d isometry" % degree)
-    basis_words = list(product(system.indices, repeat=degree))
-    for w in basis_words:
-        m = ModuleElement.basis_word(system, w)
+    basis = [(w, ModuleElement.basis_word(system, w))
+             for w in product(system.indices, repeat=degree)]
+    for w, m in basis:
         report.check(U_star_map(system, U_map(system, m)).equal(m),
                      lambda: "U*U fails on the basis word %r" % (w,))
     for a in system.basis(1):
-        for w in basis_words:
-            m = ModuleElement.basis_word(system, w)
+        q_alpha = ModuleElement.from_algebra(system, system.alpha(a))
+        qa = ModuleElement.from_algebra(system, a)
+        la = system.L(a)
+        for w, m in basis:
             lhs = U_map(system, left_act(system, a, m))
-            rhs = tensor(ModuleElement.from_algebra(system, system.alpha(a)), m)
+            rhs = tensor(q_alpha, m)
             report.check(lhs.equal(rhs),
                          lambda: "U(a.m) differs from q(alpha(a)) (x) m at %r" % (w,))
-            qa = ModuleElement.from_algebra(system, a)
             lhs2 = U_star_map(system, tensor(qa, m))
-            rhs2 = left_act(system, system.L(a), m)
+            rhs2 = left_act(system, la, m)
             report.check(lhs2.equal(rhs2),
                          lambda: "U*(q(a) (x) m) differs from L(a).m at %r" % (w,))
     return report
@@ -443,11 +455,13 @@ class CompactOp:
 def _check_restriction(sys, degree: int) -> bool:
     """U at degree+1 restricts to U at degree on simple tensors, checked on
     the coordinate basis; raises RuntimeError when it does not."""
+    frame = [ModuleElement.basis_word(sys, (j,)) for j in sys.indices]
     for w in product(sys.indices, repeat=degree):
         m = ModuleElement.basis_word(sys, w)
-        for j in sys.indices:
-            lhs = U_map(sys, tensor(m, ModuleElement.basis_word(sys, (j,))))
-            rhs = tensor(U_map(sys, m), ModuleElement.basis_word(sys, (j,)))
+        um = U_map(sys, m)
+        for f in frame:
+            lhs = U_map(sys, tensor(m, f))
+            rhs = tensor(um, f)
             if not lhs.equal(rhs):
                 raise RuntimeError("U at degree %d does not restrict from degree %d"
                                    % (degree + 1, degree))
@@ -500,15 +514,16 @@ def compact_to_star(T: CompactOp) -> StarElement:
     if sys.kind != "graph":
         raise ValueError("the star dictionary applies to the graph system")
     g = sys.graph
-    out = StarElement.zero(g)
+    out: dict[tuple, object] = {}
     for (w, v), b in T.entries.items():
         try:
             tw, tv = path_isometry(g, g.path(w)), path_isometry(g, g.path(v))
         except ValueError:
             # a word that is not a path of g has the zero isometry
             continue
-        out = out + tw * diag(b) * tv.adjoint()
-    return out
+        for word, c in (tw * diag(b) * tv.adjoint()).items():
+            accumulate(out, word, c)
+    return StarElement._wrap(g, out)
 
 
 def beta_crosscheck(g: Graph, mu: Path, nu: Path) -> CheckReport:
@@ -578,9 +593,10 @@ def frame_rep_psi(system, family: Mapping, pi):
     report = CheckReport("frame representation")
     for i in indices:
         left = family[i].adjoint()
+        left_images = [(b, left * pb) for b, pb in images]
         for j in indices:
-            for b, pb in images:
-                lhs = left * pb * family[j]
+            for b, left_pb in left_images:
+                lhs = left_pb * family[j]
                 rhs = pi(system.act1(i, b, j))
                 report.check(lhs.equal(rhs), lambda: "S_%s* pi(b) S_%s differs from pi(<F,bF>) "
                              "at b=\n%s" % (i, j, system.a_text(b)))

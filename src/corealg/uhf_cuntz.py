@@ -266,7 +266,7 @@ class CuntzFamily(Mapping):
     """Isometries S_(i, j), one for each index pair of a system, whose ranges
     are orthogonal and sum to the identity.  The constructor checks all of
     this; the family is read-only afterwards, so pi_T trusts it.  The word
-    isometries T_(mu, lam) it forms are kept."""
+    isometries T_(mu, lam) and the matrix-unit images it forms are kept."""
 
     def __init__(self, sys: UhfSystem, members: Mapping):
         members = dict(members)
@@ -292,6 +292,7 @@ class CuntzFamily(Mapping):
         self.n, self.N, self.graph = sys.n, sys.N, g
         self._members = members
         self._words: dict[tuple[Word, Word], StarElement] = {}
+        self._units: dict[tuple[Word, Word], StarElement] = {}
 
     def __getitem__(self, index):
         return self._members[index]
@@ -313,6 +314,20 @@ class CuntzFamily(Mapping):
             self._words[key] = got
         return got
 
+    def unit_image(self, mu: Word, nu: Word) -> StarElement:
+        """sum_lam T_(mu lam) T_(nu lam)^* over lam in {1..N}^|mu|, the image
+        of e_(mu nu) (x) 1 under pi_T, formed once."""
+        key = (mu, nu)
+        got = self._units.get(key)
+        if got is None:
+            terms: dict = {}
+            for lam in words(self.N, len(mu)):
+                for word, c in (self.word_isometry(mu, lam)
+                                * self.word_isometry(nu, lam).adjoint()).items():
+                    accumulate(terms, word, c)
+            got = self._units[key] = StarElement._wrap(self.graph, terms)
+        return got
+
 
 def canonical_cuntz_family(sys: UhfSystem) -> tuple[Graph, CuntzFamily]:
     """The n*N loops on one vertex, indexed by the pairs (i, j)."""
@@ -324,8 +339,9 @@ def canonical_cuntz_family(sys: UhfSystem) -> tuple[Graph, CuntzFamily]:
 
 def pi_T(sys: UhfSystem, family: CuntzFamily, a: TensorElement) -> StarElement:
     """Send e_{mu nu} (x) 1 to sum_lambda T_{mu lambda} T_{nu lambda}^* with
-    lambda running over {1..N}^depth.  The family was checked when it was
-    built; only its system is compared with sys."""
+    lambda running over {1..N}^depth, the family's unit_image(mu, nu), and
+    extend linearly.  The family was checked when it was built; only its
+    system is compared with sys."""
     if not isinstance(family, CuntzFamily):
         raise TypeError("pi_T needs a CuntzFamily, got %s" % type(family).__name__)
     if (family.n, family.N) != (sys.n, sys.N):
@@ -334,22 +350,20 @@ def pi_T(sys: UhfSystem, family: CuntzFamily, a: TensorElement) -> StarElement:
     if a.k == 0:
         c = a.entries.get(((), ()), Radical())
         return unit(g) * c if c else StarElement.zero(g)
-    out = StarElement.zero(g)
-    lams = words(sys.N, a.k)
-    word = family.word_isometry
+    out: dict = {}
     for (mu, nu), c in a.entries.items():
-        for lam in lams:
-            out = out + word(mu, lam) * word(nu, lam).adjoint() * c
-    return out
+        for word, d in family.unit_image(mu, nu).items():
+            accumulate(out, word, d * c)
+    return StarElement._wrap(g, out)
 
 
 def pi_T_report(sys: UhfSystem, family: CuntzFamily, a: TensorElement) -> CheckReport:
     """Unitality plus the compression relation
     T_ij* pi(a) T_kl = pi(<E_ij, a E_kl>) for every pair of indices.
 
-    The images share the family's word isometries, and the factor
-    T_ij* pi(a) is formed once per (i, j) and reused for every (k, l).  The
-    product e_ji a e_kl is e_jl (x) the (i, k) block of a, each matrix unit
+    The images share the family's word isometries and matrix-unit images,
+    and the factor T_ij* pi(a) is formed once per (i, j) and reused for
+    every (k, l).  The product e_ji a e_kl is e_jl (x) the (i, k) block of a, each matrix unit
     and each block formed once; L is applied to it as defined, so the
     relation also checks pi_T against L."""
     report = CheckReport("pi_T relations at depth %d" % a.k)

@@ -13,6 +13,7 @@ import pytest
 import corealg
 import corealg.cli
 import corealg.exel_path
+import corealg.ktheory
 import corealg.star_algebra
 from conftest import weighted_transfer_L
 from corealg.cli import main
@@ -294,6 +295,31 @@ def test_uhf_demo(capsys):
     code, out, _ = run(capsys, "uhf", "demo", "--n", "3", "--N", "1", "--depth", "1")
     assert code == 0
     assert "K_0 = Z/2" in out
+
+
+def test_uhf_demo_reports_a_failed_stage(capsys, monkeypatch):
+    # the K-theory stage checks are a section of their own; a planted failure
+    # at stage 2 becomes a failed stabilization section and exit 1, with the
+    # earlier sections still reported
+    stage = corealg.ktheory._stage_beta_matrix
+
+    def planted(g, endo, verts, level, report):
+        t = stage(g, endo, verts, level, report)
+        report.check(level != 2, lambda: "planted stage failure")
+        return t
+
+    code, out, _ = run(capsys, "uhf", "demo", "--n", "2", "--N", "1", "--json")
+    assert code == 0
+    assert _sections(out)["stationary K-theory of 1 vertices"] == (7, 0)
+    monkeypatch.setattr(corealg.ktheory, "_stage_beta_matrix", planted)
+    code, out, _ = run(capsys, "uhf", "demo", "--n", "2", "--N", "1", "--json")
+    assert code == 1
+    sections = _sections(out)
+    assert sections["stabilization"] == (1, 1)
+    assert [bad for _, bad in sections.values()].count(1) == 1
+    assert "six-term corner against the bouquet model" not in sections
+    assert "planted stage failure" in json.loads(out)["sections"][-1]["failures"][0]
+    assert json.loads(out)["result"] == "FAIL"
 
 
 def test_ktheory_commands(capsys, o2_file):

@@ -455,6 +455,54 @@ def _count_calls(monkeypatch, obj, name: str) -> list:
     return calls
 
 
+def _all_indices_left_act_word(system, b, w: tuple) -> dict:
+    """b . F_w with act1 read at every frame index, partner or not."""
+    if not w:
+        return {(): b}
+    out = {}
+    for i in system.indices:
+        b1 = system.act1(i, b, w[0])
+        if b1.is_zero():
+            continue
+        for v, d in _all_indices_left_act_word(system, b1, w[1:]).items():
+            accumulate(out, (i,) + v, d)
+    return out
+
+
+@pytest.mark.parametrize("make", [lambda: GraphFrameSystem(load_graph(G3_TEXT)),
+                                  lambda: UhfFrameSystem(UhfSystem(3, 2))])
+def test_left_action_reads_act1_only_on_partners(monkeypatch, make):
+    system = make()
+    coefficients = [system.unit()] + system.basis(1) + system.basis(2)[:5]
+    # a non-partner entry <F_i, b F_f> is zero for every b
+    for f in system.indices:
+        for i in system.indices:
+            if i not in system.partners[f]:
+                assert all(system.act1(i, b, f).is_zero() for b in coefficients)
+    words = [w for d in (1, 2) for w in product(system.indices, repeat=d)]
+    expected = {(b_pos, w): _all_indices_left_act_word(system, b, w)
+                for b_pos, b in enumerate(coefficients) for w in words}
+    calls = []
+    act1 = system.act1
+
+    def counted(i, b, f):
+        calls.append((i, f))
+        return act1(i, b, f)
+
+    monkeypatch.setattr(system, "act1", counted)
+    for (b_pos, w), want in expected.items():
+        got = hilbert_module._left_act_word(system, coefficients[b_pos], w)
+        # the same keys, in the same order, with equal entries
+        assert list(got) == list(want) and all(got[v].equal(want[v]) for v in got)
+    assert calls and all(i in system.partners[f] for i, f in calls)
+    if system.kind == "graph":
+        assert all(i == f for i, f in calls)
+    else:
+        assert all(i[1] == f[1] for i, f in calls)
+        assert [i for i in system.indices if i in system.partners[(1, 2)]] == \
+            list(system.partners[(1, 2)])
+
+
 def _module_image(system, mu: tuple, nu: tuple) -> str:
     theta = CompactOp.from_theta(ModuleElement.basis_word(system, mu),
                                  ModuleElement.basis_word(system, nu))

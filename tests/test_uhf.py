@@ -276,30 +276,93 @@ def test_family_over_two_graphs_rejected():
 
 
 def test_pi_T_report_product_count(monkeypatch):
-    # the word products of one report on (3,2): T_ij* pi(a) once per (i, j)
-    # and each word isometry once; the family's 42 check products ran when
-    # it was built
+    # the word products of one report on (3,2): T_ij* pi(a) once per (i, j),
+    # each word isometry once and each matrix-unit image once; the family's
+    # 42 check products ran when it was built
     sys = UhfSystem(3, 2)
     _, family = canonical_cuntz_family(sys)
     a = TensorElement(3, 2, {((1, 2), (2, 1)): 1, ((3, 1), (1, 1)): Fraction(-1, 2)})
     products = _count_products(monkeypatch)
     assert pi_T_report(sys, family, a).passed
-    assert len(products) == 80
+    assert len(products) == 74
 
 
 def test_second_report_reuses_word_isometries(monkeypatch):
-    # the family keeps its word isometries: a second report on it forms
-    # none of the 16 the first one formed
+    # the family keeps its word isometries and matrix-unit images: a second
+    # report on it forms none of them, only the 6 products T_ij* pi(a) and
+    # the 36 products T_ij* pi(a) T_kl
     sys = UhfSystem(3, 2)
     _, family = canonical_cuntz_family(sys)
     a = TensorElement(3, 2, {((1, 2), (2, 1)): 1, ((3, 1), (1, 1)): Fraction(-1, 2)})
     assert pi_T_report(sys, family, a).passed
     products = _count_products(monkeypatch)
     assert pi_T_report(sys, family, a).passed
-    assert len(products) == 64
+    assert len(products) == 42
+
+
+def test_unit_image_formed_once_per_family(monkeypatch):
+    # the first image forms one T T* product per (entry, lam) and the 16 word
+    # isometries of its two entries; the family keeps both, so a second
+    # image, or an element sharing an entry, forms none again
+    sys = UhfSystem(3, 2)
+    _, family = canonical_cuntz_family(sys)
+    a = TensorElement(3, 2, {((1, 2), (2, 1)): 1, ((3, 1), (1, 1)): Fraction(-1, 2)})
+    products = _count_products(monkeypatch)
+    pi_T(sys, family, a)
+    assert len(products) == 2 * 4 + 16
+    del products[:]
+    pi_T(sys, family, a)
+    pi_T(sys, family, TensorElement(3, 2, {((1, 2), (2, 1)): Fraction(5, 3)}))
+    assert products == []
+    assert family.unit_image((1, 2), (2, 1)) is family.unit_image((1, 2), (2, 1))
+    # another family keeps its own images
+    _, other = canonical_cuntz_family(sys)
+    del products[:]
+    pi_T(sys, other, a)
+    assert len(products) == 2 * 4 + 16
 
 
 # -- pi_T_report and prefix_rep_sweep against the loops they replace ---------------
+
+
+def _loop_pi_T(sys, family, a):
+    """pi_T as it reads: every T_(mu lam) T_(nu lam)^* c formed from the
+    members and added to a running sum, one lam at a time."""
+    g = family.graph
+    if a.k == 0:
+        c = a.entries.get(((), ()), Radical())
+        return unit(g) * c if c else StarElement.zero(g)
+
+    def word(mu, lam):
+        out = unit(g)
+        for letters in zip(mu, lam):
+            out = out * family[letters]
+        return out
+
+    out = StarElement.zero(g)
+    for (mu, nu), c in a.entries.items():
+        for lam in words(sys.N, a.k):
+            out = out + word(mu, lam) * word(nu, lam).adjoint() * c
+    return out
+
+
+@pytest.mark.parametrize("nN", [(2, 1), (2, 2), (3, 2)])
+def test_pi_T_matches_the_loop(nN):
+    sys = UhfSystem(*nN)
+    _, family = canonical_cuntz_family(sys)
+    rnd = random.Random("pi_T:%d,%d" % nN)
+    coeffs = [Fraction(1), Fraction(-1, 2), Fraction(3), Radical.sqrt(2), Radical.sqrt(3) * 2]
+    for k in (0, 1, 2, 2, 2):
+        ws = words(sys.n, k)
+        for count in (1, 2, 4):
+            a = TensorElement(sys.n, k, {(rnd.choice(ws), rnd.choice(ws)): rnd.choice(coeffs)
+                                         for _ in range(count)})
+            got, want = pi_T(sys, family, a), _loop_pi_T(sys, family, a)
+            assert got.equal(want) and got.text() == want.text()
+    # the images of an element and its negative cancel term by term
+    assert (pi_T(sys, family, a) + pi_T(sys, family, -a)).is_zero()
+
+
 
 
 def _loop_pi_T_report(sys, family, a):
