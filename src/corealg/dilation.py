@@ -170,7 +170,11 @@ def delta(k: Vector) -> dict:
 
 
 def vec_equal(a: dict, b: dict) -> bool:
-    return {k: c for k, c in a.items() if c} == {k: c for k, c in b.items() if c}
+    """Equality of finitely supported vectors.  No vector here holds a zero
+    value: delta stores 1, translate, dilate and codilate move keys
+    injectively (B is nonsingular) without changing values, and add_maps
+    drops zeros.  So equal vectors are equal dicts."""
+    return a == b
 
 
 def translate(m: Vector, vec: dict) -> dict:

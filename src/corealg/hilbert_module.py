@@ -413,7 +413,10 @@ def u_isometry_report(system, degree: int) -> CheckReport:
 
 
 class CompactOp:
-    """Finite matrix over the coefficient algebra acting on degree-i coordinates."""
+    """Finite matrix over the coefficient algebra on degree-i coordinates.
+    The entry c at (w, v) stands for theta(F_w c, F_v), so the operator is
+    the sum of those rank-one operators; from_theta's entries c_w (G d)_v^*
+    sum to theta(m, n) this way."""
 
     __slots__ = ("system", "degree", "entries")
 
@@ -439,15 +442,6 @@ class CompactOp:
                                         for v, d in canon.items()
                                         for w, c in m.coords.items()})
 
-    def apply(self, m: ModuleElement) -> ModuleElement:
-        sys = self.system
-        out: dict[tuple, object] = {}
-        for (w, v), c in self.entries.items():
-            d = m.coords.get(v)
-            if d is not None:
-                accumulate(out, w, c * d)
-        return ModuleElement(sys, self.degree, out)
-
     def __repr__(self):
         return "CompactOp(degree=%d, %d entries)" % (self.degree, len(self.entries))
 
@@ -468,42 +462,22 @@ def _check_restriction(sys, degree: int) -> bool:
     return True
 
 
-def _u_star_columns(sys, degree: int):
-    """U*(F_v) for every word v of length degree+1, in product order, and the
-    inverse index u -> positions of the v whose U*(F_v) has a coordinate at
-    u.  Computed once per system and degree."""
-    def compute():
-        columns = tuple((v, U_star_map(sys, ModuleElement.basis_word(sys, v)))
-                        for v in product(sys.indices, repeat=degree + 1))
-        reach: dict[tuple, list] = {}
-        for pos, (_, back) in enumerate(columns):
-            for u in back.coords:
-                reach.setdefault(u, []).append(pos)
-        return columns, MappingProxyType(reach)
-    return sys.memo.get(("U* columns", degree), compute)
-
-
 def conj_beta(T: CompactOp) -> CompactOp:
     """U_i T U_i*, one degree up.  The compatibility of consecutive V's
     (U at degree i+1 restricting to U at degree i on simple tensors) is
     verified on the coordinate basis before conjugating, once per system
     and degree; a failed check is not remembered and raises on every call.
 
-    Column v of the result is U T U*(F_v).  The vectors U*(F_v) are
-    memoized per system and degree, and only the columns whose U*(F_v) has
-    a coordinate at a column word of T are computed: T sends every other
-    one to zero.  Columns are visited in product order, so the entries keep
-    the order of the all-columns loop."""
+    The entry c at (w, v) is theta(F_w c, F_v), and U theta(x, y) U* is
+    theta(Ux, Uy), so each entry adds the entries of theta(U(F_w c), U(F_v))."""
     sys = T.system
     sys.memo.get(("restricts", T.degree), lambda: _check_restriction(sys, T.degree))
-    columns, reach = _u_star_columns(sys, T.degree)
-    hit = {pos for _, u in T.entries for pos in reach.get(u, ())}
     entries: dict[tuple, object] = {}
-    for pos in sorted(hit):
-        v, back = columns[pos]
-        col = U_map(sys, T.apply(back))
-        for w, c in col.coords.items():
-            entries[(w, v)] = c
+    for (w, v), c in T.entries.items():
+        theta = CompactOp.from_theta(U_map(sys, ModuleElement(sys, T.degree, {w: c})),
+                                     U_map(sys, ModuleElement.basis_word(sys, v)))
+        for key, d in theta.entries.items():
+            accumulate(entries, key, d)
     return CompactOp(sys, T.degree + 1, entries)
 
 
@@ -530,8 +504,8 @@ def beta_crosscheck(g: Graph, mu: Path, nu: Path) -> CheckReport:
     """Conjugation by U on the rank-one operator of (m_mu, m_nu) must match
     the direct shift of t_mu t_nu^* after translation into the graph algebra.
 
-    All pairs of one graph object share its graph_frame_system, and with
-    it the memoized U data."""
+    All pairs of one graph object share its graph_frame_system, with the
+    memoized U data, and one CoreEndo, both kept in the graph's memo."""
     if len(mu) != len(nu):
         raise ValueError("paths must have equal length")
     if len(mu) < 1:
@@ -550,7 +524,7 @@ def beta_crosscheck(g: Graph, mu: Path, nu: Path) -> CheckReport:
     report.check(compact_to_star(theta).equal(word),
                  lambda: "dictionary image of the rank-one operator differs from the word")
 
-    endo = CoreEndo(g)
+    endo = g.memo.get("core endo", lambda: CoreEndo(g))
     lhs = compact_to_star(conj_beta(theta))
     rhs = endo.beta(word)
     report.check(lhs.equal(rhs),

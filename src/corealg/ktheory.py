@@ -279,13 +279,13 @@ def graph_k_theory(g: Graph) -> GraphKTheory:
         raise ValueError("every vertex must receive an edge")
     if not g.beta_admissible:
         raise ValueError("every vertex must emit an edge")
-    report = CheckReport("stationary K-theory of %d vertices" % len(g.vertices))
+    n = len(g.vertices)
+    report = CheckReport("stationary K-theory of %d %s" % (n, "vertex" if n == 1 else "vertices"))
     verts, a = vertex_matrix(g)
     c = _connecting_matrix(g, verts)
     report.check(c == [[a[j][i] for j in range(len(verts))] for i in range(len(verts))],
                  lambda: "symbolic expansion disagrees with the transposed vertex matrix")
 
-    n = len(verts)
     stages = []
     for level in (1, 2):
         t = _stage_beta_matrix(g, CoreEndo(g), verts, level, report)

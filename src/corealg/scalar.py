@@ -62,7 +62,7 @@ class Radical:
     {squarefree radicand: nonzero int} over one positive int denominator,
     with no factor common to the denominator and every numerator."""
 
-    __slots__ = ("_num", "_den", "_hash")
+    __slots__ = ("_num", "_den")
 
     def __init__(self, terms: dict[int, Fraction] | None = None):
         """Any positive radicands up to RADICAND_LIMIT; each is reduced to
@@ -76,7 +76,6 @@ class Radical:
         den = math.lcm(*(c.denominator for c in clean.values()))
         self._num = {k: c.numerator * (den // c.denominator) for k, c in clean.items()}
         self._den = den
-        self._hash: int | None = None
 
     @classmethod
     def _raw(cls, num: dict[int, int], den: int) -> "Radical":
@@ -87,7 +86,6 @@ class Radical:
         r = cls.__new__(cls)
         r._num = num
         r._den = den
-        r._hash = None
         return r
 
     @classmethod
@@ -225,10 +223,9 @@ class Radical:
 
     def __hash__(self):
         # a rational element equals its Fraction, so it must hash like one
-        if self._hash is None:
-            self._hash = (hash(self.rational_part()) if self.is_rational()
-                          else hash((self._den, tuple(sorted(self._num.items())))))
-        return self._hash
+        if self.is_rational():
+            return hash(self.rational_part())
+        return hash((self._den, tuple(sorted(self._num.items()))))
 
     def __bool__(self):
         """The one zero test: a Radical is true when it is nonzero."""

@@ -310,7 +310,7 @@ def test_uhf_demo_reports_a_failed_stage(capsys, monkeypatch):
 
     code, out, _ = run(capsys, "uhf", "demo", "--n", "2", "--N", "1", "--json")
     assert code == 0
-    assert _sections(out)["stationary K-theory of 1 vertices"] == (7, 0)
+    assert _sections(out)["stationary K-theory of 1 vertex"] == (7, 0)
     monkeypatch.setattr(corealg.ktheory, "_stage_beta_matrix", planted)
     code, out, _ = run(capsys, "uhf", "demo", "--n", "2", "--N", "1", "--json")
     assert code == 1
@@ -320,6 +320,17 @@ def test_uhf_demo_reports_a_failed_stage(capsys, monkeypatch):
     assert "six-term corner against the bouquet model" not in sections
     assert "planted stage failure" in json.loads(out)["sections"][-1]["failures"][0]
     assert json.loads(out)["result"] == "FAIL"
+
+
+def test_ktheory_graph_names_one_vertex(capsys, tmp_path):
+    loop = tmp_path / "loop.graph"
+    loop.write_text("V v\nE e v v\n")
+    code, out, _ = run(capsys, "ktheory", "graph", str(loop), "--json")
+    assert code == 0
+    assert _sections(out)["stationary K-theory of 1 vertex"] == (7, 0)
+    code, out, _ = run(capsys, "ktheory", "graph", str(loop))
+    assert "stationary K-theory of 1 vertex: PASS" in out
+    assert "1 vertices" not in out
 
 
 def test_ktheory_commands(capsys, o2_file):
@@ -468,7 +479,7 @@ SNAPSHOTS = os.path.join(os.path.dirname(__file__), "snapshots")
     # out-degrees 2 and 1: L averages with a different weight at each vertex
     ("exel-verify-transfer-g3", ("exel", "verify-transfer", "{g3}", "--depth", "3",
                                  "--trials", "20")),
-    # conj_beta at degree 3 over two vertices, where most columns are empty
+    # conj_beta at degree 3 over two vertices
     ("module-crosscheck-g3-level3", ("module", "crosscheck", "{g3}", "--level", "3")),
     # pi_T relations with N = n and a depth-3 prefix sweep
     ("uhf-demo-n3-N3-depth3", ("uhf", "demo", "--n", "3", "--N", "3", "--depth", "3")),

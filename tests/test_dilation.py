@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from corealg import dilation
 from corealg.dilation import (
     LatticeSystem,
     delta,
@@ -176,3 +177,24 @@ def test_rewrite_step_everywhere(b):
             new, report = dilation_beta(sys, (m, 0, n), radius=3)
             assert report.passed, report.lines()
             assert new[1] == 1
+
+
+def test_compared_vectors_hold_no_zero(monkeypatch):
+    # vec_equal is dict equality because no vector holds a zero value; check
+    # every pair compared over the A09 boxes (radius 8) and by the rewrites
+    compared = []
+    inner = dilation.vec_equal
+
+    def recording(a, b):
+        compared.append((a, b))
+        return inner(a, b)
+
+    monkeypatch.setattr(dilation, "vec_equal", recording)
+    for b in MATRICES:
+        sys = LatticeSystem(b)
+        assert lattice_rep_check(sys, radius=8).passed
+        ends = (sys.Sigma[0], sys.Sigma[-1])
+        for term in product(ends, (0, 1), ends):
+            assert dilation_beta(sys, term, radius=8)[1].passed
+    assert compared and any(a for a, _ in compared)
+    assert all(c != 0 for pair in compared for vec in pair for c in vec.values())

@@ -246,6 +246,17 @@ def equal(s: CompactOp, t: CompactOp) -> bool:
             and hilbert_module._same(canonical_entries(s), canonical_entries(t)))
 
 
+def apply(t: CompactOp, m: ModuleElement) -> ModuleElement:
+    """t applied to the coordinates of m: the entry c at (w, v) sends the
+    coordinate d at v to F_w c d."""
+    out: dict[tuple, object] = {}
+    for (w, v), c in t.entries.items():
+        d = m.coords.get(v)
+        if d is not None:
+            accumulate(out, w, c * d)
+    return ModuleElement(t.system, t.degree, out)
+
+
 def compose(s: CompactOp, t: CompactOp) -> CompactOp:
     """The product s t of two compact operators of one degree."""
     if t.degree != s.degree:
@@ -270,7 +281,7 @@ def test_theta_composition_rule(gsys):
     comp = compose(t_mn, t_nm)
     expected = CompactOp.from_theta(m.right_mul(n.inner(n)), m)
     assert equal(comp, expected)
-    assert not comp.apply(n).canonical_coords()
+    assert not apply(comp, n).canonical_coords()
 
 
 _FRAME_SYSTEMS = {
@@ -326,7 +337,7 @@ def test_gram_projection_identities(name, degree):
             # theta_{m,n} x = m <n, x>, and <m, n>* = <n, m>
             theta = CompactOp.from_theta(m, n)
             for x in elements:
-                assert theta.apply(x).equal(m.right_mul(n.inner(x)))
+                assert apply(theta, x).equal(m.right_mul(n.inner(x)))
             assert m.inner(n).adjoint().equal(n.inner(m))
 
     # an operator with several columns, equal to itself written another way
@@ -370,18 +381,21 @@ def _all_columns_conj_beta(T):
     sys = T.system
     entries = {}
     for v in product(sys.indices, repeat=T.degree + 1):
-        col = U_map(sys, T.apply(U_star_map(sys, ModuleElement.basis_word(sys, v))))
+        col = U_map(sys, apply(T, U_star_map(sys, ModuleElement.basis_word(sys, v))))
         for w, c in col.coords.items():
             entries[(w, v)] = c
     return CompactOp(sys, T.degree + 1, entries)
 
 
 def _operators(system, degree: int, step: int = 1):
-    """Rank-one thetas of basis words and of a scaled word, their sums,
-    adjoints and products, on every step-th pair of words."""
+    """Rank-one thetas of basis words and of a word times a coefficient
+    (not self-adjoint on the tensor systems), their sums, adjoints and
+    products, on every step-th pair of words."""
     words = list(product(system.indices, repeat=degree))
     pairs = [(w, v) for w in words for v in words][::step]
-    coeff = Radical.from_rational(Fraction(-3, 2)) + Radical.sqrt(2)
+    basis = system.basis(1)
+    coeff = basis[min(1, len(basis) - 1)] * (Radical.from_rational(Fraction(-3, 2))
+                                             + Radical.sqrt(2))
     thetas = [CompactOp.from_theta(ModuleElement.basis_word(system, w),
                                    ModuleElement.basis_word(system, v)) for w, v in pairs]
     ops = list(thetas)
@@ -395,10 +409,16 @@ def _operators(system, degree: int, step: int = 1):
 
 
 def _assert_same_conj_beta(ops):
+    """conj_beta and the all-columns loop give the same operator: the same
+    image of every basis word, and on a graph the same dictionary image."""
     for T in ops:
         got, want = conj_beta(T), _all_columns_conj_beta(T)
-        assert list(got.entries) == list(want.entries)
-        assert all(c.equal(want.entries[key]) for key, c in got.entries.items())
+        sys = T.system
+        for v in product(sys.indices, repeat=T.degree + 1):
+            f_v = ModuleElement.basis_word(sys, v)
+            assert apply(got, f_v).equal(apply(want, f_v))
+        if sys.kind == "graph":
+            assert compact_to_star(got).equal(compact_to_star(want))
 
 
 def test_conj_beta_matches_all_columns_on_a04_graphs():
@@ -416,14 +436,53 @@ def test_conj_beta_matches_all_columns(make, degree, step):
     _assert_same_conj_beta(_operators(make(), degree, step))
 
 
-def test_conj_beta_with_a_warm_memo_calls_no_u_star(monkeypatch):
-    system = GraphFrameSystem(load_graph(G3_TEXT))
-    ops = _operators(system, 2, 5)
-    conj_beta(ops[0])
-    calls = _count_calls(monkeypatch, hilbert_module, "U_star_map")
-    images = [conj_beta(T) for T in ops]
-    assert calls == []
-    assert any(len(im.entries) > 1 for im in images)
+@pytest.mark.parametrize("make, degree, step", [
+    (lambda: GraphFrameSystem(load_graph(G3_TEXT)), 2, 5),
+    (lambda: UhfFrameSystem(UhfSystem(3, 2)), 1, 7),
+], ids=["G3", "uhf-3-2"])
+def test_conj_beta_calls_u_twice_per_entry_and_u_star_never(monkeypatch, make, degree, step):
+    # U(F_w c) and U(F_v) for each entry, with the memo cold (the first
+    # operator runs the restriction check, whose own U calls are not counted)
+    # and warm (every later one)
+    system = make()
+    ops = _operators(system, degree, step)
+    assert any(len(T.entries) > 1 for T in ops)
+    checks, checking = [], []
+    check = hilbert_module._check_restriction
+
+    def counted_check(sys, deg):
+        checks.append(deg)
+        checking.append(deg)
+        try:
+            return check(sys, deg)
+        finally:
+            checking.pop()
+
+    u_map, u_calls = hilbert_module.U_map, []
+
+    def counted_u(sys, m):
+        if not checking:
+            u_calls.append(m)
+        return u_map(sys, m)
+
+    monkeypatch.setattr(hilbert_module, "_check_restriction", counted_check)
+    monkeypatch.setattr(hilbert_module, "U_map", counted_u)
+    u_star_calls = _count_calls(monkeypatch, hilbert_module, "U_star_map")
+    for T in ops:
+        u_calls.clear()
+        conj_beta(T)
+        assert len(u_calls) == 2 * len(T.entries)
+    assert checks == [degree] and u_star_calls == []
+
+
+def test_beta_crosscheck_builds_one_core_endo_per_graph(monkeypatch):
+    g = load_graph(G3_TEXT)
+    inits = _count_calls(monkeypatch, CoreEndo, "__init__")
+    paths = g.paths(2)
+    for mu in paths:
+        for nu in paths:
+            assert beta_crosscheck(g, mu, nu).passed
+    assert len(paths) > 1 and len(inits) == 1
 
 
 def test_beta_crosscheck_levels(o2, two_cycle):
