@@ -75,3 +75,9 @@ class CoreEndo:
             W = W + StarElement.word(g, Radical.inv_sqrt(self._out_count[mu.src]),
                                      mu, g.empty_path(mu.src))
         return W
+
+
+def graph_core_endo(g: Graph) -> CoreEndo:
+    """The CoreEndo of g, built once per graph object and kept in the graph's
+    memo, so that its out-degree map and weight table live as long as g."""
+    return g.memo.get("core endo", lambda: CoreEndo(g))

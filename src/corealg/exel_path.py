@@ -4,9 +4,9 @@ A function of depth k sees only the first k edges of an infinite path.  The
 module provides the one-sided shift endomorphism alpha (precompose with the
 shift), the averaging transfer operator L, and the identity L(alpha(a)b) =
 a L(b) that makes (functions, alpha, L) an Exel system.  Values are exact
-scalars, rational or radical; the frame module of hilbert_module uses the
-same functions as its coefficient algebra.  diag embeds the functions in the
-graph algebra, where the shift isometry W implements both alpha and L.
+Radical scalars; the frame module of hilbert_module uses the same functions
+as its coefficient algebra.  diag embeds the functions in the graph algebra,
+where the shift isometry W implements both alpha and L.
 """
 
 from __future__ import annotations
@@ -14,12 +14,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .graph import Graph, Path
-from .scalar import Radical, scalar
+from .scalar import ONE, ZERO, Radical, scalar
 from .star_algebra import StarElement, unit
-from .util import CheckReport, accumulate, add_maps
-
-
-_ZERO = Fraction(0)
+from .util import CheckReport, SparseSum, accumulate
 
 
 def _in_graph(graph: Graph, p) -> bool:
@@ -31,31 +28,30 @@ def _in_graph(graph: Graph, p) -> bool:
         return False
 
 
-def _as_scalar(x):
-    if isinstance(x, (Fraction, Radical)):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError("values must be exact scalars, got %r" % (x,))
+def _as_scalar(x) -> Radical:
+    c = scalar(x)
+    if c is None:
+        raise TypeError("values must be exact scalars, got %r" % (x,))
+    return c
 
 
-class DepthFunction:
-    """Function determined by length-k path prefixes, with Fraction or
-    Radical values.  `values` holds the support: the length-k paths of the
-    graph with a nonzero value; every operation but `constant` reads only
-    the support."""
+class DepthFunction(SparseSum):
+    """Function determined by length-k path prefixes, with Radical values
+    (an int or Fraction given to the constructor is coerced).  `terms` holds
+    the support: the length-k paths of the graph with a nonzero value; every
+    operation but `constant` reads only the support."""
 
-    __slots__ = ("graph", "depth", "values")
+    __slots__ = ("graph", "depth")
 
     def __init__(self, graph: Graph, depth: int,
-                 values: dict[Path, Fraction | Radical] | None = None):
+                 values: dict[Path, Radical] | None = None):
         if not graph.path_space_admissible:
             raise ValueError("graph must have no sinks and no singular vertices")
         if depth < 0:
             raise ValueError("depth must be nonnegative")
         self.graph = graph
         self.depth = depth
-        self.values = {}
+        self.terms = {}
         if values:
             for p, x in values.items():
                 if not _in_graph(graph, p):
@@ -65,15 +61,15 @@ class DepthFunction:
                                      % (p.text(), len(p), depth))
                 x = _as_scalar(x)
                 if x:
-                    self.values[p] = x
+                    self.terms[p] = x
 
     @classmethod
-    def _wrap(cls, graph: Graph, depth: int, values: dict) -> "DepthFunction":
-        # internal fast path: values already checked and zero-free
+    def _wrap(cls, graph: Graph, depth: int, terms: dict) -> "DepthFunction":
+        # internal fast path: terms already checked, zero-free and Radical
         f = cls.__new__(cls)
         f.graph = graph
         f.depth = depth
-        f.values = values
+        f.terms = terms
         return f
 
     @classmethod
@@ -83,15 +79,15 @@ class DepthFunction:
 
     @classmethod
     def indicator(cls, graph: Graph, mu: Path) -> "DepthFunction":
-        return cls(graph, len(mu), {mu: Fraction(1)})
+        return cls(graph, len(mu), {mu: ONE})
 
     def value(self, p: Path):
         """Value on any path at least depth long (only the prefix matters)."""
         if len(p) < self.depth:
             raise ValueError("path %s is shorter than depth %d" % (p.text(), self.depth))
         if len(p) == self.depth:
-            return self.values.get(p, _ZERO)
-        return self.values.get(self.graph.prefix(p, self.depth), _ZERO)
+            return self.terms.get(p, ZERO)
+        return self.terms.get(self.graph.prefix(p, self.depth), ZERO)
 
     def lift(self, depth: int) -> "DepthFunction":
         """The same function at a larger depth: each supported path extends at
@@ -101,7 +97,7 @@ class DepthFunction:
         if depth == self.depth:
             return self
         g = self.graph
-        out = self.values
+        out = self.terms
         for _ in range(depth - self.depth):
             out = {qe: x for q, x in out.items() for qe in g.source_extensions(q)}
         return DepthFunction._wrap(g, depth, out)
@@ -112,35 +108,19 @@ class DepthFunction:
         k = max(self.depth, other.depth)
         return self.lift(k), other.lift(k)
 
-    def __add__(self, other):
-        if not isinstance(other, DepthFunction):
-            return NotImplemented
-        a, b = self._common(other)
-        return DepthFunction._wrap(self.graph, a.depth, add_maps(a.values, b.values))
-
-    def __neg__(self):
-        return DepthFunction._wrap(self.graph, self.depth,
-                                   {p: -x for p, x in self.values.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, DepthFunction):
-            return NotImplemented
-        return self + (-other)
+    def _like(self, terms: dict) -> "DepthFunction":
+        return DepthFunction._wrap(self.graph, self.depth, terms)
 
     def __mul__(self, other):
         if isinstance(other, DepthFunction):
             a, b = self._common(other)
             out = {}
-            for p, x in a.values.items():
-                y = b.values.get(p)
+            for p, x in a.terms.items():
+                y = b.terms.get(p)
                 if y:
                     out[p] = x * y
-            return DepthFunction._wrap(self.graph, a.depth, out)
-        c = _as_scalar(other)
-        if not c:
-            return DepthFunction._wrap(self.graph, self.depth, {})
-        return DepthFunction._wrap(self.graph, self.depth,
-                                   {p: x * c for p, x in self.values.items()})
+            return a._like(out)
+        return self._scaled(_as_scalar(other))
 
     def __rmul__(self, other):
         return self * other
@@ -150,24 +130,14 @@ class DepthFunction:
         are real."""
         return self
 
-    def equal(self, other: "DepthFunction") -> bool:
-        a, b = self._common(other)
-        return a.values == b.values
-
-    def is_zero(self) -> bool:
-        return not self.values
-
-    def __bool__(self):
-        return bool(self.values)
-
     def __repr__(self):
-        return "DepthFunction(depth=%d, %d nonzero)" % (self.depth, len(self.values))
+        return "DepthFunction(depth=%d, %d nonzero)" % (self.depth, len(self.terms))
 
     def text(self) -> str:
         """One `F <path> <value>` line per supported path, in the order of
         Graph.paths: by range vertex, then by edge names."""
-        lines = ["F %s %s" % (p.text(), x.text() if isinstance(x, Radical) else x)
-                 for p, x in sorted(self.values.items(),
+        lines = ["F %s %s" % (p.text(), x.text())
+                 for p, x in sorted(self.terms.items(),
                                     key=lambda px: (px[0].rng, px[0].edges))]
         return "\n".join(lines) + "\n" if lines else ""
 
@@ -176,7 +146,7 @@ def alpha_shift(f: DepthFunction) -> DepthFunction:
     """Precompose with the shift that drops the first edge; depth rises by 1.
     alpha(f) lives on the one-edge extensions e.q of the support at its range."""
     g = f.graph
-    out = {eq: x for q, x in f.values.items() for eq in g.range_extensions(q)}
+    out = {eq: x for q, x in f.terms.items() for eq in g.range_extensions(q)}
     return DepthFunction._wrap(g, f.depth + 1, out)
 
 
@@ -189,9 +159,10 @@ def transfer_L(f: DepthFunction) -> DepthFunction:
     if f.depth == 0:
         f = f.lift(1)
     sums = {}
-    for q, x in f.values.items():
+    for q, x in f.terms.items():
         accumulate(sums, g.drop_first(q), x)
-    weight = {v: Fraction(1, len(g.out_edges(v))) for v in {p.rng for p in sums}}
+    weight = {v: Radical.from_rational(Fraction(1, len(g.out_edges(v))))
+              for v in {p.rng for p in sums}}
     out = {p: total * weight[p.rng] for p, total in sums.items()}
     return DepthFunction._wrap(g, f.depth - 1, out).lift(max(f.depth - 1, 1))
 
@@ -208,7 +179,7 @@ def transfer_identity_check(a: DepthFunction, b: DepthFunction) -> CheckReport:
 
 def diag(f: DepthFunction) -> StarElement:
     """sum_mu f(mu) t_mu t_mu^*: f as a diagonal element of the graph algebra."""
-    return StarElement(f.graph, {(mu, mu): scalar(x) for mu, x in f.values.items()})
+    return StarElement(f.graph, {(mu, mu): x for mu, x in f.terms.items()})
 
 
 def exel_relations_check(W: StarElement, functions) -> CheckReport:

@@ -25,7 +25,7 @@ from collections.abc import Mapping
 from itertools import product
 from types import MappingProxyType
 
-from .core_endo import CoreEndo
+from .core_endo import graph_core_endo
 from .exel_path import DepthFunction, alpha_shift, diag, transfer_L
 from .graph import Graph, Path
 from .scalar import ONE, Radical
@@ -82,9 +82,9 @@ class GraphFrameSystem:
         """The function rho -> b(e.rho) on the cylinder reaching s(e)."""
         g = self.graph
         if b.depth == 0:
-            x = b.values.get(g.empty_path(g.rng(e)))
+            x = b.terms.get(g.empty_path(g.rng(e)))
             return DepthFunction._wrap(g, 0, {g.empty_path(g.src(e)): x} if x else {})
-        out = {g.drop_first(q): x for q, x in b.values.items() if q.edges[0] == e}
+        out = {g.drop_first(q): x for q, x in b.terms.items() if q.edges[0] == e}
         return DepthFunction._wrap(g, b.depth - 1, out)
 
     def act1(self, e: str, b: DepthFunction, f: str) -> DepthFunction:
@@ -524,9 +524,8 @@ def beta_crosscheck(g: Graph, mu: Path, nu: Path) -> CheckReport:
     report.check(compact_to_star(theta).equal(word),
                  lambda: "dictionary image of the rank-one operator differs from the word")
 
-    endo = g.memo.get("core endo", lambda: CoreEndo(g))
     lhs = compact_to_star(conj_beta(theta))
-    rhs = endo.beta(word)
+    rhs = graph_core_endo(g).beta(word)
     report.check(lhs.equal(rhs),
                  lambda: "conjugation route:\n%sdirect route:\n%s" % (lhs.text(), rhs.text()))
     return report

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core_endo import CoreEndo
+from .core_endo import graph_core_endo
 from .graph import Graph
 from .star_algebra import StarElement, matrix_unit
 from .util import CheckReport, bareiss, col_axpy, col_swap
@@ -288,7 +288,7 @@ def graph_k_theory(g: Graph) -> GraphKTheory:
 
     stages = []
     for level in (1, 2):
-        t = _stage_beta_matrix(g, CoreEndo(g), verts, level, report)
+        t = _stage_beta_matrix(g, graph_core_endo(g), verts, level, report)
         m = [[c[i][j] - t[i][j] for j in range(n)] for i in range(n)]
         stages.append((coker_ker(m), m, t))
     (pres1, m1, _), (pres, m, t) = stages

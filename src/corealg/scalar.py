@@ -246,8 +246,9 @@ class Radical:
     def evalf(self) -> float:
         """Float value; each sqrt is one correctly-rounded double, so the
         error is bounded by a few ulp per term."""
-        # int / int rounds correctly, so each c / den is float(Fraction(c, den))
-        return sum(c / self._den * math.sqrt(k) for k, c in self._num.items())
+        # int / int rounds correctly, so each c / den is float(Fraction(c, den));
+        # the sum starts at 0.0 so that zero is a float too
+        return sum((c / self._den * math.sqrt(k) for k, c in self._num.items()), 0.0)
 
     def __float__(self) -> float:
         return self.evalf()

@@ -15,7 +15,7 @@ import numpy as np
 
 from .graph import Graph, Path
 from .scalar import ONE, Radical, parse_radical, scalar
-from .util import accumulate, add_maps
+from .util import SparseSum, accumulate
 
 
 class SingularVertexError(ValueError):
@@ -38,10 +38,10 @@ class ElementFormatError(ValueError):
     pass
 
 
-class StarElement:
+class StarElement(SparseSum):
     """Finite sum of words, stored as {(mu, nu): nonzero Radical}."""
 
-    __slots__ = ("graph", "_terms")
+    __slots__ = ("graph",)
 
     def __init__(self, graph: Graph, terms: dict[tuple[Path, Path], Radical] | None = None):
         self.graph = graph
@@ -53,7 +53,7 @@ class StarElement:
                         "word t_%s t_%s^* has mismatched sources" % (mu.text(), nu.text()))
                 if c:
                     clean[(mu, nu)] = c
-        self._terms = clean
+        self.terms = clean
 
     # -- constructors --------------------------------------------------------
 
@@ -69,30 +69,20 @@ class StarElement:
         return cls(graph, {(mu, nu): c})
 
     def items(self):
-        return self._terms.items()
-
-    def is_zero(self) -> bool:
-        return not self._terms
+        return self.terms.items()
 
     def max_level(self) -> int:
-        return max((max(len(mu), len(nu)) for mu, nu in self._terms), default=0)
+        return max((max(len(mu), len(nu)) for mu, nu in self.terms), default=0)
 
     # -- linear structure ----------------------------------------------------
 
-    def __add__(self, other):
-        if not isinstance(other, StarElement):
-            return NotImplemented
+    def _common(self, other: "StarElement"):
         if other.graph is not self.graph:
             raise ValueError("elements live over different graphs")
-        return StarElement._wrap(self.graph, add_maps(self._terms, other._terms))
+        return self, other
 
-    def __sub__(self, other):
-        if not isinstance(other, StarElement):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return StarElement._wrap(self.graph, {k: -c for k, c in self._terms.items()})
+    def _like(self, terms) -> "StarElement":
+        return StarElement._wrap(self.graph, terms)
 
     def __mul__(self, other):
         if isinstance(other, StarElement):
@@ -100,9 +90,7 @@ class StarElement:
         c = scalar(other)
         if c is None:
             return NotImplemented
-        if not c:
-            return StarElement.zero(self.graph)
-        return StarElement._wrap(self.graph, {k: v * c for k, v in self._terms.items()})
+        return self._scaled(c)
 
     def __rmul__(self, other):
         c = scalar(other)
@@ -115,7 +103,7 @@ class StarElement:
         # internal fast path: terms already validated and zero-free
         el = cls.__new__(cls)
         el.graph = graph
-        el._terms = terms
+        el.terms = terms
         return el
 
     # -- product -------------------------------------------------------------
@@ -139,18 +127,17 @@ class StarElement:
         where kappa does, mu and lam nu' where nu does), and a sum that
         cancels is deleted as it arises, so no zero coefficient is stored.
         """
-        if other.graph is not self.graph:
-            raise ValueError("elements live over different graphs")
+        self._common(other)     # raises across graphs
         g = self.graph
         by_edge: dict[str, list] = {}
         by_vertex: dict[str, list] = {}
-        for (kappa, lam), b in other._terms.items():
+        for (kappa, lam), b in other.terms.items():
             if kappa.edges:
                 by_edge.setdefault(kappa.edges[0], []).append((kappa, lam, b))
             else:
                 by_vertex.setdefault(kappa.src, []).append((lam, b))
         out: dict[tuple[Path, Path], Radical] = {}
-        for (mu, nu), a in self._terms.items():
+        for (mu, nu), a in self.terms.items():
             ne = nu.edges
             if not ne:
                 # nu = @v is a prefix of kappa exactly when r(kappa) = v
@@ -187,14 +174,14 @@ class StarElement:
 
     def adjoint(self) -> "StarElement":
         """Swap mu and nu in every term (coefficients are real)."""
-        return StarElement._wrap(self.graph, {(nu, mu): c for (mu, nu), c in self._terms.items()})
+        return self._like({(nu, mu): c for (mu, nu), c in self.terms.items()})
 
     # -- grading ---------------------------------------------------------------
 
     def degree_decompose(self) -> dict[int, "StarElement"]:
         """Split into gauge-homogeneous components keyed by |mu| - |nu|."""
         parts: dict[int, dict] = {}
-        for (mu, nu), c in self._terms.items():
+        for (mu, nu), c in self.terms.items():
             parts.setdefault(len(mu) - len(nu), {})[(mu, nu)] = c
         return {d: StarElement._wrap(self.graph, t) for d, t in sorted(parts.items())}
 
@@ -205,7 +192,7 @@ class StarElement:
         t_mu t_nu^* = sum_{r(e)=s(mu)} t_{mu e} t_{nu e}^* at each step."""
         g = self.graph
         out: dict[tuple[Path, Path], Radical] = {}
-        work = list(self._terms.items())
+        work = list(self.terms.items())
         while work:
             (mu, nu), c = work.pop()
             m = min(len(mu), len(nu))
@@ -229,7 +216,7 @@ class StarElement:
         one level at a time by the same relation expand_to_level uses."""
         g = self.graph
         pools: list[dict] = [dict() for _ in range(i + 1)]
-        for (mu, nu), c in self._terms.items():
+        for (mu, nu), c in self.terms.items():
             if len(mu) != len(nu) or len(mu) > i:
                 raise ValueError("element is not in C_%d" % i)
             pools[len(mu)][(mu, nu)] = c
@@ -256,15 +243,13 @@ class StarElement:
         coefficients; balanced components blocked by a singular vertex fall
         back to the i-expansion, whose components are unique.
 
-        Equal term dicts are equal elements, so they are decided at once,
-        without building the difference."""
-        if other.graph is not self.graph:
-            raise ValueError("elements live over different graphs")
-        if self._terms == other._terms:
+        Equal term dicts (the base class's equality) are equal elements, so
+        they are decided at once, without building the difference."""
+        if super().equal(other):
             return True
         diff = self - other
         for d, comp in diff.degree_decompose().items():
-            K = max(min(len(mu), len(nu)) for mu, nu in comp._terms)
+            K = max(min(len(mu), len(nu)) for mu, nu in comp.terms)
             try:
                 if not comp.expand_to_level(K).is_zero():
                     return False
@@ -280,11 +265,11 @@ class StarElement:
     # -- numeric norm -------------------------------------------------------------
 
     def __repr__(self):
-        n = len(self._terms)
+        n = len(self.terms)
         return "StarElement(%d term%s)" % (n, "" if n == 1 else "s")
 
     def sorted_terms(self):
-        return sorted(self._terms.items(),
+        return sorted(self.terms.items(),
                       key=lambda kv: (len(kv[0][0]), kv[0][0].text(), kv[0][1].text()))
 
     def text(self) -> str:
@@ -345,7 +330,7 @@ def op_norm(x: StarElement) -> NormResult:
         raise MixedDegreeError("op_norm needs a single gauge degree, found %s"
                                % sorted(degrees))
     (d, comp), = degrees.items()
-    K = max(min(len(mu), len(nu)) for mu, nu in comp._terms)
+    K = max(min(len(mu), len(nu)) for mu, nu in comp.terms)
     comp = comp.expand_to_level(K)
     rows_len = K + d if d >= 0 else K
     cols_len = K if d >= 0 else K - d
@@ -365,7 +350,7 @@ def op_norm(x: StarElement) -> NormResult:
             continue
         block = np.zeros((len(rows), len(cols)))
         used = False
-        for (mu, nu), c in comp._terms.items():
+        for (mu, nu), c in comp.terms.items():
             if mu.src != v:
                 continue
             block[rows[mu], cols[nu]] = c.evalf()

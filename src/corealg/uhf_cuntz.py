@@ -16,7 +16,7 @@ from itertools import product
 from .graph import Graph
 from .scalar import ONE, Radical, scalar
 from .star_algebra import StarElement, edge_isometry, unit
-from .util import CheckReport, accumulate, add_maps
+from .util import CheckReport, SparseSum, accumulate
 
 Word = tuple[int, ...]
 
@@ -25,17 +25,18 @@ def words(n: int, k: int) -> list[Word]:
     return [tuple(w) for w in product(range(1, n + 1), repeat=k)]
 
 
-class TensorElement:
-    """Finite-depth element of the matrix tower over M_n."""
+class TensorElement(SparseSum):
+    """Finite-depth element of the matrix tower over M_n, stored as
+    {(row word, column word): nonzero Radical}."""
 
-    __slots__ = ("n", "k", "entries")
+    __slots__ = ("n", "k")
 
     def __init__(self, n: int, k: int, entries: dict[tuple[Word, Word], Radical] | None = None):
         if n < 1 or k < 0:
             raise ValueError("need n >= 1 and depth >= 0")
         self.n = n
         self.k = k
-        self.entries: dict[tuple[Word, Word], Radical] = {}
+        self.terms: dict[tuple[Word, Word], Radical] = {}
         if entries:
             for (mu, nu), c in entries.items():
                 if len(mu) != k or len(nu) != k:
@@ -46,15 +47,15 @@ class TensorElement:
                 if r is None:
                     raise TypeError("entry must be Radical or rational, got %r" % (c,))
                 if r:
-                    self.entries[(mu, nu)] = r
+                    self.terms[(mu, nu)] = r
 
     @classmethod
-    def _wrap(cls, n: int, k: int, entries: dict) -> "TensorElement":
-        # internal fast path: entries already checked and zero-free
+    def _wrap(cls, n: int, k: int, terms: dict) -> "TensorElement":
+        # internal fast path: terms already checked and zero-free
         el = cls.__new__(cls)
         el.n = n
         el.k = k
-        el.entries = entries
+        el.terms = terms
         return el
 
     @classmethod
@@ -73,7 +74,7 @@ class TensorElement:
             return self
         tails = words(self.n, k - self.k)
         out = {}
-        for (mu, nu), c in self.entries.items():
+        for (mu, nu), c in self.terms.items():
             for rho in tails:
                 out[(mu + rho, nu + rho)] = c
         return TensorElement._wrap(self.n, k, out)
@@ -83,7 +84,7 @@ class TensorElement:
         with i and whose column word starts with j, first letters dropped."""
         a = self.lift(max(self.k, 1))
         return TensorElement._wrap(self.n, a.k - 1, {
-            (mu[1:], nu[1:]): c for (mu, nu), c in a.entries.items()
+            (mu[1:], nu[1:]): c for (mu, nu), c in a.terms.items()
             if mu[0] == i and nu[0] == j})
 
     def _common(self, other: "TensorElement"):
@@ -92,57 +93,34 @@ class TensorElement:
         k = max(self.k, other.k)
         return self.lift(k), other.lift(k)
 
-    def __add__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        a, b = self._common(other)
-        return TensorElement._wrap(self.n, a.k, add_maps(a.entries, b.entries))
-
-    def __neg__(self):
-        return TensorElement._wrap(self.n, self.k, {key: -c for key, c in self.entries.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return self + (-other)
+    def _like(self, terms: dict) -> "TensorElement":
+        return TensorElement._wrap(self.n, self.k, terms)
 
     def __mul__(self, other):
         if isinstance(other, TensorElement):
             a, b = self._common(other)
             rows: dict[Word, list] = {}
-            for (nu, lam), c in b.entries.items():
+            for (nu, lam), c in b.terms.items():
                 rows.setdefault(nu, []).append((lam, c))
             out: dict[tuple[Word, Word], Radical] = {}
-            for (mu, nu), c in a.entries.items():
+            for (mu, nu), c in a.terms.items():
                 for lam, d in rows.get(nu, ()):
                     accumulate(out, (mu, lam), c * d)
-            return TensorElement._wrap(self.n, a.k, out)
+            return a._like(out)
         c = scalar(other)
         if c is None:
             raise TypeError("entry must be Radical or rational, got %r" % (other,))
-        return TensorElement._wrap(self.n, self.k,
-                                   {key: v * c for key, v in self.entries.items()} if c else {})
+        return self._scaled(c)
 
     def __rmul__(self, other):
         return self * other
 
     def adjoint(self) -> "TensorElement":
-        return TensorElement._wrap(self.n, self.k,
-                                   {(nu, mu): c for (mu, nu), c in self.entries.items()})
-
-    def equal(self, other: "TensorElement") -> bool:
-        a, b = self._common(other)
-        return a.entries == b.entries
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def __bool__(self):
-        return bool(self.entries)
+        return self._like({(nu, mu): c for (mu, nu), c in self.terms.items()})
 
     def trace(self) -> Radical:
         total = Radical()
-        for (mu, nu), c in self.entries.items():
+        for (mu, nu), c in self.terms.items():
             if mu == nu:
                 total = total + c
         return total
@@ -151,11 +129,11 @@ class TensorElement:
         def wtext(w):
             return ".".join(str(i) for i in w) if w else "@"
         lines = ["%s|%s %s" % (wtext(mu), wtext(nu), c.text())
-                 for (mu, nu), c in sorted(self.entries.items())]
+                 for (mu, nu), c in sorted(self.terms.items())]
         return "\n".join(lines) + "\n" if lines else "0\n"
 
     def __repr__(self):
-        return "TensorElement(n=%d, depth=%d, %d entries)" % (self.n, self.k, len(self.entries))
+        return "TensorElement(n=%d, depth=%d, %d entries)" % (self.n, self.k, len(self.terms))
 
 
 def tensor_prepend(p: TensorElement, x: TensorElement) -> TensorElement:
@@ -163,8 +141,8 @@ def tensor_prepend(p: TensorElement, x: TensorElement) -> TensorElement:
     if p.k != 1 or p.n != x.n:
         raise ValueError("left factor must have depth 1 over the same M_n")
     out = {}
-    for ((i,), (j,)), c in p.entries.items():
-        for (mu, nu), d in x.entries.items():
+    for ((i,), (j,)), c in p.terms.items():
+        for (mu, nu), d in x.terms.items():
             out[((i,) + mu, (j,) + nu)] = c * d
     # products of nonzero entries on distinct, well-formed keys
     return TensorElement._wrap(x.n, x.k + 1, out)
@@ -204,9 +182,9 @@ def uhf_L(sys: UhfSystem, a: TensorElement) -> TensorElement:
         raise ValueError("element size differs from the system")
     if a.k == 0:
         a = a.lift(1)
-    scale = Fraction(1, sys.N)
+    scale = Radical.from_rational(Fraction(1, sys.N))
     out: dict[tuple[Word, Word], Radical] = {}
-    for (mu, nu), c in a.entries.items():
+    for (mu, nu), c in a.terms.items():
         if mu[0] != nu[0] or mu[0] > sys.N:
             continue
         accumulate(out, (mu[1:], nu[1:]), c * scale)
@@ -219,7 +197,7 @@ def uhf_L(sys: UhfSystem, a: TensorElement) -> TensorElement:
 def _by_column(a: TensorElement) -> dict[Word, list]:
     """The entries of a grouped by column word: nu -> [(mu, value), ...]."""
     cols: dict[Word, list] = {}
-    for (mu, nu), c in a.entries.items():
+    for (mu, nu), c in a.terms.items():
         cols.setdefault(nu, []).append((mu, c))
     return cols
 
@@ -348,10 +326,10 @@ def pi_T(sys: UhfSystem, family: CuntzFamily, a: TensorElement) -> StarElement:
         raise ValueError("family must be indexed by the (i, j) pairs of the system")
     g = family.graph
     if a.k == 0:
-        c = a.entries.get(((), ()), Radical())
+        c = a.terms.get(((), ()), Radical())
         return unit(g) * c if c else StarElement.zero(g)
     out: dict = {}
-    for (mu, nu), c in a.entries.items():
+    for (mu, nu), c in a.terms.items():
         for word, d in family.unit_image(mu, nu).items():
             accumulate(out, word, d * c)
     return StarElement._wrap(g, out)
@@ -419,7 +397,7 @@ def rank_rescale(m: int, k: int, p: TensorElement):
         raise ValueError("input is not self-adjoint")
     if not (p * p).equal(p):
         raise ValueError("input is not idempotent")
-    for c in p.entries.values():
+    for c in p.terms.values():
         if not c.is_rational():
             raise ValueError("projection entries must be rational")
 
@@ -427,7 +405,7 @@ def rank_rescale(m: int, k: int, p: TensorElement):
     idx = words(m, k)
     pos = {w: t for t, w in enumerate(idx)}
     mat = [[Fraction(0)] * dim for _ in range(dim)]
-    for (mu, nu), c in p.entries.items():
+    for (mu, nu), c in p.terms.items():
         mat[pos[mu]][pos[nu]] = c.rational_part()
 
     tr = p.trace()

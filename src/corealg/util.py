@@ -1,7 +1,7 @@
 """Shared plumbing: the deterministic PRNG used by sweeps, a tiny check-report
 type, the one integer (fraction-free) elimination, the integer column
 operations of the Smith and Hermite forms, the one sparse-map accumulate and
-sum, and the per-object memo."""
+sum, the sparse-sum base of the three value types, and the per-object memo."""
 
 from __future__ import annotations
 
@@ -120,6 +120,47 @@ def add_maps(a: dict, b: dict) -> dict:
     for key, add in b.items():
         accumulate(out, key, add)
     return out
+
+
+class SparseSum:
+    """A finite sum stored as `terms`, a dict from basis keys to nonzero
+    values, with the linear structure every such sum shares: one addition
+    (through add_maps), negation, `x - y` as `x + (-y)`, scaling, equality
+    of term dicts at one grade, and the zero test (truth meaning nonzero).
+
+    A subclass supplies `_common(other)`, which lifts both operands to one
+    grade and raises ValueError across spaces, and `_like(terms)`, which
+    builds an element of its space and grade from zero-free terms."""
+
+    __slots__ = ("terms",)
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        a, b = self._common(other)
+        return a._like(add_maps(a.terms, b.terms))
+
+    def __neg__(self):
+        return self._like({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def _scaled(self, c):
+        """self times the scalar c, which the subclass has coerced."""
+        return self._like({key: x * c for key, x in self.terms.items()} if c else {})
+
+    def equal(self, other) -> bool:
+        a, b = self._common(other)
+        return a.terms == b.terms
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
 
 
 class Memo:

@@ -46,7 +46,7 @@ def weighted_transfer_L(f):
         exts = g.range_extensions(eta)
         k = len(exts)
         for i, q in enumerate(exts):
-            x = f.values.get(q)
+            x = f.terms.get(q)
             if x:
                 accumulate(out, eta, x * Fraction(2 * (i + 1), k * (k + 1)))
     return DepthFunction._wrap(g, f.depth - 1, out).lift(max(f.depth - 1, 1))

@@ -361,7 +361,7 @@ def _gram_eigenvalue_floor(system, elements) -> float:
 
         def numeric(cell):
             mat = np.zeros((len(index), len(index)))
-            for (mu, nu), c in cell.lift(depth).entries.items():
+            for (mu, nu), c in cell.lift(depth).terms.items():
                 mat[index[mu], index[nu]] = float(c)
             return mat
         blocks = [np.block([[numeric(cell) for cell in row] for row in entries])]

@@ -240,7 +240,7 @@ def first_slot_conjugate(u: list[list[Radical]], a: TensorElement) -> TensorElem
         raise ValueError("need depth at least 1")
     n = a.n
     out: dict = {}
-    for (mu, nu), c in a.entries.items():
+    for (mu, nu), c in a.terms.items():
         for r in range(1, n + 1):
             left = u[r - 1][mu[0] - 1]
             if not left:
@@ -256,10 +256,10 @@ def first_slot_conjugate(u: list[list[Radical]], a: TensorElement) -> TensorElem
 def to_core_element(g: Graph, loops: dict[int, str], a: TensorElement) -> StarElement:
     """The dictionary e_{mu nu} (x) 1 -> t_mu t_nu^* into the bouquet algebra."""
     if a.k == 0:
-        c = a.entries.get(((), ()), Radical())
+        c = a.terms.get(((), ()), Radical())
         return unit(g) * c if c else StarElement.zero(g)
     out: dict = {}
-    for (mu, nu), c in a.entries.items():
+    for (mu, nu), c in a.terms.items():
         pm = g.path([loops[i] for i in mu])
         pn = g.path([loops[i] for i in nu])
         accumulate(out, (pm, pn), c)

@@ -19,7 +19,7 @@ from corealg.exel_path import (
 from corealg.graph import Graph, Path, bouquet, cycle, load_graph
 from corealg.star_algebra import unit
 from corealg.hilbert_module import GraphFrameSystem
-from corealg.scalar import ONE, Radical
+from corealg.scalar import ONE, ZERO, Radical
 
 
 def test_requires_path_space(single_edge):
@@ -57,7 +57,25 @@ def test_pointwise_algebra(o2):
     assert (one - f).equal(DepthFunction.indicator(g, g.path(["e2"])))
     assert (f + (-f)).is_zero()
     assert (f * Fraction(2, 3)).value(g.path(["e1"])) == Fraction(2, 3)
-    assert f.values == {g.path(["e1"]): 1} and (-f).values == {g.path(["e1"]): -1}
+    assert f.terms == {g.path(["e1"]): 1} and (-f).terms == {g.path(["e1"]): -1}
+
+
+
+def test_values_are_radical_and_print_as_fractions():
+    g = load_graph("V a; V b\nE x a a; E y a b; E z b a\n")
+    px, xz = g.path(["x"]), g.path(["x", "z"])
+    made = [DepthFunction(g, 1, {px: 3}), DepthFunction(g, 1, {px: Fraction(-1, 2)}),
+            DepthFunction.indicator(g, xz), DepthFunction.constant(g, Fraction(2, 3)),
+            DepthFunction.constant(g, Radical.sqrt(2), 1)]
+    made += [alpha_shift(f) for f in made] + [transfer_L(f) for f in made]
+    made += [f.lift(3) for f in made] + [f * h for f in made[:5] for h in made[:5]]
+    made += [f * Fraction(1, 7) for f in made[:5]] + [3 * f for f in made[:5]]
+    assert all(type(x) is Radical for f in made for x in f.terms.values())
+    assert type(made[0].value(g.path(["y"]))) is Radical and made[0].value(g.path(["y"])) == 0
+    assert made[2].value(g.path(["x", "x"])) is ZERO
+    for q in (3, -2, Fraction(1, 2), Fraction(-7, 3), Fraction(22, 7)):
+        assert DepthFunction(g, 1, {px: q}).text() == "F %s %s\n" % (px.text(), Fraction(q))
+    assert DepthFunction(g, 1, {px: 0}).text() == ""
 
 
 def test_alpha_is_unital_endomorphism(o2):
@@ -127,7 +145,7 @@ def test_ml_inner_positive(o3):
     f = DepthFunction.indicator(g, g.path(["e2"])) * Fraction(3, 2)
     inner = transfer_L(f * f)
     assert not inner.is_zero()
-    assert all(x > 0 for x in inner.values.values())
+    assert all(x.is_rational() and x.rational_part() > 0 for x in inner.terms.values())
     zero = DepthFunction(g, 0)
     assert transfer_L(zero * zero).is_zero()
 
@@ -203,10 +221,10 @@ def test_support_operations_match_dense_loops(index, depth, values):
     system = _DENSE_SYSTEMS[index]
     g = system.graph
     f = DepthFunction(g, depth, dict(zip(g.paths(depth), values)))
-    checks = [(f.lift(m).values, _dense_lift(f, m)) for m in range(depth, 4)]
-    checks.append((alpha_shift(f).values, _dense_alpha(f)))
-    checks.append((transfer_L(f).values, _dense_L(f)))
-    checks += [(system.restrict_edge(f, e).values, _dense_restrict(f, e))
+    checks = [(f.lift(m).terms, _dense_lift(f, m)) for m in range(depth, 4)]
+    checks.append((alpha_shift(f).terms, _dense_alpha(f)))
+    checks.append((transfer_L(f).terms, _dense_L(f)))
+    checks += [(system.restrict_edge(f, e).terms, _dense_restrict(f, e))
                for e in g.edge_names]
     for got, want in checks:
         assert got == want
@@ -218,7 +236,7 @@ def _paths_text(f):
     """text() as the loop over Graph.paths(depth) writes it."""
     lines = []
     for p in f.graph.paths(f.depth):
-        x = f.values.get(p)
+        x = f.terms.get(p)
         if x:
             lines.append("F %s %s" % (p.text(), x.text() if isinstance(x, Radical) else x))
     return "\n".join(lines) + "\n" if lines else ""

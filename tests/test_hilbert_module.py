@@ -37,6 +37,7 @@ from corealg.hilbert_module import (
     u_element,
     u_isometry_report,
 )
+from corealg.ktheory import graph_k_theory
 from corealg.scalar import ONE, Radical
 from corealg.star_algebra import matrix_unit
 from corealg.uhf_cuntz import TensorElement, UhfSystem
@@ -190,7 +191,7 @@ def test_u_element_coordinates(gsys):
     # q(alpha(1)) has coordinate 2^{-1/2} chi_{Z(s(e))} in every slot on O_2.
     for e in ("e1", "e2"):
         val = u.coords[(e,)]
-        blocks = list(val.values.values())
+        blocks = list(val.terms.values())
         assert blocks and all(c == Radical.inv_sqrt(2) for c in blocks)
 
 
@@ -485,6 +486,16 @@ def test_beta_crosscheck_builds_one_core_endo_per_graph(monkeypatch):
     assert len(paths) > 1 and len(inits) == 1
 
 
+
+def test_k_theory_and_crosschecks_share_one_core_endo(monkeypatch):
+    g = load_graph(G3_TEXT)
+    inits = _count_calls(monkeypatch, CoreEndo, "__init__")
+    assert graph_k_theory(g).report.passed
+    for mu in g.paths(1):
+        for nu in g.paths(1):
+            assert beta_crosscheck(g, mu, nu).passed
+    assert len(inits) == 1
+
 def test_beta_crosscheck_levels(o2, two_cycle):
     for g in (o2, two_cycle):
         for lvl in (1, 2):
@@ -691,7 +702,7 @@ def test_frame_rep_psi_graph(o3):
         # b is a DepthFunction of some depth; realize it as a core element.
         from corealg.star_algebra import StarElement
         out = StarElement.zero(o3)
-        for p, c in b.values.items():
+        for p, c in b.terms.items():
             out = out + StarElement.word(o3, c, p, p)
         return out
 
@@ -710,7 +721,7 @@ def test_frame_rep_psi_detects_bad_family(o2):
 
     def pi(b):
         out = StarElement.zero(o2)
-        for p, c in b.values.items():
+        for p, c in b.terms.items():
             out = out + StarElement.word(o2, c, p, p)
         return out
 

@@ -17,6 +17,10 @@ at its top, so an import cycle cannot hide in a function body.
 numpy is imported only by star_algebra, whose op_norm computes a float
 norm; every check is exact, so no other module needs it.
 
+The three value types take their linear structure from `util.SparseSum`:
+no class but `SparseSum` and the scalar `Radical` defines `__neg__`,
+`__sub__`, `is_zero` or `__bool__`.
+
 A check is recorded only through `CheckReport.check(ok, witness)`: no
 `.fail(...)` or zero-argument `.count()` call is left in the library, the
 benchmark harness or the tests.  Passing runs never reach a failure
@@ -131,3 +135,14 @@ def test_only_star_algebra_imports_numpy():
                        for node in ast.walk(ast.parse(path.read_text()))
                        if any(m.split(".")[0] == "numpy" for m in modules(node)))
     assert importers == ["star_algebra.py"], "numpy imported by: " + ", ".join(importers)
+
+
+def test_only_sparse_sum_and_radical_define_the_linear_structure():
+    shared = {"__neg__", "__sub__", "is_zero", "__bool__"}
+    owners = {("scalar.py", "Radical"), ("util.py", "SparseSum")}
+    copies = ["%s:%d %s.%s" % (path.name, item.lineno, node.name, item.name)
+              for path in LIBRARY for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.ClassDef) and (path.name, node.name) not in owners
+              for item in node.body
+              if isinstance(item, ast.FunctionDef) and item.name in shared]
+    assert not copies, "subclass util.SparseSum instead of defining: " + ", ".join(copies)

@@ -227,6 +227,11 @@ def test_float():
     assert float(ONE * Fraction(3, 4)) == 0.75
 
 
+
+def test_zero_evaluates_to_a_float():
+    assert float(ZERO) == 0.0 and type(float(ZERO)) is float
+    assert type(ZERO.evalf()) is float and type(ONE.evalf()) is float
+
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
         parse_radical("sqrt()")

@@ -73,8 +73,8 @@ def test_internal_results_pass_the_public_checks():
                uhf_L(UhfSystem(2, 2), b * b.adjoint()), uhf_L(UhfSystem(2, 2), a), uhf_L(UhfSystem(2, 1), a - a),
                a.block(2, 2), b.block(1, 2), b.block(2, 1), TensorElement.identity(2, 0).block(1, 1)]
     for r in results:
-        assert TensorElement(r.n, r.k, r.entries).entries == r.entries
-        assert all(len(mu) == len(nu) == r.k for mu, nu in r.entries)
+        assert TensorElement(r.n, r.k, r.terms).terms == r.terms
+        assert all(len(mu) == len(nu) == r.k for mu, nu in r.terms)
     assert (a - a).is_zero() and (a * 0).is_zero() and (0 * b).is_zero()
 
 
@@ -330,7 +330,7 @@ def _loop_pi_T(sys, family, a):
     members and added to a running sum, one lam at a time."""
     g = family.graph
     if a.k == 0:
-        c = a.entries.get(((), ()), Radical())
+        c = a.terms.get(((), ()), Radical())
         return unit(g) * c if c else StarElement.zero(g)
 
     def word(mu, lam):
@@ -340,7 +340,7 @@ def _loop_pi_T(sys, family, a):
         return out
 
     out = StarElement.zero(g)
-    for (mu, nu), c in a.entries.items():
+    for (mu, nu), c in a.terms.items():
         for lam in words(sys.N, a.k):
             out = out + word(mu, lam) * word(nu, lam).adjoint() * c
     return out
@@ -388,7 +388,7 @@ def _apply_tensor(a, vec):
     j = a.k
     for x, c in vec.items():
         head, tail = x[:j], x[j:]
-        for (mu, nu), val in a.entries.items():
+        for (mu, nu), val in a.terms.items():
             if nu == head:
                 accumulate(out, mu + tail, val * c)
     return out
@@ -456,9 +456,9 @@ def test_planted_failures_match_the_loops(monkeypatch, nN):
 
     def planted(sys, a):
         out = original(sys, a)
-        if not out.entries:
+        if not out.terms:
             return out
-        entries = dict(out.entries)
+        entries = dict(out.terms)
         key = min(entries)
         entries[key] = entries[key] * 2
         return TensorElement(out.n, out.k, entries)
@@ -491,7 +491,7 @@ def _system_and_element(draw):
 
 
 def _assert_same(got, want):
-    assert (got.n, got.k, got.entries, got.text()) == (want.n, want.k, want.entries, want.text())
+    assert (got.n, got.k, got.terms, got.text()) == (want.n, want.k, want.terms, want.text())
 
 
 @settings(max_examples=60, deadline=None)
@@ -518,9 +518,9 @@ def test_planted_block_fails_both_routes(monkeypatch):
 
     def planted(self, i, j):
         out = original(self, i, j)
-        if not out.entries:
+        if not out.terms:
             return out
-        entries = dict(out.entries)
+        entries = dict(out.terms)
         key = min(entries)
         entries[key] = entries[key] * 2
         return TensorElement(out.n, out.k, entries)

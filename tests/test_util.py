@@ -1,6 +1,7 @@
 """The shared sparse-map accumulate, over every coefficient type that uses
-it, the one integer elimination, the one way a check is recorded, and the
-layers that build no Fraction."""
+it, the sparse-sum base of the three value types, the one integer
+elimination, the one way a check is recorded, and the layers that build no
+Fraction."""
 
 import random
 from fractions import Fraction
@@ -11,12 +12,12 @@ from hypothesis import given, settings, strategies as st
 from corealg.core_endo import CoreEndo
 from corealg.dilation import LatticeSystem, lattice_rep_check
 from corealg.exel_path import DepthFunction
-from corealg.graph import bouquet
+from corealg.graph import bouquet, load_graph
 from corealg.ktheory import smith_normal_form
 from corealg.scalar import ONE, Radical
-from corealg.star_algebra import parse_element
+from corealg.star_algebra import StarElement, parse_element
 from corealg.uhf_cuntz import TensorElement
-from corealg.util import CheckReport, accumulate, bareiss
+from corealg.util import CheckReport, SparseSum, accumulate, bareiss
 
 
 @pytest.mark.parametrize("one", [
@@ -38,6 +39,55 @@ def test_accumulate_stores_no_zero(one):
     assert not out[("e1",)] - one * 2
     accumulate(out, ("e1",), one * -2)
     assert out == {}
+
+
+
+_G3_TEXT = "V a; V b\nE x a a; E y a b; E z b a\n"   # out-degrees 2 and 1
+
+
+def _star_case():
+    g = bouquet(2)
+    x = parse_element(g, "TERM 1/2*sqrt(2) e1 e2\nTERM -3 e2.e1 e2\nTERM 1 @v @v\n")
+    y = parse_element(g, "TERM 1/3 e1 e1\nTERM 3 e2.e1 e2\n")
+    return x, y, x.expand_to_level(2), StarElement.zero(bouquet(2)), \
+        "elements live over different graphs"
+
+
+def _depth_case(depth):
+    g = load_graph(_G3_TEXT)
+    p, q, r = g.paths(depth)[:3]
+    x = DepthFunction(g, depth, {p: Radical.sqrt(2), q: Fraction(-1, 2)})
+    y = DepthFunction(g, depth, {p: 1, r: 3})
+    return x, y, x.lift(depth + 1), DepthFunction(load_graph(_G3_TEXT), depth), \
+        "functions live over different graphs"
+
+
+def _tensor_case(k):
+    one, two = (1,) * k, (2,) * k
+    x = TensorElement(2, k, {(one, two): Radical.sqrt(2), (two, two): -1})
+    y = TensorElement(2, k, {(one, two): 1, (one, one): Fraction(2, 3)})
+    return x, y, x.lift(k + 1), TensorElement(3, k), "elements live over different matrix sizes"
+
+
+@pytest.mark.parametrize("case", [
+    _star_case, lambda: _depth_case(1), lambda: _depth_case(2),
+    lambda: _tensor_case(0), lambda: _tensor_case(1),
+], ids=["star-o2", "depth-g3-1", "depth-g3-2", "tensor-2-0", "tensor-2-1"])
+def test_sparse_sum_linear_structure(case):
+    x, y, lifted, foreign, message = case()
+    assert isinstance(x, SparseSum) and x and y and not x.is_zero()
+    zero = x + (-x)
+    assert zero.is_zero() and not zero and zero.equal(x * 0)
+    assert (x - y).terms == (x + (-y)).terms and (x - y).equal(x + (-y))
+    assert (0 * x).is_zero() and not 0 * x
+    assert x.equal(lifted) and lifted.equal(x) and (x + lifted).equal(x * 2)
+    assert not x.equal(y)
+    for mixed in (lambda: x + foreign, lambda: x - foreign, lambda: x.equal(foreign)):
+        with pytest.raises(ValueError, match=message):
+            mixed()
+    for bad in (lambda: x + object(), lambda: x - object(), lambda: object() + x):
+        with pytest.raises(TypeError):
+            bad()
 
 
 def test_bareiss_pinned():
