@@ -15,8 +15,9 @@ operator conjugation on a box of basis vectors.
 from __future__ import annotations
 
 from itertools import product
+from operator import add, mul, sub
 
-from .util import CheckReport, add_maps, bareiss, col_axpy, col_negate, col_swap
+from .util import CheckReport, add_maps, bareiss, col_axpy, col_negate, col_swap, mat_mul
 
 Vector = tuple[int, ...]
 
@@ -50,11 +51,9 @@ def hermite_normal_form(b: list[list[int]]) -> tuple[list[list[int]], list[list[
             q = h[i][j] // h[i][i]
             if q:
                 col_axpy((h, u), j, i, -q)
-    for i in range(d):
-        for j in range(d):
-            got = sum(b[i][k] * u[k][j] for k in range(d))
-            if got != h[i][j]:
-                raise RuntimeError("Hermite bookkeeping drifted at (%d, %d)" % (i, j))
+    for i, (got, want) in enumerate(zip(mat_mul(b, u), h)):
+        if got != want:
+            raise RuntimeError("Hermite bookkeeping drifted in row %d" % i)
     return h, u
 
 
@@ -84,14 +83,13 @@ class LatticeSystem:
             self.Sigma = pts
 
     def apply(self, k: Vector) -> Vector:
-        return tuple(sum(self.B[i][j] * k[j] for j in range(self.d))
-                     for i in range(self.d))
+        return tuple([sum(map(mul, row, k)) for row in self.B])
 
     def solve(self, k: Vector) -> Vector | None:
         """B^{ -1} k = adj(B) k / det B when it is integral, else None."""
         out = []
         for row in self._adj:
-            q, r = divmod(sum(a * x for a, x in zip(row, k)), self._det)
+            q, r = divmod(sum(map(mul, row, k)), self._det)
             if r:
                 return None
             out.append(q)
@@ -102,12 +100,13 @@ class LatticeSystem:
 
     def reduce(self, m: Vector) -> Vector:
         """Canonical representative of m + B Z^d inside the Hermite box."""
-        q = [0] * self.d
-        r = [0] * self.d
-        for i in range(self.d):
-            t = m[i] - sum(self.H[i][j] * q[j] for j in range(i))
-            r[i] = t % self.H[i][i]
-            q[i] = (t - r[i]) // self.H[i][i]
+        q: list[int] = []
+        r: list[int] = []
+        for i, (row, x) in enumerate(zip(self.H, m)):
+            # H is lower triangular: the dot product stops at the i quotients so far
+            qi, ri = divmod(x - sum(map(mul, row, q)), row[i])
+            q.append(qi)
+            r.append(ri)
         return tuple(r)
 
     def digits(self, m: Vector, count: int) -> tuple[Vector, ...]:
@@ -117,8 +116,7 @@ class LatticeSystem:
         for _ in range(count):
             r = self.reduce(cur)
             out.append(r)
-            diff = tuple(c - s for c, s in zip(cur, r))
-            cur = self.solve(diff)
+            cur = self.solve(tuple(map(sub, cur, r)))
             if cur is None:
                 raise RuntimeError("reduction left the lattice; Hermite data is inconsistent")
         return tuple(out)
@@ -129,6 +127,9 @@ class LatticeSystem:
 
 def transversal_check(sys: LatticeSystem, pts: list[Vector], power: int = 1) -> CheckReport:
     """pts is a transversal of Z^d / B^power Z^d: distinct residues, full count."""
+    for p in pts:
+        if len(p) != sys.d:
+            raise ValueError("point %s must have dimension %d" % (p, sys.d))
     report = CheckReport("transversal of Z^d / B^%d Z^d" % power)
     expected = sys.det_abs ** power
     report.check(len(pts) == expected, lambda: "size %d, expected %d" % (len(pts), expected))
@@ -151,8 +152,7 @@ def sigma_i(sys: LatticeSystem, i: int, verify: bool = True) -> list[Vector]:
         raise ValueError("need i >= 1")
     pts = list(sys.Sigma)
     for _ in range(i - 1):
-        pts = [tuple(m[t] + bk[t] for t in range(sys.d))
-               for bk in (sys.apply(p) for p in pts) for m in sys.Sigma]
+        pts = [tuple(map(add, m, bk)) for bk in map(sys.apply, pts) for m in sys.Sigma]
     pts = sorted(set(pts))
     if verify:
         rep = transversal_check(sys, pts, power=i)
@@ -178,7 +178,7 @@ def vec_equal(a: dict, b: dict) -> bool:
 
 
 def translate(m: Vector, vec: dict) -> dict:
-    return {tuple(x + y for x, y in zip(k, m)): c for k, c in vec.items()}
+    return {tuple(map(add, k, m)): c for k, c in vec.items()}
 
 
 def dilate(sys: LatticeSystem, vec: dict) -> dict:
@@ -199,12 +199,12 @@ def mono_apply(sys: LatticeSystem, term: tuple, vec: dict) -> dict:
     m, i, n = term
     if i < 0:
         raise ValueError("power must be nonnegative")
-    out = translate(tuple(-x for x in n), vec)
+    out = {tuple(map(sub, k, n)): c for k, c in vec.items()}
     for _ in range(i):
         out = codilate(sys, out)
     for _ in range(i):
         out = dilate(sys, out)
-    return translate(tuple(m), out)
+    return translate(m, out)
 
 
 def _box(d: int, radius: int):
@@ -234,8 +234,7 @@ def lattice_rep_check(sys: LatticeSystem, radius: int) -> CheckReport:
                          lambda: "v* u_m v case formula fails at k=%s, m=%s" % (k, m))
         total: dict = {}
         for m in sys.Sigma:
-            term = translate(m, dilate(sys, codilate(sys, translate(tuple(-x for x in m), dk))))
-            total = add_maps(total, term)
+            total = add_maps(total, mono_apply(sys, (m, 1, m), dk))
         report.check(vec_equal(total, dk), lambda: "sum over the transversal of "
                      "(u_m v)(u_m v)* misses delta_k at k=%s" % (k,))
     return report

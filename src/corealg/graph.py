@@ -191,15 +191,18 @@ class Graph:
             return tuple.__new__(Path, ((), p.src, p.src))
         return tuple.__new__(Path, (edges, p.src, self._rng[edges[0]]))
 
-    def paths(self, n: int) -> list[Path]:
-        """All composable paths of length n, in a fixed deterministic order."""
+    def paths(self, n: int) -> tuple[Path, ...]:
+        """All composable paths of length n, in a fixed deterministic order.
+        The levels are kept in the memo: each is built once, by append_edge
+        over the level below it, and then shared."""
         if n < 0:
             raise ValueError("path length must be >= 0")
-        level = [self.empty_path(v) for v in sorted(self.vertices)]
-        for _ in range(n):
-            level = [self.append_edge(p, e)
-                     for p in level for e in self._in[p.src]]
-        return level
+        levels = self.memo.get("paths", lambda: [tuple(self.empty_path(v)
+                                                       for v in sorted(self.vertices))])
+        while len(levels) <= n:
+            levels.append(tuple(self.append_edge(p, e)
+                                for p in levels[-1] for e in self._in[p.src]))
+        return levels[n]
 
     def path_count(self, v: str, n: int, cap: int) -> int:
         """The paths with range v and length at most n, or cap when there

@@ -11,41 +11,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .core_endo import graph_core_endo
 from .graph import Graph
 from .star_algebra import StarElement, matrix_unit
-from .util import CheckReport, bareiss, col_axpy, col_swap
+from .util import CheckReport, bareiss, col_axpy, col_swap, mat_dims, mat_mul
 
 
 class StabilizationError(RuntimeError):
     """Consecutive stages disagreed where the inductive system should have settled."""
 
 
-def _dims(m) -> tuple[int, int]:
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    if any(len(r) != cols for r in m):
-        raise ValueError("ragged matrix")
-    return rows, cols
-
-
 def _identity(n: int):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _mat_mul(a, b):
-    ra, ca = _dims(a)
-    rb, cb = _dims(b)
-    if ca != rb:
-        raise ValueError("shape mismatch")
-    return [[sum(a[i][k] * b[k][j] for k in range(ca)) for j in range(cb)]
-            for i in range(ra)]
-
-
 def int_det(m) -> int:
     """Exact determinant by fraction-free elimination."""
-    n, c = _dims(m)
+    n, c = mat_dims(m)
     if n != c:
         raise ValueError("determinant needs a square matrix")
     return bareiss([[int(x) for x in row] for row in m], n)
@@ -54,7 +38,7 @@ def int_det(m) -> int:
 def smith_normal_form(m) -> tuple[list, list, list]:
     """U M V = D with U, V unimodular and D diagonal with a divisibility
     chain of nonnegative entries.  Verified before returning."""
-    rows, cols = _dims(m)
+    rows, cols = mat_dims(m)
     a = [[int(x) for x in row] for row in m]
     u = _identity(rows)
     v = _identity(cols)
@@ -111,7 +95,7 @@ def smith_normal_form(m) -> tuple[list, list, list]:
     d = a
     if abs(int_det(u)) != 1 or abs(int_det(v)) != 1:
         raise RuntimeError("transforms drifted from unimodularity")
-    if _mat_mul(_mat_mul(u, [list(r) for r in m]), v) != d:
+    if mat_mul(mat_mul(u, m), v) != d:
         raise RuntimeError("U M V does not reproduce the diagonal")
     diag = [d[i][i] for i in range(min(rows, cols))]
     for i in range(rows):
@@ -168,7 +152,7 @@ class GroupPresentation:
 
 def coker_ker(m) -> tuple[GroupPresentation, int]:
     """Cokernel presentation and kernel rank of a square integer matrix."""
-    rows, cols = _dims(m)
+    rows, cols = mat_dims(m)
     if rows != cols:
         raise ValueError("map must be square")
     _, d, _ = smith_normal_form(m)
@@ -180,11 +164,11 @@ def coker_ker(m) -> tuple[GroupPresentation, int]:
 
 def lattice_solve(m, target: list) -> list | None:
     """Integer solution x of M x = target, or None."""
-    rows, cols = _dims(m)
+    rows, cols = mat_dims(m)
     if len(target) != rows:
         raise ValueError("target length mismatch")
     u, d, v = smith_normal_form(m)
-    t = [sum(u[i][j] * target[j] for j in range(rows)) for i in range(rows)]
+    t = [sum(map(mul, row, target)) for row in u]
     y = [0] * cols
     for i in range(rows):
         di = d[i][i] if i < min(rows, cols) else 0
@@ -194,7 +178,7 @@ def lattice_solve(m, target: list) -> list | None:
             y[i] = t[i] // di
         elif t[i]:
             return None
-    return [sum(v[i][j] * y[j] for j in range(cols)) for i in range(cols)]
+    return [sum(map(mul, row, y)) for row in v]
 
 
 # -- graph cores --------------------------------------------------------------------
@@ -321,7 +305,7 @@ def paschke_sequence(beta_star, k1_of_core_is_zero: bool) -> PaschkeResult:
 
     With the flag set (core K_1 vanishes, the caller's responsibility), the
     two unknown corners are coker and ker of beta_star - id."""
-    rows, cols = _dims(beta_star)
+    rows, cols = mat_dims(beta_star)
     if rows != cols:
         raise ValueError("induced matrix must be square")
     m = [[beta_star[i][j] - (1 if i == j else 0) for j in range(cols)]

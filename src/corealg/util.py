@@ -1,12 +1,14 @@
 """Shared plumbing: the deterministic PRNG used by sweeps, a tiny check-report
-type, the one integer (fraction-free) elimination, the integer column
-operations of the Smith and Hermite forms, the one sparse-map accumulate and
-sum, the sparse-sum base of the three value types, and the per-object memo."""
+type, the one integer (fraction-free) elimination, the integer matrix product
+and column operations of the Smith and Hermite forms, the one sparse-map
+accumulate and sum, the sparse-sum base of the three value types, and the
+per-object memo."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 _MASK = (1 << 64) - 1
 
@@ -74,6 +76,25 @@ def bareiss(rows: list[list[int]], n: int) -> int:
     if sign < 0 and carry:
         rows[:] = [[-x for x in row] for row in rows]
     return sign * prev
+
+
+def mat_dims(m) -> tuple[int, int]:
+    """Rows and columns of a matrix given as a sequence of rows."""
+    lengths = set(map(len, m))
+    if len(lengths) > 1:
+        raise ValueError("ragged matrix")
+    return len(m), lengths.pop() if lengths else 0
+
+
+def mat_mul(a, b) -> list[list[int]]:
+    """The product a b as a list of rows, each entry one dot product of a
+    row of a with a column of b."""
+    _, ca = mat_dims(a)
+    rb, _ = mat_dims(b)
+    if ca != rb:
+        raise ValueError("shape mismatch")
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def col_swap(mats, i: int, j: int) -> None:

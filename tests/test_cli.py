@@ -483,6 +483,11 @@ SNAPSHOTS = os.path.join(os.path.dirname(__file__), "snapshots")
     ("module-crosscheck-g3-level3", ("module", "crosscheck", "{g3}", "--level", "3")),
     # pi_T relations with N = n and a depth-3 prefix sweep
     ("uhf-demo-n3-N3-depth3", ("uhf", "demo", "--n", "3", "--N", "3", "--depth", "3")),
+    # the integer layers: Hermite boxes, lattice vectors and Smith forms
+    ("dilation-verify-2-1-0-3-box3", ("dilation", "verify", "--matrix", "2,1;0,3", "--box", "3")),
+    ("dilation-verify-3d-box1-level2", ("dilation", "verify", "--matrix", "2,1,0;0,2,1;1,0,2",
+                                        "--box", "1", "--level", "2")),
+    ("ktheory-paschke-3-2-2-3-af", ("ktheory", "paschke", "--matrix", "3,2;2,3", "--af")),
 ])
 def test_json_matches_snapshot(capsys, tmp_path, o2_file, name, args):
     # the snapshots hold the --json bytes of these commands with the line

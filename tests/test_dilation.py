@@ -2,6 +2,7 @@
 relations on finitely supported vectors."""
 
 from itertools import product
+from operator import mul
 
 import pytest
 
@@ -23,6 +24,8 @@ from corealg.dilation import (
 from corealg.util import CheckReport
 
 MATRICES = ([[2]], [[2, 0], [0, 2]], [[1, 1], [-1, 1]], [[2, 0], [0, 3]])
+# the matrices of A09 and one in dimension 3
+KERNEL_MATRICES = MATRICES + ([[2, 1, 0], [0, 2, 1], [1, 0, 2]],)
 
 
 def _det(b):
@@ -91,6 +94,22 @@ def test_user_sigma_accepted_and_rejected():
         LatticeSystem([[2]], sigma=[(0,), (2,)])      # congruent mod 2
     with pytest.raises(ValueError):
         LatticeSystem([[2]], sigma=[(0,)])            # wrong count
+
+
+def test_points_of_another_dimension_are_refused():
+    # the lattice kernels zip vectors, so a point of the wrong length would
+    # be cut short or padded out in silence: it is refused up front
+    with pytest.raises(ValueError, match="dimension 1"):
+        LatticeSystem([[2]], sigma=[(0, 5), (1, 7)])      # 2-D points on Z
+    with pytest.raises(ValueError, match="dimension 2"):
+        LatticeSystem([[2, 0], [0, 2]], sigma=[(0,), (1,), (2,), (3,)])
+    with pytest.raises(ValueError, match="dimension 2"):
+        LatticeSystem([[2, 0], [0, 2]], sigma=[(0, 0), (1, 0), (0, 1), (1, 1, 0)])
+    one, two = LatticeSystem([[2]]), LatticeSystem([[2, 0], [0, 2]])
+    with pytest.raises(ValueError, match="dimension 1"):
+        transversal_check(one, [(0, 5), (1, 7)])
+    with pytest.raises(ValueError, match="dimension 2"):
+        transversal_check(two, [(0,), (1,), (2,), (3,)], power=1)
 
 
 def test_witness_names_the_clashing_points():
@@ -198,3 +217,69 @@ def test_compared_vectors_hold_no_zero(monkeypatch):
             assert dilation_beta(sys, term, radius=8)[1].passed
     assert compared and any(a for a, _ in compared)
     assert all(c != 0 for pair in compared for vec in pair for c in vec.values())
+
+
+# -- the integer kernels against their generator forms ------------------------------
+
+
+def oracle_apply(sys, k):
+    return tuple(sum(sys.B[i][j] * k[j] for j in range(sys.d)) for i in range(sys.d))
+
+
+def oracle_solve(sys, k):
+    out = []
+    for row in sys._adj:
+        q, r = divmod(sum(a * x for a, x in zip(row, k)), sys._det)
+        if r:
+            return None
+        out.append(q)
+    return tuple(out)
+
+
+def oracle_translate(m, vec):
+    return {tuple(x + y for x, y in zip(k, m)): c for k, c in vec.items()}
+
+
+def oracle_mono_apply(sys, term, vec):
+    m, i, n = term
+    out = oracle_translate(tuple(-x for x in n), vec)
+    for _ in range(i):
+        out = {oracle_solve(sys, k): c for k, c in out.items()
+               if oracle_solve(sys, k) is not None}
+    for _ in range(i):
+        out = {oracle_apply(sys, k): c for k, c in out.items()}
+    return oracle_translate(tuple(m), out)
+
+
+@pytest.mark.parametrize("b", KERNEL_MATRICES)
+def test_kernels_match_their_generator_forms(b):
+    sys = LatticeSystem(b)
+    box = list(dilation._box(sys.d, 3))
+    solved = [sys.solve(k) for k in box]
+    assert solved == [oracle_solve(sys, k) for k in box]
+    assert None in solved and any(s is not None for s in solved)   # members and not
+    assert [sys.apply(k) for k in box] == [oracle_apply(sys, k) for k in box]
+    # one vector over the whole box, with distinct values, compared key for
+    # key and in order
+    vec = {k: c for c, k in enumerate(box, 1)}
+    far = tuple(-3 for _ in range(sys.d))
+    shifts = (sys.Sigma[0], sys.Sigma[-1], far, sys.apply(sys.Sigma[-1]))
+    for m in shifts:
+        assert list(translate(m, vec).items()) == list(oracle_translate(m, vec).items())
+    for term in product(shifts, (0, 1, 2), shifts):
+        got = mono_apply(sys, term, vec)
+        assert list(got.items()) == list(oracle_mono_apply(sys, term, vec).items()), term
+
+
+def test_lattice_rep_check_rejects_a_flooring_solve(monkeypatch):
+    # a solve that floors where it should refuse a non-integral preimage
+    # makes every point a lattice member
+    def floored(self, k):
+        return tuple(sum(map(mul, row, k)) // self._det for row in self._adj)
+
+    monkeypatch.setattr(LatticeSystem, "solve", floored)
+    for b in KERNEL_MATRICES:
+        report = lattice_rep_check(LatticeSystem(b), radius=3)
+        assert not report.passed, b
+        assert any(w.startswith("vv* is not the lattice-membership projection")
+                   for w in report.failures), b

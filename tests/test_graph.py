@@ -75,6 +75,23 @@ def test_paths_enumeration_deterministic(o2):
     assert len(o2.paths(3)) == 8
 
 
+def test_paths_builds_each_level_once(monkeypatch):
+    # each level is built from the one below it, once, and then shared
+    g = bouquet(2)
+    built = []
+    append = Graph.append_edge
+    monkeypatch.setattr(Graph, "append_edge",
+                        lambda self, p, e: built.append(len(p)) or append(self, p, e))
+    lvl2 = g.paths(2)
+    assert sorted(built) == [0, 0, 1, 1, 1, 1]
+    built.clear()
+    assert g.paths(2) is lvl2 and g.paths(1) is g.paths(1) and g.paths(0) is g.paths(0)
+    assert built == []
+    assert [p.text() for p in g.paths(3)] == [a + "." + b for a in ("e1.e1", "e1.e2", "e2.e1",
+                                                                    "e2.e2") for b in ("e1", "e2")]
+    assert sorted(built) == [2] * 8
+
+
 def test_paths_counts_on_cycle(two_cycle):
     assert len(two_cycle.paths(0)) == 2
     assert len(two_cycle.paths(5)) == 2  # unique path of each length per start

@@ -1,7 +1,7 @@
 """The shared sparse-map accumulate, over every coefficient type that uses
 it, the sparse-sum base of the three value types, the one integer
-elimination, the one way a check is recorded, and the layers that build no
-Fraction."""
+elimination and the integer matrix product, the one way a check is recorded,
+and the layers that build no Fraction."""
 
 import random
 from fractions import Fraction
@@ -17,7 +17,7 @@ from corealg.ktheory import smith_normal_form
 from corealg.scalar import ONE, Radical
 from corealg.star_algebra import StarElement, parse_element
 from corealg.uhf_cuntz import TensorElement
-from corealg.util import CheckReport, SparseSum, accumulate, bareiss
+from corealg.util import CheckReport, SparseSum, accumulate, bareiss, mat_mul
 
 
 @pytest.mark.parametrize("one", [
@@ -101,6 +101,42 @@ def test_bareiss_pinned():
     assert [row[2:] for row in rows] == [[3, -1], [0, 2]]
     assert bareiss([[1, 2], [2, 4]], 2) == 0
     assert bareiss([], 0) == 1
+
+
+def triple_loop(a, b):
+    """The matrix product as an explicit loop over rows, columns and the
+    inner index, with b's column count read off its first row."""
+    cb = len(b[0]) if b else 0
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cb)]
+            for i in range(len(a))]
+
+
+@pytest.mark.parametrize("a, b", [
+    ([[1, -2, 3], [0, 4, -5]], [[2, 1], [-1, 0], [3, 7]]),      # 2x3 times 3x2
+    ([[1, 2], [3, 4], [5, 6]], [[7, -8, 9, 0], [1, 2, -3, 4]]),  # 3x2 times 2x4
+    ([[3, -1, 2]], [[1], [2], [3]]),                              # 1xn times nx1
+    ([[1], [2], [3]], [[3, -1, 2]]),                              # nx1 times 1xn
+    ([[5]], [[-7]]),
+    ([], []),                                                     # 0x0
+    ([[]], []),                                                   # 1x0 times 0x0
+    ([[], [], []], []),                                           # 3x0 times 0x0
+    ([[1, 2, 3], [4, 5, 6]], [[], [], []]),                       # 2x3 times 3x0
+    (((1, 2), (3, 4)), ((0, 1), (1, 0))),                         # rows as tuples
+])
+def test_mat_mul_matches_the_triple_loop(a, b):
+    assert mat_mul(a, b) == triple_loop(a, b)
+
+
+@pytest.mark.parametrize("a, b, message", [
+    ([[1, 2], [3]], [[1], [1]], "ragged matrix"),
+    ([[1, 2], [3, 4]], [[1, 0], [0]], "ragged matrix"),
+    ([[1, 2, 3]], [[1], [2]], "shape mismatch"),
+    ([[1, 2]], [], "shape mismatch"),
+    ([], [[1]], "shape mismatch"),
+])
+def test_mat_mul_refuses_ragged_and_mismatched_factors(a, b, message):
+    with pytest.raises(ValueError, match=message):
+        mat_mul(a, b)
 
 
 def _unreachable():
