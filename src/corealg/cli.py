@@ -437,10 +437,44 @@ def cmd_uhf_demo(args, report: RunReport) -> None:
 # -- dilation ---------------------------------------------------------------------
 
 
+# the most checks dilation verify runs: --matrix 300 --box 1 --level 1 plans
+# 543,910 of them (4-5 s), and each further level multiplies the transversal
+# points by |det|
+DILATION_LIMIT = 1_000_000
+
+
+def _dilation_checks(det: int, d: int, box: int, level: int, cap: int) -> tuple[int, bool]:
+    """The checks dilation verify runs without --sigma, and whether that
+    count is exact: 4|det| + 3 at each point of the box, 1 + |det|^i at
+    transversal level i, and one per box point at radius min(box, 4) in each
+    of the 2|det|^2 rewrites.  The levels stop once the count passes cap."""
+    checks = (2 * box + 1) ** d * (4 * det + 3) + 2 * det * det * (2 * min(box, 4) + 1) ** d
+    if det == 1:
+        return checks + 2 * level, True
+    power = 1
+    for _ in range(level):
+        if checks > cap:
+            return checks, False
+        power *= det
+        checks += power + 1
+    return checks, True
+
+
 def cmd_dilation_verify(args, report: RunReport) -> None:
     _require_at_least(args, "box", 0)
     _require_at_least(args, "level", 0)
     b = parse_int_matrix(args.matrix)
+    # a matrix that is not square or is singular is refused by the system
+    det = abs(kt.int_det(b)) if len(b) == len(b[0]) else 0
+    if det:
+        checks, exact = _dilation_checks(det, len(b), args.box, args.level, DILATION_LIMIT)
+        if args.sigma is not None:
+            checks += 1 + len(parse_points(args.sigma))
+        if checks > DILATION_LIMIT:
+            raise CliError("|det| = %d, --box %d and --level %d plan %s%d checks, above the"
+                           " limit of %d checks" % (det, args.box, args.level,
+                                                    "" if exact else "at least ", checks,
+                                                    DILATION_LIMIT))
     system = _checked(dl.LatticeSystem, b)
     report.say("dimension: %d, |det| = %d" % (system.d, system.det_abs))
     report.say("transversal: %s" % "; ".join(",".join(str(x) for x in p)

@@ -111,7 +111,41 @@ class StarElement(SparseSum):
     def _product(self, other: "StarElement") -> "StarElement":
         """Word product by the prefix rule: t_mu t_nu^* t_kappa t_lam^* is
         t_{mu kappa'} t_lam^* when kappa = nu kappa', t_mu t_{lam nu'}^* when
-        nu = kappa nu', and 0 otherwise.
+        nu = kappa nu', and 0 otherwise (the matches come from _matches).
+
+        Terms often share one coefficient object (beta gives all image terms
+        of a word one), so the last product a * b and the last sum s + c are
+        kept and reused while the same two objects, compared by identity,
+        come again.  That is sound because a Radical is immutable, so one
+        object may stand in several terms, and a product of nonzero values
+        is nonzero.
+
+        The result skips the constructor's checks.  That is sound because
+        every word built pairs paths with one source (mu kappa' and lam end
+        where kappa does, mu and lam nu' where nu does), and a sum that
+        cancels is deleted as it arises, so no zero coefficient is stored.
+        """
+        self._common(other)     # raises across graphs
+        out: dict[tuple[Path, Path], Radical] = {}
+        last_a = last_b = prod = last_s = last_c = total = None
+        for word, a, b in self._matches(other):
+            if a is not last_a or b is not last_b:
+                last_a, last_b, prod = a, b, a * b
+            s = out.get(word)
+            if s is None:
+                out[word] = prod
+                continue
+            if s is not last_s or prod is not last_c:
+                last_s, last_c, total = s, prod, s + prod
+            if total:
+                out[word] = total
+            else:
+                del out[word]
+        return StarElement._wrap(self.graph, out)
+
+    def _matches(self, other: "StarElement"):
+        """Yield (word, a, b) for every prefix-compatible pair of a term
+        a t_mu t_nu^* of self and a term b t_kappa t_lam^* of other.
 
         The right factor's terms are grouped once by the first edge of kappa,
         and by the vertex of kappa when kappa is empty.  Vertex and edge names
@@ -121,13 +155,7 @@ class StarElement(SparseSum):
         the direction the lengths allow, and the remainder is cut (with
         Graph.drop_first) only on a match; a kappa as long as nu matches only
         when it equals nu, and then the word is (mu, lam), with nothing cut.
-
-        The result skips the constructor's checks.  That is sound because
-        every word built pairs paths with one source (mu kappa' and lam end
-        where kappa does, mu and lam nu' where nu does), and a sum that
-        cancels is deleted as it arises, so no zero coefficient is stored.
         """
-        self._common(other)     # raises across graphs
         g = self.graph
         by_edge: dict[str, list] = {}
         by_vertex: dict[str, list] = {}
@@ -136,21 +164,20 @@ class StarElement(SparseSum):
                 by_edge.setdefault(kappa.edges[0], []).append((kappa, lam, b))
             else:
                 by_vertex.setdefault(kappa.src, []).append((lam, b))
-        out: dict[tuple[Path, Path], Radical] = {}
         for (mu, nu), a in self.terms.items():
             ne = nu.edges
             if not ne:
                 # nu = @v is a prefix of kappa exactly when r(kappa) = v
                 v = nu.src
                 for lam, b in by_vertex.get(v, ()):
-                    accumulate(out, (mu, lam), a * b)
+                    yield (mu, lam), a, b
                 for e in g.in_edges(v):
                     for kappa, lam, b in by_edge.get(e, ()):
-                        accumulate(out, (g.concat(mu, kappa), lam), a * b)
+                        yield (g.concat(mu, kappa), lam), a, b
                 continue
             # kappa = @r(nu) is a prefix of nu
             for lam, b in by_vertex.get(nu.rng, ()):
-                accumulate(out, (mu, g.concat(lam, nu)), a * b)
+                yield (mu, g.concat(lam, nu)), a, b
             # otherwise kappa and nu share their first edge, and the shorter
             # must be a prefix of the longer
             n = len(ne)
@@ -158,19 +185,13 @@ class StarElement(SparseSum):
                 ke = kappa.edges
                 k = len(ke)
                 if k == n:
-                    if ke != ne:
-                        continue
-                    word = (mu, lam)
+                    if ke == ne:
+                        yield (mu, lam), a, b
                 elif k > n:
-                    if ke[:n] != ne:
-                        continue
-                    word = (g.concat(mu, g.drop_first(kappa, n)), lam)
-                else:
-                    if ne[:k] != ke:
-                        continue
-                    word = (mu, g.concat(lam, g.drop_first(nu, k)))
-                accumulate(out, word, a * b)
-        return StarElement._wrap(g, out)
+                    if ke[:n] == ne:
+                        yield (g.concat(mu, g.drop_first(kappa, n)), lam), a, b
+                elif ne[:k] == ke:
+                    yield (mu, g.concat(lam, g.drop_first(nu, k))), a, b
 
     def adjoint(self) -> "StarElement":
         """Swap mu and nu in every term (coefficients are real)."""

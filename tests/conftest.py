@@ -4,12 +4,29 @@ import pytest
 
 from corealg.exel_path import DepthFunction
 from corealg.graph import Graph, bouquet, cycle
+from corealg.scalar import Radical
 from corealg.util import accumulate
 
 
 def terms(x):
     """The (radicand, coefficient) pairs of a Radical, sorted by radicand."""
     return sorted((k, Fraction(c, x._den)) for k, c in x._num.items())
+
+
+@pytest.fixture
+def radical_ops(monkeypatch):
+    """Counts of Radical.__mul__ and Radical.__add__ calls from here on."""
+    counts = {"mul": 0, "add": 0}
+
+    def counted(name, op):
+        def run_op(self, other):
+            counts[name] += 1
+            return op(self, other)
+        return run_op
+
+    monkeypatch.setattr(Radical, "__mul__", counted("mul", Radical.__mul__))
+    monkeypatch.setattr(Radical, "__add__", counted("add", Radical.__add__))
+    return counts
 
 
 @pytest.fixture

@@ -214,6 +214,15 @@ def test_verify_beta_reports_a_bad_w(capsys, o2_file, monkeypatch):
     assert out.endswith("result: FAIL\n")
 
 
+def test_verify_beta_work_is_pinned(capsys, o2_file, radical_ops):
+    # exact Radical work of a seeded run; word products reuse a * b and
+    # s + c while the same coefficient objects come again (2329 products and
+    # 715 sums before that reuse)
+    code, out, _ = run(capsys, "core", "verify-beta", o2_file, "--depth", "2", "--json")
+    assert code == 0 and json.loads(out)["failed"] == 0
+    assert radical_ops == {"mul": 1166, "add": 209}
+
+
 def test_json_output(capsys, o2_file):
     code, out, _ = run(capsys, "graph", "info", o2_file, "--json")
     assert code == 0
@@ -437,6 +446,14 @@ def test_out_of_range_counts_are_usage_errors(capsys, o2_file, args):
     (("core", "verify-beta", "{no_vertex}"), 2, "no vertex is declared"),
     (("exel", "verify-transfer", "{no_vertex}"), 2, "no vertex is declared"),
     (("dilation", "verify", "--matrix", "2", "--sigma", ""), 1, "size 0, expected 2"),
+    # |det| >= 2^63 once overflowed range() while the transversal was built
+    (("dilation", "verify", "--matrix", "999999999999999999999999999999,0;"
+      "0,999999999999999999999999999999"), 2, "plan at least 1619999999"),
+    (("dilation", "verify", "--matrix", "99999,0;0,1", "--box", "0", "--level", "0"), 2,
+     "|det| = 99999, --box 0 and --level 0 plan 20000000001 checks, above the limit of"
+     " 1000000 checks\n"),
+    (("dilation", "verify", "--matrix", "2", "--box", "0", "--level", "20"), 2,
+     "plan at least 1048612 checks"),
 ])
 def test_edge_inputs_end_cleanly(capsys, tmp_path, o2_file, args, code, message):
     sink = tmp_path / "sink.graph"
@@ -449,7 +466,9 @@ def test_edge_inputs_end_cleanly(capsys, tmp_path, o2_file, args, code, message)
     no_vertex.write_text("# no V line\n")
     argv = [a.format(sink=sink, sink_elem=sink_elem, o2=o2_file, no_terms=no_terms,
                      no_vertex=no_vertex) for a in args]
+    start = time.perf_counter()
     got, out, err = run(capsys, *argv)
+    refused = time.perf_counter() - start
     assert got == code and "Traceback" not in err, (out, err)
     assert message in (out if code == 1 else err)     # a failed check reports on stdout
     if code == 0:
@@ -458,6 +477,30 @@ def test_edge_inputs_end_cleanly(capsys, tmp_path, o2_file, args, code, message)
         assert out.endswith("result: FAIL\n") and err == ""
     else:
         assert err.startswith("error: ") and out == ""
+        assert refused < 1.0
+
+
+@pytest.mark.parametrize("args", [
+    ("--matrix", "2,1;0,3", "--box", "3"),
+    ("--matrix", "2,1,0;0,2,1;1,0,2", "--box", "1", "--level", "2"),
+    ("--matrix", "1,1;-1,1", "--box", "2", "--level", "3"),
+    ("--matrix", "1", "--box", "6", "--level", "5"),
+    ("--matrix", "-3", "--box", "2", "--level", "0"),
+    ("--matrix", "2", "--box", "3", "--sigma", "0;3"),
+    ("--matrix", "2", "--box", "3", "--sigma", "0;2;4"),
+])
+def test_dilation_plan_counts_the_checks_it_runs(capsys, args):
+    code, out, _ = run(capsys, "dilation", "verify", *args, "--json")
+    doc = json.loads(out)
+    flags = dict(zip(args[::2], args[1::2]))
+    b = corealg.cli.parse_int_matrix(flags["--matrix"])
+    det = abs(corealg.ktheory.int_det(b))
+    checks, exact = corealg.cli._dilation_checks(
+        det, len(b), int(flags["--box"]), int(flags.get("--level", 2)), 10 ** 9)
+    if "--sigma" in flags:
+        checks += 1 + len(corealg.cli.parse_points(flags["--sigma"]))
+    assert exact and doc["checks"] == checks
+    assert code == (1 if doc["failed"] else 0)
 
 
 SNAPSHOTS = os.path.join(os.path.dirname(__file__), "snapshots")

@@ -214,6 +214,35 @@ def test_matrix_unit_images_lists_the_paths_once(o2, monkeypatch):
     assert calls == [1, 2]
 
 
+def test_matrix_unit_images_work_is_pinned(o3, radical_ops):
+    # every term of a beta image holds one coefficient object: 9 images take
+    # one product each, and each of the 27 nonzero products of two images
+    # one more (738 products and 486 sums before products reused them)
+    family, report = CoreEndo(o3).matrix_unit_images(1, "v")
+    assert report.passed and report.checks == 90
+    assert radical_ops == {"mul": 36, "add": 162}
+
+
+def test_matrix_unit_images_report_a_scaled_image_term(o3, monkeypatch):
+    # a beta that doubles the first image term of every word: the images
+    # are still adjoint in pairs, but every product of two images comes out
+    # wrong, and the report names the pair and the product
+    beta = CoreEndo.beta
+
+    def planted(self, x):
+        image = dict(beta(self, x).items())
+        first = min(image, key=lambda w: (w[0].text(), w[1].text()))
+        image[first] = image[first] * 2
+        return StarElement(self.graph, image)
+
+    monkeypatch.setattr(CoreEndo, "beta", planted)
+    family, report = CoreEndo(o3).matrix_unit_images(1, "v")
+    # all 27 nonzero products fail, and no adjoint pair does
+    assert report.lines()[0] == \
+        "matrix unit images (level 1, vertex v): FAIL (90 checks, 27 failures)"
+    assert report.failures[0].startswith("product rule fails at (e1,e1)(e1,e1):\n")
+
+
 def test_matrix_unit_images_on_cycle(two_cycle):
     endo = CoreEndo(two_cycle)
     family, report = endo.matrix_unit_images(2, "v1")
