@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import product
 from operator import add, mul, sub
 
-from .util import CheckReport, add_maps, bareiss, col_axpy, col_negate, col_swap, mat_mul
+from .util import CheckReport, add_maps, bareiss, hermite, mat_mul
 
 Vector = tuple[int, ...]
 
@@ -28,29 +28,12 @@ def hermite_normal_form(b: list[list[int]]) -> tuple[list[list[int]], list[list[
     d = len(b)
     if any(len(row) != d for row in b):
         raise ValueError("matrix must be square")
-    h = [[int(x) for x in row] for row in b]
-    u = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
-    for i in range(d):
-        while True:
-            nz = [j for j in range(i, d) if h[i][j] != 0]
-            if not nz:
-                raise ValueError("matrix is singular")
-            j0 = min(nz, key=lambda j: abs(h[i][j]))
-            if j0 != i:
-                col_swap((h, u), i, j0)
-            if all(h[i][j] == 0 for j in range(i + 1, d)):
-                break
-            for j in range(i + 1, d):
-                if h[i][j]:
-                    q = h[i][j] // h[i][i]
-                    col_axpy((h, u), j, i, -q)
-        if h[i][i] < 0:
-            col_negate((h, u), i)
-    for i in range(d):
-        for j in range(i):
-            q = h[i][j] // h[i][i]
-            if q:
-                col_axpy((h, u), j, i, -q)
+    # the row form of [B^T | I] is [H^T | U^T]
+    rows = [[int(row[j]) for row in b] + [int(i == j) for i in range(d)] for j in range(d)]
+    if hermite(rows, d) < d:
+        raise ValueError("matrix is singular")
+    h = [[row[i] for row in rows] for i in range(d)]
+    u = [[row[d + i] for row in rows] for i in range(d)]
     for i, (got, want) in enumerate(zip(mat_mul(b, u), h)):
         if got != want:
             raise RuntimeError("Hermite bookkeeping drifted in row %d" % i)

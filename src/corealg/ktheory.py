@@ -16,15 +16,11 @@ from operator import mul
 from .core_endo import graph_core_endo
 from .graph import Graph
 from .star_algebra import StarElement, matrix_unit
-from .util import CheckReport, bareiss, col_axpy, col_swap, mat_dims, mat_mul
+from .util import CheckReport, bareiss, hermite, mat_dims, mat_mul
 
 
 class StabilizationError(RuntimeError):
     """Consecutive stages disagreed where the inductive system should have settled."""
-
-
-def _identity(n: int):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def int_det(m) -> int:
@@ -37,62 +33,35 @@ def int_det(m) -> int:
 
 def smith_normal_form(m) -> tuple[list, list, list]:
     """U M V = D with U, V unimodular and D diagonal with a divisibility
-    chain of nonnegative entries.  Verified before returning."""
+    chain of nonnegative entries.  Verified before returning.
+
+    Row and column Hermite forms alternate until the matrix is diagonal;
+    where a diagonal entry does not divide a later one, that column is
+    added to its column and the alternation resumes (a gcd step)."""
     rows, cols = mat_dims(m)
-    a = [[int(x) for x in row] for row in m]
-    u = _identity(rows)
-    v = _identity(cols)
-
-    def row_axpy(dst, src, q):
-        a[dst] = [x + q * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
-
-    def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    t = 0
-    while t < min(rows, cols):
-        # move the smallest nonzero of the trailing block to the pivot
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+    d = [[int(x) for x in row] for row in m]
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    vt = [[int(i == j) for j in range(cols)] for i in range(cols)]     # V transposed
+    while True:
+        aug = [x + y for x, y in zip(d, u)]
+        hermite(aug, cols)
+        u = [row[cols:] for row in aug]
+        aug = [[row[j] for row in aug] + vt[j] for j in range(cols)]
+        hermite(aug, rows)
+        vt = [row[rows:] for row in aug]
+        d = [[row[i] for row in aug] for i in range(rows)]
+        if any(x for i, row in enumerate(d) for j, x in enumerate(row) if i != j):
+            continue
+        diag = [d[i][i] for i in range(min(rows, cols))]
+        pair = next(((i, j) for i, x in enumerate(diag) if x
+                     for j in range(i + 1, len(diag)) if diag[j] % x), None)
+        if pair is None:
             break
-        row_swap(t, best[0])
-        col_swap((a, v), t, best[1])
-        dirty = False
-        for i in range(t + 1, rows):
-            if a[i][t]:
-                row_axpy(i, t, -(a[i][t] // a[t][t]))
-                dirty = dirty or bool(a[i][t])
-        for j in range(t + 1, cols):
-            if a[t][j]:
-                col_axpy((a, v), j, t, -(a[t][j] // a[t][t]))
-                dirty = dirty or bool(a[t][j])
-        if dirty or any(a[i][t] for i in range(t + 1, rows)) \
-                or any(a[t][j] for j in range(t + 1, cols)):
-            continue
-        # pivot divides everything below-right, or gets a witness row added
-        culprit = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % a[t][t]:
-                    culprit = i
-                    break
-            if culprit is not None:
-                break
-        if culprit is not None:
-            row_axpy(t, culprit, 1)
-            continue
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
+        i, j = pair
+        d[j][i] = diag[j]
+        vt[i] = [x + y for x, y in zip(vt[i], vt[j])]
 
-    d = a
+    v = [[row[i] for row in vt] for i in range(cols)]
     if abs(int_det(u)) != 1 or abs(int_det(v)) != 1:
         raise RuntimeError("transforms drifted from unimodularity")
     if mat_mul(mat_mul(u, m), v) != d:
@@ -162,23 +131,28 @@ def coker_ker(m) -> tuple[GroupPresentation, int]:
     return GroupPresentation(rows - rank, torsion), cols - rank
 
 
-def lattice_solve(m, target: list) -> list | None:
-    """Integer solution x of M x = target, or None."""
+def lattice_solve(m, targets: list) -> list:
+    """For each target t, an integer solution x of M x = t, or None; one
+    Smith form serves every target."""
     rows, cols = mat_dims(m)
-    if len(target) != rows:
+    if any(len(t) != rows for t in targets):
         raise ValueError("target length mismatch")
     u, d, v = smith_normal_form(m)
-    t = [sum(map(mul, row, target)) for row in u]
-    y = [0] * cols
-    for i in range(rows):
-        di = d[i][i] if i < min(rows, cols) else 0
-        if di:
-            if t[i] % di:
+
+    def solve(target):
+        t = [sum(map(mul, row, target)) for row in u]
+        y = [0] * cols
+        for i in range(rows):
+            di = d[i][i] if i < min(rows, cols) else 0
+            if di:
+                if t[i] % di:
+                    return None
+                y[i] = t[i] // di
+            elif t[i]:
                 return None
-            y[i] = t[i] // di
-        elif t[i]:
-            return None
-    return [sum(map(mul, row, y)) for row in v]
+        return [sum(map(mul, row, y)) for row in v]
+
+    return [solve(t) for t in targets]
 
 
 # -- graph cores --------------------------------------------------------------------
@@ -280,10 +254,9 @@ def graph_k_theory(g: Graph) -> GraphKTheory:
     k0, ker_rank = pres
     # the inclusion acts on each stage cokernel as multiplication by the
     # connecting matrix; stable means that action is the identity
-    for j in range(n):
-        target = [c[i][j] - (1 if i == j else 0) for i in range(n)]
-        report.check(lattice_solve(m, target) is not None,
-                     lambda: "inclusion moves the class of vertex %s" % verts[j])
+    targets = [[c[i][j] - (1 if i == j else 0) for i in range(n)] for j in range(n)]
+    for j, x in enumerate(lattice_solve(m, targets)):
+        report.check(x is not None, lambda: "inclusion moves the class of vertex %s" % verts[j])
     if not report.passed:
         raise StabilizationError("\n".join(report.lines()))
     return GraphKTheory(k0, GroupPresentation(ker_rank), t, report)

@@ -1,13 +1,14 @@
 """Shared plumbing: the deterministic PRNG used by sweeps, a tiny check-report
-type, the one integer (fraction-free) elimination, the integer matrix product
-and column operations of the Smith and Hermite forms, the one sparse-map
-accumulate and sum, the sparse-sum base of the three value types, and the
-per-object memo."""
+type, the fraction-free (Bareiss) elimination, the one unimodular (Hermite)
+elimination behind the Smith and Hermite forms, the integer matrix product,
+the one sparse-map accumulate and sum, the sparse-sum base of the three value
+types, and the per-object memo."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from operator import mul
 
 _MASK = (1 << 64) - 1
@@ -78,6 +79,54 @@ def bareiss(rows: list[list[int]], n: int) -> int:
     return sign * prev
 
 
+def hermite(rows: list[list[int]], n: int) -> int:
+    """Row Hermite form in place on the first n columns of integer rows;
+    returns the rank.  Every step is a unimodular operation on whole rows,
+    so further columns ride along: [A | I] ends as [H | U] with U A = H.
+    H is upper echelon with positive pivots, each entry above a pivot in
+    [0, pivot), and zero rows last.
+
+    Rows join one at a time, each merged into the pivots so far by
+    extended-gcd steps, and the form is fully reduced after every row: the
+    Kannan-Bachem order (SIAM J. Comput. 8, 1979), which keeps the entries
+    near the size of the minors."""
+    form: list[list[int]] = []      # pivot rows, by increasing pivot column
+    cols: list[int] = []
+    zeros = []
+    for row in rows:
+        k = 0
+        for j in range(n):
+            x = row[j]
+            if not x:
+                continue
+            while k < len(cols) and cols[k] < j:
+                k += 1
+            if k == len(cols) or cols[k] > j:
+                form.insert(k, row if x > 0 else [-y for y in row])
+                cols.insert(k, j)
+                break
+            top = form[k]
+            a = top[j]
+            g = gcd(a, x)
+            a, x = a // g, x // g
+            if a > 1:
+                # s a + t x = 1, so [[s, t], [-x, a]] has determinant 1
+                s = pow(a, -1, abs(x))
+                t = (1 - s * a) // x
+                form[k] = [s * y + t * z for y, z in zip(top, row)]
+            row = [a * z - x * y for y, z in zip(top, row)]
+        else:
+            zeros.append(row)
+        for k, (j, top) in enumerate(zip(cols, form)):
+            p = top[j]
+            for i in range(k):
+                q = form[i][j] // p
+                if q:
+                    form[i] = [y - q * z for y, z in zip(form[i], top)]
+    rows[:] = form + zeros
+    return len(form)
+
+
 def mat_dims(m) -> tuple[int, int]:
     """Rows and columns of a matrix given as a sequence of rows."""
     lengths = set(map(len, m))
@@ -95,27 +144,6 @@ def mat_mul(a, b) -> list[list[int]]:
         raise ValueError("shape mismatch")
     cols = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
-
-
-def col_swap(mats, i: int, j: int) -> None:
-    """Swap columns i and j of every matrix in mats, in place."""
-    for m in mats:
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-
-
-def col_axpy(mats, dst: int, src: int, q: int) -> None:
-    """Column dst += q * column src in every matrix in mats, in place."""
-    for m in mats:
-        for row in m:
-            row[dst] += q * row[src]
-
-
-def col_negate(mats, j: int) -> None:
-    """Negate column j of every matrix in mats, in place."""
-    for m in mats:
-        for row in m:
-            row[j] = -row[j]
 
 
 def accumulate(out: dict, key, add) -> None:

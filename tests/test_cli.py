@@ -1,5 +1,6 @@
 """End-to-end runs of the command line driver: determinism, formats, exit codes."""
 
+import dataclasses
 import json
 import os
 import re
@@ -360,6 +361,40 @@ def test_paschke_check_catches_a_wrong_smith_route(capsys, monkeypatch, matrix, 
     code, out, _ = run(capsys, "ktheory", "paschke", "--matrix", matrix)
     assert code == 1 and "result: FAIL" in out
     assert "witness: det = %d but coker = Z/3, ker = Z^0" % det in out
+
+
+def _with_extra_torsion(graph_k_theory):
+    """graph_k_theory whose K_0 gains one torsion factor, twice the last."""
+    def planted(g):
+        res = graph_k_theory(g)
+        k0 = res.k0
+        extra = 2 * (k0.torsion[-1] if k0.torsion else 1)
+        return dataclasses.replace(res, k0=corealg.ktheory.GroupPresentation(
+            k0.free_rank, k0.torsion + (extra,)))
+    return planted
+
+
+@pytest.mark.parametrize("args, section, witness", [
+    (("ktheory", "graph", "{g}"), "agreement with the transposed-matrix model",
+     "stagewise Z/2/0 vs classic 0/Z^0"),
+    (("uhf", "demo", "--n", "3", "--N", "1", "--depth", "1"),
+     "six-term corner against the bouquet model", "corner mismatch: Z/2/0 vs Z/2 + Z/4/0"),
+])
+def test_k_theory_agreement_catches_an_extra_torsion_factor(capsys, monkeypatch, o2_file,
+                                                            args, section, witness):
+    argv = [a.format(g=o2_file) for a in args] + ["--json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and _sections(out)[section] == (1, 0)
+    monkeypatch.setattr(corealg.ktheory, "graph_k_theory",
+                        _with_extra_torsion(corealg.ktheory.graph_k_theory))
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    sections = _sections(out)
+    assert sections[section] == (1, 1)
+    assert [bad for _, bad in sections.values()].count(1) == 1
+    failed = next(s for s in json.loads(out)["sections"] if s["name"] == section)
+    assert failed["failures"] == [witness]
+    assert json.loads(out)["result"] == "FAIL"
 
 
 def test_dilation_verify_pass(capsys):

@@ -1,13 +1,13 @@
 """The shared sparse-map accumulate, over every coefficient type that uses
-it, the sparse-sum base of the three value types, the one integer
-elimination and the integer matrix product, the one way a check is recorded,
-and the layers that build no Fraction."""
+it, the sparse-sum base of the three value types, the integer (Bareiss)
+elimination, the one Hermite kernel and the integer matrix product, the one
+way a check is recorded, and the layers that build no Fraction."""
 
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from corealg.core_endo import CoreEndo
 from corealg.dilation import LatticeSystem, lattice_rep_check
@@ -17,7 +17,7 @@ from corealg.ktheory import smith_normal_form
 from corealg.scalar import ONE, Radical
 from corealg.star_algebra import StarElement, parse_element
 from corealg.uhf_cuntz import TensorElement
-from corealg.util import CheckReport, SparseSum, accumulate, bareiss, mat_mul
+from corealg.util import CheckReport, SparseSum, accumulate, bareiss, hermite, mat_mul
 
 
 @pytest.mark.parametrize("one", [
@@ -101,6 +101,42 @@ def test_bareiss_pinned():
     assert [row[2:] for row in rows] == [[3, -1], [0, 2]]
     assert bareiss([[1, 2], [2, 4]], 2) == 0
     assert bareiss([], 0) == 1
+
+
+@st.composite
+def hermite_inputs(draw):
+    """A rectangular integer matrix: random, with one row a combination of
+    two others, or zero."""
+    r, c = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["random", "singular", "zero"]))
+    if kind == "zero":
+        return [[0] * c for _ in range(r)]
+    a = [[draw(st.integers(-4, 4)) for _ in range(c)] for _ in range(r)]
+    if kind == "singular" and r > 2:
+        q = draw(st.integers(-3, 3))
+        a[draw(st.integers(2, r - 1))] = [x + q * y for x, y in zip(a[0], a[1])]
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(hermite_inputs())
+@example([[4, 1], [6, 0]])                          # a pivot that needs a gcd step
+@example([[0, 0, 1], [-2, 3, 0], [4, -6, 0]])       # a row that reduces to zero
+def test_hermite_contract(a):
+    sympy = pytest.importorskip("sympy")
+    r, c = len(a), len(a[0])
+    rows = [row + [int(i == j) for j in range(r)] for i, row in enumerate(a)]
+    rank = hermite(rows, c)
+    h, u = [row[:c] for row in rows], [row[c:] for row in rows]
+    assert rank == sympy.Matrix(a).rank()
+    assert mat_mul(u, a) == h
+    assert abs(bareiss([list(row) for row in u], r)) == 1
+    assert not any(map(any, h[rank:]))                  # zero rows last
+    pivots = [next(j for j, x in enumerate(row) if x) for row in h[:rank]]
+    assert pivots == sorted(set(pivots))                # upper echelon
+    for i, j in enumerate(pivots):
+        assert h[i][j] > 0
+        assert all(0 <= h[k][j] < h[i][j] for k in range(i))
 
 
 def triple_loop(a, b):
